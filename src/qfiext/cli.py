@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -69,8 +68,9 @@ def _build_parser() -> _Parser:
     src.add_argument("--config", help="sweep config JSON file")
     p_sweep.add_argument("--out", help="output file (single run) or directory (multi-run)")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                         help="concurrent grid-point evaluations (default: CPU count)")
+    p_sweep.add_argument("--jobs", type=int, default=None,
+                         help="accepted for compatibility; has no effect (each run is "
+                              "evaluated in one batched pass)")
 
     p_report = sub.add_parser("report", help="single-point evaluation as JSON")
     p_report.add_argument("--model", required=True,

@@ -67,32 +67,26 @@ def _shifted_family(family: HamiltonianFamily, offset: np.ndarray) -> Hamiltonia
 
 def flood(family: HamiltonianFamily, theta0: float, beta: float) -> HamiltonianFamily:
     """Add beta * dH/dtheta(theta0); large beta drives the QFI ratio to 1."""
-    _require_finite(theta0=theta0, beta=beta)
-    return _shifted_family(family, beta * family.derivative(theta0).matrix)
+    return apply_extension(family, Flood(beta=beta, theta0=theta0))
 
 
 def subtract(family: HamiltonianFamily, theta0: float) -> HamiltonianFamily:
     """Subtract H(theta0); the result vanishes (and saturates) at theta0."""
-    _require_finite(theta0=theta0)
-    return _shifted_family(family, -family.value(theta0).matrix)
+    return apply_extension(family, Subtract(theta0=theta0))
 
 
 def subtract_perturbed(
     family: HamiltonianFamily, theta0: float, epsilon: float
 ) -> HamiltonianFamily:
     """Subtract H(theta0 + epsilon): subtraction with a miscalibrated anchor."""
-    _require_finite(theta0=theta0, epsilon=epsilon)
-    return _shifted_family(family, -family.value(theta0 + epsilon).matrix)
+    return apply_extension(family, SubtractPerturbed(theta0=theta0, epsilon=epsilon))
 
 
 def add_operator(
     family: HamiltonianFamily, v: HermitianOperator, epsilon: float
 ) -> HamiltonianFamily:
     """Add epsilon * V for an arbitrary fixed Hermitian V (time-scaling engineering)."""
-    _require_finite(epsilon=epsilon)
-    if v.dim != family.dim:
-        raise DimensionMismatch(f"operator dimension {v.dim} does not match family {family.dim}")
-    return _shifted_family(family, epsilon * v.matrix)
+    return apply_extension(family, AddOperator(operator=v, epsilon=epsilon))
 
 
 def tensor_identity(family: HamiltonianFamily, ancilla_dim: int) -> HamiltonianFamily:
@@ -110,16 +104,30 @@ def tensor_identity(family: HamiltonianFamily, ancilla_dim: int) -> HamiltonianF
     )
 
 
-def apply_extension(family: HamiltonianFamily, spec: ExtensionSpec) -> HamiltonianFamily:
+def extension_offset(family: HamiltonianFamily, spec: ExtensionSpec) -> np.ndarray:
+    """The fixed matrix that the extension ``spec`` adds to ``family``'s value."""
     if isinstance(spec, Flood):
-        return flood(family, spec.theta0, spec.beta)
+        _require_finite(theta0=spec.theta0, beta=spec.beta)
+        return spec.beta * family.derivative(spec.theta0).matrix
     if isinstance(spec, Subtract):
-        return subtract(family, spec.theta0)
+        _require_finite(theta0=spec.theta0)
+        return -family.value(spec.theta0).matrix
     if isinstance(spec, SubtractPerturbed):
-        return subtract_perturbed(family, spec.theta0, spec.epsilon)
+        _require_finite(theta0=spec.theta0, epsilon=spec.epsilon)
+        return -family.value(spec.theta0 + spec.epsilon).matrix
     if isinstance(spec, AddOperator):
-        return add_operator(family, spec.operator, spec.epsilon)
+        _require_finite(epsilon=spec.epsilon)
+        v = spec.operator
+        if v.dim != family.dim:
+            raise DimensionMismatch(
+                f"operator dimension {v.dim} does not match family {family.dim}"
+            )
+        return spec.epsilon * v.matrix
     raise ValueError(f"unknown extension spec: {spec!r}")
+
+
+def apply_extension(family: HamiltonianFamily, spec: ExtensionSpec) -> HamiltonianFamily:
+    return _shifted_family(family, extension_offset(family, spec))
 
 
 def predicted_subtraction_deficit(

@@ -2,9 +2,10 @@
 
 A family bundles a value map with its first (and optionally second)
 parametric derivative. Derivative maps are analytic where the model provides
-them and central finite differences otherwise. All maps must be stateless:
-they are called concurrently and must return identical matrices for
-identical arguments.
+them and central finite differences otherwise. All maps must be stateless
+and return identical matrices for identical arguments: a sweep evaluates
+them once per grid point, or once per run when the swept variable does not
+enter them, and stacks the results for one batched evaluation.
 """
 
 from __future__ import annotations

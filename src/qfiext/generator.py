@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, StepTooSmall
 from .family import DEFAULT_FD_STEP, HamiltonianFamily
-from .linalg import HermitianOperator, eig_hermitian, expm_unitary
+from .linalg import HermitianOperator, eig_hermitian, eigh_stack, expm_unitary
 
 QUADRATURE_TARGET_RTOL = 1e-9
 QUADRATURE_MAX_ORDER = 1024
@@ -51,14 +51,35 @@ class GeneratorResult:
     converged: bool = True
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M^dag)/2 of one matrix or of each matrix of a stack."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
 def _hermitized(m: np.ndarray) -> HermitianOperator:
-    return HermitianOperator((m + m.conj().T) / 2)
+    return HermitianOperator(_hermitian_part(m))
 
 
-def _phase_kernel(t: float, eigenvalues: np.ndarray) -> np.ndarray:
-    """t * exp(i t d/2) * sin(t d/2)/(t d/2) over all eigenvalue gaps d."""
-    gaps = eigenvalues[:, None] - eigenvalues[None, :]
+def _phase_kernel(t, eigenvalues: np.ndarray) -> np.ndarray:
+    """t * exp(i t d/2) * sin(t d/2)/(t d/2) over all eigenvalue gaps d.
+
+    ``eigenvalues`` is one spectrum (d,) or a stack (..., d); over a stack,
+    ``t`` is an array that broadcasts against (..., d, d).
+    """
+    gaps = eigenvalues[..., :, None] - eigenvalues[..., None, :]
     return t * np.exp(0.5j * t * gaps) * np.sinc(t * gaps / (2.0 * np.pi))
+
+
+def _spectral_product(t, eigenvalues: np.ndarray, eigenvectors: np.ndarray, op: np.ndarray):
+    """V ((V^dag A V) * kernel) V^dag: the generator for derivative A, before hermitization."""
+    v = eigenvectors
+    v_dag = v.conj().swapaxes(-1, -2)
+    return v @ ((v_dag @ op @ v) * _phase_kernel(t, eigenvalues)) @ v_dag
+
+
+def _spectral_error(dim: int, t, hdot_max):
+    """16 d eps (1 + |t| max|Hdot|), the spectral route's rounding estimate."""
+    return 16.0 * dim * float(np.finfo(float).eps) * (1.0 + abs(t) * hdot_max)
 
 
 def generator_spectral(family: HamiltonianFamily, theta: float, t: float) -> GeneratorResult:
@@ -66,13 +87,25 @@ def generator_spectral(family: HamiltonianFamily, theta: float, t: float) -> Gen
     h = family.value(theta)
     hdot = family.derivative(theta)
     dec = eig_hermitian(h)
-    v = dec.eigenvectors
-    hdot_eig = v.conj().T @ hdot.matrix @ v
-    kernel = _phase_kernel(t, dec.eigenvalues)
-    gen = v @ (hdot_eig * kernel) @ v.conj().T
-    scale = 1.0 + abs(t) * float(np.max(np.abs(hdot.matrix)))
-    err = 16.0 * family.dim * float(np.finfo(float).eps) * scale
+    gen = _spectral_product(t, dec.eigenvalues, dec.eigenvectors, hdot.matrix)
+    err = _spectral_error(family.dim, t, float(np.max(np.abs(hdot.matrix))))
     return GeneratorResult(_hermitized(gen), GeneratorMethod.SPECTRAL, err)
+
+
+def generator_spectral_stack(
+    h: np.ndarray, hdot: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``generator_spectral`` at N points at once: generators (N, d, d) and errors (N,).
+
+    ``h`` and ``hdot`` are (N, d, d) stacks of ``HermitianOperator.matrix``
+    values (not checked again) and ``t`` is (N,). Each generator has the bits
+    of ``generator_spectral(...).generator.matrix`` at its point, hermitized
+    twice as ``_hermitized`` and ``HermitianOperator`` do.
+    """
+    w, v = eigh_stack(h)
+    gen = _spectral_product(t[:, None, None], w, v, hdot)
+    err = _spectral_error(h.shape[-1], t, np.abs(hdot).max(axis=(-2, -1)))
+    return _hermitian_part(_hermitian_part(gen)), err
 
 
 @lru_cache(maxsize=32)
@@ -174,11 +207,7 @@ def broken_phase_shift_generator_at_zero(
     if g.dim != f.dim:
         raise DimensionMismatch(f"dimensions differ: {g.dim} vs {f.dim}")
     dec = eig_hermitian(f)
-    v = dec.eigenvectors
-    g_eig = v.conj().T @ g.matrix @ v
-    kernel = _phase_kernel(t, dec.eigenvalues)
-    gen = v @ (g_eig * kernel) @ v.conj().T
-    return _hermitized(gen)
+    return _hermitized(_spectral_product(t, dec.eigenvalues, dec.eigenvectors, g.matrix))
 
 
 def compute_generator(

@@ -124,21 +124,26 @@ class EigenDecomposition:
         return self.eigenvalues.shape[0]
 
 
-def degeneracy_tolerance(eigenvalues: np.ndarray) -> float:
-    spread = float(eigenvalues[-1] - eigenvalues[0])
-    return max(DEGENERACY_RTOL * spread, DEGENERACY_ATOL)
+def degeneracy_tolerance(eigenvalues: np.ndarray):
+    """max(DEGENERACY_RTOL * spread, DEGENERACY_ATOL) of ascending eigenvalues.
+
+    Over a stack (..., d) of spectra it gives one tolerance per spectrum.
+    """
+    spread = eigenvalues[..., -1] - eigenvalues[..., 0]
+    return np.maximum(DEGENERACY_RTOL * spread, DEGENERACY_ATOL)
 
 
 def degenerate_blocks(eigenvalues: np.ndarray) -> list[range]:
     """Group ascending eigenvalues into blocks chained by the degeneracy tolerance."""
     tol = degeneracy_tolerance(eigenvalues)
+    w = eigenvalues.tolist()
     blocks = []
     start = 0
-    for k in range(1, len(eigenvalues)):
-        if eigenvalues[k] - eigenvalues[k - 1] > tol:
+    for k in range(1, len(w)):
+        if w[k] - w[k - 1] > tol:
             blocks.append(range(start, k))
             start = k
-    blocks.append(range(start, len(eigenvalues)))
+    blocks.append(range(start, len(w)))
     return blocks
 
 
@@ -167,15 +172,24 @@ def _canonical_block_basis(block_vectors: np.ndarray) -> np.ndarray:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    out = vectors.copy()
-    idx = np.argmax(np.abs(out), axis=0)
-    for k in range(out.shape[1]):
-        pivot = out[idx[k], k]
-        mag = abs(pivot)
-        if mag > 0.0:
-            out[:, k] *= pivot.conjugate() / mag
-    return out
+    """Rotate each column so its largest-magnitude entry is real positive.
+
+    Works on one matrix or a stack (..., d, d) of them. The columns are unit
+    eigenvectors, so no pivot is zero. Its magnitude is taken as
+    hypot(re, im), which equals the scalar abs() of a complex entry bit for
+    bit; numpy's vectorized complex abs does not.
+    """
+    idx = np.argmax(np.abs(vectors), axis=-2, keepdims=True)
+    pivot = np.take_along_axis(vectors, idx, axis=-2)
+    return vectors * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
+
+
+def _canonicalize_blocks(eigenvalues: np.ndarray, vectors: np.ndarray) -> None:
+    """Replace the columns of each degenerate block by its canonical basis, in place."""
+    for block in degenerate_blocks(eigenvalues):
+        if len(block) > 1:
+            sl = slice(block.start, block.stop)
+            vectors[:, sl] = _canonical_block_basis(vectors[:, sl])
 
 
 def eig_hermitian(a: HermitianOperator) -> EigenDecomposition:
@@ -186,12 +200,25 @@ def eig_hermitian(a: HermitianOperator) -> EigenDecomposition:
     inputs give identical outputs.
     """
     w, v = np.linalg.eigh(a.matrix)
-    for block in degenerate_blocks(w):
-        if len(block) > 1:
-            sl = slice(block.start, block.stop)
-            v[:, sl] = _canonical_block_basis(v[:, sl])
-    v = _fix_phases(v)
-    return EigenDecomposition(_freeze(w.astype(float)), _freeze(v))
+    _canonicalize_blocks(w, v)
+    return EigenDecomposition(_freeze(w), _freeze(_fix_phases(v)))
+
+
+def eigh_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eig_hermitian`` over a stack (N, d, d): eigenvalues (N, d), eigenvectors (N, d, d).
+
+    The matrices are taken as Hermitian without a check (pass
+    ``HermitianOperator.matrix`` values). Each point gets the bits
+    ``eig_hermitian`` gives it: one batched ``eigh``, the canonical block
+    basis only at the points whose spectrum has a degenerate block, and one
+    phase fix for the whole stack.
+    """
+    w, v = np.linalg.eigh(matrices)
+    # "not >" rather than "<=", so that a NaN gap goes to degenerate_blocks too.
+    split = np.diff(w, axis=-1) > degeneracy_tolerance(w)[:, None]
+    for n in np.flatnonzero(~split.all(axis=-1)):
+        _canonicalize_blocks(w[n], v[n])
+    return w, _fix_phases(v)
 
 
 def expm_unitary(a: HermitianOperator, t: float) -> UnitaryOperator:

@@ -149,6 +149,12 @@ def direction_family(params: DirectionParams) -> HamiltonianFamily:
     return HamiltonianFamily(3, value, derivative, second_derivative)
 
 
+def direction_sz_operator(params: DirectionParams) -> HermitianOperator:
+    """The z-field term B * g mu_B S_z / hbar, added kappa times by direction_sz_family."""
+    _, _, sz = spin1_matrices()
+    return HermitianOperator(params.B * gyromagnetic_ratio(params.g) * sz.matrix)
+
+
 def direction_sz_family(params: DirectionParams, kappa: float) -> HamiltonianFamily:
     """Direction probe with an added z field of strength kappa*B.
 
@@ -159,9 +165,7 @@ def direction_sz_family(params: DirectionParams, kappa: float) -> HamiltonianFam
         raise ValueError(f"kappa must be finite, got {kappa!r}")
     from .extensions import add_operator
 
-    _, _, sz = spin1_matrices()
-    extra = HermitianOperator(params.B * gyromagnetic_ratio(params.g) * sz.matrix)
-    return add_operator(direction_family(params), extra, kappa)
+    return add_operator(direction_family(params), direction_sz_operator(params), kappa)
 
 
 def direction_reference_qfi(params: DirectionParams) -> float:

@@ -2,16 +2,18 @@
 
 A sweep evaluates the channel QFI over a grid of one variable (evaluation
 point, evolution time, or an extension parameter) with everything else fixed.
-Grid points are independent and may be computed concurrently; rows are always
-assembled in grid order, and floats are emitted in shortest round-trip form,
-so identical specs produce byte-identical output.
+Each run builds its model family, extension and operator file once, evaluates
+per grid point only what the swept variable changes, and pushes the whole
+grid through one stacked eigendecomposition pass (``qfi.channel_qfi_stack``),
+which gives every point the bits ``qfi.channel_qfi`` would. Rows are in grid
+order and floats are emitted in shortest round-trip form, so identical specs
+produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -19,25 +21,41 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidSpec, ModelError, QuadratureNotConverged
-from .extensions import AddOperator, Flood, Subtract, SubtractPerturbed, apply_extension
+from .errors import (
+    DimensionMismatch,
+    FamilyFileError,
+    InvalidSpec,
+    ModelError,
+    NonHermitianInput,
+)
+from .extensions import (
+    AddOperator,
+    Flood,
+    Subtract,
+    SubtractPerturbed,
+    apply_extension,
+    extension_offset,
+)
 from .familyfile import load_definition
 from .familyfile import build_family as _build_custom_family
+from .generator import GeneratorMethod
 from .linalg import HermitianOperator
 from .models import (
     DirectionParams,
     NvParams,
     broken_phase_shift_family,
     direction_family,
-    direction_sz_family,
+    direction_sz_operator,
     nv_family,
 )
-from .qfi import channel_qfi
+from .qfi import channel_qfi_stack
 
 MODELS = ("nv", "direction", "broken-phase-shift", "custom")
 EXTENSION_KINDS = ("flood", "subtract", "subtract-perturbed", "add-operator", "sz")
 SCALES = ("linear", "log")
 CSV_HEADER = "sweep_value,channel_qfi,upper_bound,ratio,generator_method,estimated_error"
+# Bad input files and matrices keep their own exit code instead of becoming ModelError.
+_INPUT_ERRORS = (InvalidSpec, NonHermitianInput, DimensionMismatch, FamilyFileError)
 
 _MODEL_DEFAULTS = {
     "nv": {"Bx": 0.0, "By": 0.0, "Bz": 0.0, "D": None, "E": None, "g": None, "t": 1e-3},
@@ -178,7 +196,7 @@ def load_model_family(model: str, family_file):
 
 
 def _build_base(spec: SweepSpec, params: dict):
-    """Model family, evaluation point and time for one grid point."""
+    """Model family, evaluation point, time and model parameters of a run."""
     if spec.model == "nv":
         kwargs = {k: params[k] for k in ("Bx", "By", "Bz", "D", "E", "g", "t") if params[k] is not None}
         nv = NvParams(**kwargs)
@@ -195,15 +213,21 @@ def _build_base(spec: SweepSpec, params: dict):
     return family, params["theta"], params["t"], None
 
 
-def _extension_spec(spec: SweepSpec, sweep_value: float, model_params):
+def _extension_operator(spec: SweepSpec, model_params) -> Optional[HermitianOperator]:
+    """The operator an add-operator or sz extension adds; built once per run."""
+    kind = spec.extension["kind"]
+    if kind == "add-operator":
+        return _load_operator(spec.extension["file"])
+    if kind == "sz":
+        return direction_sz_operator(model_params)
+    return None
+
+
+def _extension_spec(spec: SweepSpec, sweep_value: float, operator):
     ext = dict(spec.extension)
     kind = ext.pop("kind")
-    if spec.sweep_variable == "beta":
-        ext["beta"] = sweep_value
-    elif spec.sweep_variable == "kappa":
-        ext["kappa"] = sweep_value
-    elif spec.sweep_variable == "epsilon" and kind in ("subtract-perturbed", "add-operator"):
-        ext["epsilon"] = sweep_value
+    if spec.sweep_variable in ("beta", "kappa", "epsilon"):
+        ext[spec.sweep_variable] = sweep_value
     if kind == "flood":
         return Flood(beta=float(ext["beta"]), theta0=float(ext.get("theta0", 0.0)))
     if kind == "subtract":
@@ -211,9 +235,8 @@ def _extension_spec(spec: SweepSpec, sweep_value: float, model_params):
     if kind == "subtract-perturbed":
         return SubtractPerturbed(theta0=float(ext["theta0"]), epsilon=float(ext["epsilon"]))
     if kind == "add-operator":
-        op = _load_operator(ext["file"])
-        return AddOperator(operator=op, epsilon=float(ext["epsilon"]))
-    return ("sz", float(ext["kappa"]), model_params)  # handled in _evaluate_point
+        return AddOperator(operator=operator, epsilon=float(ext["epsilon"]))
+    return AddOperator(operator=operator, epsilon=float(ext["kappa"]))  # sz: kappa * B g mu_B S_z
 
 
 def _load_operator(path) -> HermitianOperator:
@@ -223,44 +246,59 @@ def _load_operator(path) -> HermitianOperator:
     return HermitianOperator(re + 1j * im)
 
 
-def _evaluate_point(spec: SweepSpec, sweep_value: float) -> SweepRow:
-    params = _params(spec, sweep_value)
-    family, theta_eval, t, model_params = _build_base(spec, params)
+def _point_evaluator(spec: SweepSpec, first_value: float):
+    """Build a run's family once; return x -> (H, dH/dtheta, t) at grid value x.
+
+    Per point only what the sweep variable changes is evaluated: the
+    evaluation point for B_z and theta, the extension offset for beta, kappa
+    and epsilon, and nothing but t itself for t.
+    """
+    family, theta, t, model_params = _build_base(spec, _params(spec, first_value))
+    operator = None if spec.extension is None else _extension_operator(spec, model_params)
+    if spec.sweep_variable in ("beta", "kappa", "epsilon"):
+        h0 = family.value(theta).matrix
+        hdot = family.derivative(theta).matrix
+
+        def shifted(x: float):
+            offset = extension_offset(family, _extension_spec(spec, x, operator))
+            return HermitianOperator(h0 + offset).matrix, hdot, t
+
+        return shifted
     if spec.extension is not None:
-        ext = _extension_spec(spec, sweep_value, model_params)
-        if isinstance(ext, tuple):  # direction-model z-field extension
-            family = direction_sz_family(model_params, ext[1])
-        else:
-            family = apply_extension(family, ext)
-    report = channel_qfi(family, theta_eval, t)
-    return SweepRow(
-        sweep_value,
-        report.channel_qfi,
-        report.upper_bound,
-        report.ratio,
-        report.generator_method.value,
-        report.estimated_error,
-    )
+        family = apply_extension(family, _extension_spec(spec, first_value, operator))
+    if spec.sweep_variable == "t":
+        h = family.value(theta).matrix
+        hdot = family.derivative(theta).matrix
+        return lambda x: (h, hdot, x)
+    return lambda x: (family.value(x).matrix, family.derivative(x).matrix, t)
 
 
 def run_sweep(spec: SweepSpec, jobs: Optional[int] = None) -> SweepResult:
-    """Evaluate all grid points (concurrently for jobs > 1), rows in grid order."""
+    """Evaluate all grid points, rows in grid order.
+
+    ``jobs`` is accepted for compatibility and has no effect: the grid is
+    evaluated in one stacked pass. A failure other than a bad input file or
+    matrix is raised as ModelError naming its grid point.
+    """
     validate_spec(spec)
     values = spec.grid.values()
-
-    def evaluate(x: float) -> SweepRow:
-        try:
-            return _evaluate_point(spec, x)
-        except (InvalidSpec, QuadratureNotConverged):
-            raise
-        except Exception as exc:
-            raise ModelError(f"at {spec.sweep_variable}={x!r}: {exc}") from exc
-
-    if jobs is not None and jobs > 1 and len(values) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = tuple(pool.map(evaluate, values))
-    else:
-        rows = tuple(evaluate(x) for x in values)
+    x = values[0]  # the point a ModelError names; the first one while the run is built
+    try:
+        evaluate = _point_evaluator(spec, x)
+        points = []
+        for x in values:
+            points.append(evaluate(x))
+    except _INPUT_ERRORS:
+        raise
+    except Exception as exc:
+        raise ModelError(f"at {spec.sweep_variable}={x!r}: {exc}") from exc
+    h, hdot, t = zip(*points)
+    numbers = channel_qfi_stack(np.stack(h), np.stack(hdot), np.array(t, dtype=float))
+    method = GeneratorMethod.SPECTRAL.value
+    rows = tuple(
+        SweepRow(x, cqfi, bound, ratio, method, err)
+        for x, (cqfi, bound, ratio, err) in zip(values, numbers)
+    )
     return SweepResult(spec.label, rows)
 
 

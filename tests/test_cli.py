@@ -77,6 +77,23 @@ class TestSweepCommand:
         assert code == 1
         assert "error" in err
 
+    def test_non_hermitian_add_operator_file_exits_two(self, tmp_path, capsys):
+        operator = tmp_path / "operator.json"
+        operator.write_text(json.dumps({"re": [[0, 1, 0], [0, 0, 0], [0, 0, 0]]}), encoding="utf-8")
+        config = {
+            "model": "broken-phase-shift",
+            "sweep_variable": "epsilon",
+            "grid": {"start": 0.0, "stop": 1.0, "points": 3},
+            "family_file": str(FIXTURES.joinpath("valid-family.json")),
+            "extension": {"kind": "add-operator", "file": str(operator), "epsilon": 0.0},
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert "not Hermitian" in err
+
     def test_unknown_preset_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--preset", "fig9")
         assert code == 1

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfiext import (
     DimensionMismatch,
@@ -17,6 +19,7 @@ from qfiext import (
     spin1_matrices,
     variance,
 )
+from qfiext.linalg import _fix_phases, eigh_stack
 from helpers import gue, random_state, taylor_expm
 
 SX, SY, SZ = spin1_matrices()
@@ -109,6 +112,62 @@ class TestEig:
         d2 = eig_hermitian(HermitianOperator(m.matrix.copy()))
         assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
         assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
+
+
+def fix_phases_by_column(vectors: np.ndarray) -> np.ndarray:
+    """Reference: the per-column loop that _fix_phases replaces."""
+    out = vectors.copy()
+    idx = np.argmax(np.abs(out), axis=0)
+    for k in range(out.shape[1]):
+        pivot = out[idx[k], k]
+        mag = abs(pivot)
+        if mag > 0.0:
+            out[:, k] *= pivot.conjugate() / mag
+    return out
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestStackedEig:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 6),
+        count=st.integers(1, 5),
+        ancilla=st.sampled_from([1, 2]),
+        exponent=st.integers(-12, 12),
+    )
+    def test_fix_phases_equals_column_loop(self, seed, dim, count, ancilla, exponent):
+        # ancilla=2 lifts onto H (x) 1: degenerate spectra, exact zeros and tied magnitudes.
+        rng = np.random.default_rng(seed)
+        stack = np.stack(
+            [np.kron(gue(dim, rng).matrix, np.eye(ancilla)) * 10.0**exponent for _ in range(count)]
+        )
+        vectors = np.linalg.eigh(stack)[1]
+        fixed = _fix_phases(vectors)
+        for n in range(count):
+            expected = fix_phases_by_column(vectors[n])
+            assert same_bits(fixed[n], expected)
+            assert same_bits(_fix_phases(vectors[n]), expected)
+
+    def test_eigh_stack_equals_eig_hermitian(self):
+        rng = np.random.default_rng(12)
+        ops = [gue(4, rng) for _ in range(3)]
+        ops += [HermitianOperator(np.kron(gue(2, rng).matrix, np.eye(2))) for _ in range(3)]
+        ops += [
+            HermitianOperator(np.eye(4)),
+            HermitianOperator(np.zeros((4, 4))),
+            HermitianOperator(np.diag([1.0, 1.0, 2.0, 3.0])),
+            # rank 2: a doubly degenerate zero and tied entry magnitudes
+            HermitianOperator(SX.matrix[:2, :2].repeat(2, 0).repeat(2, 1)),
+        ]
+        w, v = eigh_stack(np.stack([op.matrix for op in ops]))
+        for n, op in enumerate(ops):
+            dec = eig_hermitian(op)
+            assert same_bits(w[n], dec.eigenvalues)
+            assert same_bits(v[n], dec.eigenvectors)
 
 
 class TestExpm:
