@@ -11,20 +11,17 @@ with a spin-1 probe.
 from .errors import (
     DegenerateExtremalEigenvalues,
     DegenerateSpectrum,
-    DegenerateSpectrumUnresolvable,
     DimensionMismatch,
     FamilyFileError,
     InvalidSpec,
     ModelError,
     NonHermitianInput,
     QfiextError,
-    QuadratureNotConverged,
     StepTooSmall,
 )
 from .family import (
     FamilyValidation,
     HamiltonianFamily,
-    family_from_callable,
     fd_derivative,
     fd_second_derivative,
     validate_family,

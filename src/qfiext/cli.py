@@ -25,7 +25,6 @@ from .errors import (
     ModelError,
     NonHermitianInput,
     QfiextError,
-    QuadratureNotConverged,
 )
 from .extensions import apply_extension
 from .extensions import AddOperator, Flood, Subtract, SubtractPerturbed
@@ -287,7 +286,7 @@ def main(argv=None) -> int:
     except (FamilyFileError, NonHermitianInput, DimensionMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (QuadratureNotConverged, ModelError) as exc:
+    except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
     except QfiextError as exc:

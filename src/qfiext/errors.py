@@ -13,10 +13,6 @@ class DimensionMismatch(QfiextError):
     """Operands act on spaces of different dimension."""
 
 
-class DegenerateSpectrumUnresolvable(QfiextError):
-    """Degenerate eigenvalue structure prevents a well-defined result."""
-
-
 class DegenerateSpectrum(QfiextError):
     """Operation requires a non-degenerate spectrum."""
 
@@ -27,10 +23,6 @@ class DegenerateExtremalEigenvalues(QfiextError):
 
 class StepTooSmall(QfiextError):
     """Finite-difference step is below the numerically safe floor."""
-
-
-class QuadratureNotConverged(QfiextError):
-    """Adaptive quadrature hit its order cap before reaching the target error."""
 
 
 class InvalidSpec(QfiextError):

@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DegenerateExtremalEigenvalues, DegenerateSpectrum, DimensionMismatch
-from .family import HamiltonianFamily
+from .family import HamiltonianFamily, checked_stack, factor
 from .linalg import HermitianOperator, commutator, degenerate_blocks, eig_hermitian
 
 
@@ -52,9 +52,14 @@ class AddOperator:
 ExtensionSpec = Union[Flood, Subtract, SubtractPerturbed, AddOperator]
 
 
-def _require_finite(**values: float):
+def _require_finite(**values):
+    """Each value is a float, or an (N,) array of grid values."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if isinstance(value, np.ndarray):
+            finite = bool(np.isfinite(value).all())
+        else:
+            finite = math.isfinite(value)
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -62,7 +67,17 @@ def _shifted_family(family: HamiltonianFamily, offset: np.ndarray) -> Hamiltonia
     def value(theta: float) -> HermitianOperator:
         return HermitianOperator(family.value(theta).matrix + offset)
 
-    return HamiltonianFamily(family.dim, value, family.derivative, family.second_derivative)
+    def values(thetas: np.ndarray) -> np.ndarray:
+        return checked_stack(family.values(thetas) + offset, thetas)
+
+    return HamiltonianFamily(
+        family.dim,
+        value,
+        family.derivative,
+        family.second_derivative,
+        value_stack=values,
+        derivative_stack=family.derivatives,
+    )
 
 
 def flood(family: HamiltonianFamily, theta0: float, beta: float) -> HamiltonianFamily:
@@ -105,16 +120,23 @@ def tensor_identity(family: HamiltonianFamily, ancilla_dim: int) -> HamiltonianF
 
 
 def extension_offset(family: HamiltonianFamily, spec: ExtensionSpec) -> np.ndarray:
-    """The fixed matrix that the extension ``spec`` adds to ``family``'s value."""
+    """The fixed matrix that the extension ``spec`` adds to ``family``'s value.
+
+    ``beta`` or ``epsilon`` may be an (N,) array of grid values instead of a
+    float; the offset is then the (N, d, d) stack of the offsets at each.
+    """
     if isinstance(spec, Flood):
         _require_finite(theta0=spec.theta0, beta=spec.beta)
-        return spec.beta * family.derivative(spec.theta0).matrix
+        return factor(spec.beta) * family.derivative(spec.theta0).matrix
     if isinstance(spec, Subtract):
         _require_finite(theta0=spec.theta0)
         return -family.value(spec.theta0).matrix
     if isinstance(spec, SubtractPerturbed):
         _require_finite(theta0=spec.theta0, epsilon=spec.epsilon)
-        return -family.value(spec.theta0 + spec.epsilon).matrix
+        anchor = spec.theta0 + spec.epsilon
+        if isinstance(anchor, np.ndarray):
+            return -family.values(anchor)
+        return -family.value(anchor).matrix
     if isinstance(spec, AddOperator):
         _require_finite(epsilon=spec.epsilon)
         v = spec.operator
@@ -122,7 +144,7 @@ def extension_offset(family: HamiltonianFamily, spec: ExtensionSpec) -> np.ndarr
             raise DimensionMismatch(
                 f"operator dimension {v.dim} does not match family {family.dim}"
             )
-        return spec.epsilon * v.matrix
+        return factor(spec.epsilon) * v.matrix
     raise ValueError(f"unknown extension spec: {spec!r}")
 
 

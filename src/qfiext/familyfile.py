@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FamilyFileError, NonHermitianInput
-from .family import HamiltonianFamily, FamilyValidation, validate_family
+from .family import HamiltonianFamily, FamilyValidation, factor, validate_family
 from .linalg import HermitianOperator, degenerate_blocks, eig_hermitian
 
 COEFFICIENT_KINDS = ("const", "linear", "sin", "cos")
@@ -53,31 +53,33 @@ class Coefficient:
     frequency: float = 1.0
     phase: float = 0.0
 
-    def value(self, theta: float) -> float:
+    # Each takes a float theta or an (N,) array of them.
+
+    def value(self, theta):
         if self.kind == "const":
             return self.scale
         if self.kind == "linear":
             return self.scale * theta
         if self.kind == "sin":
-            return self.scale * math.sin(self.frequency * theta + self.phase)
-        return self.scale * math.cos(self.frequency * theta + self.phase)
+            return self.scale * np.sin(self.frequency * theta + self.phase)
+        return self.scale * np.cos(self.frequency * theta + self.phase)
 
-    def derivative(self, theta: float) -> float:
+    def derivative(self, theta):
         if self.kind == "const":
             return 0.0
         if self.kind == "linear":
             return self.scale
         if self.kind == "sin":
-            return self.scale * self.frequency * math.cos(self.frequency * theta + self.phase)
-        return -self.scale * self.frequency * math.sin(self.frequency * theta + self.phase)
+            return self.scale * self.frequency * np.cos(self.frequency * theta + self.phase)
+        return -self.scale * self.frequency * np.sin(self.frequency * theta + self.phase)
 
-    def second_derivative(self, theta: float) -> float:
+    def second_derivative(self, theta):
         if self.kind in ("const", "linear"):
             return 0.0
         w2 = self.frequency * self.frequency
         if self.kind == "sin":
-            return -w2 * self.scale * math.sin(self.frequency * theta + self.phase)
-        return -w2 * self.scale * math.cos(self.frequency * theta + self.phase)
+            return -w2 * self.scale * np.sin(self.frequency * theta + self.phase)
+        return -w2 * self.scale * np.cos(self.frequency * theta + self.phase)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +157,10 @@ def parse_definition(doc) -> FamilyDefinition:
 
 def load_definition(path) -> FamilyDefinition:
     """Read and parse a family file; JSON errors carry line/column."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise FamilyFileError(f"cannot read family file {str(path)!r}: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -165,36 +170,32 @@ def load_definition(path) -> FamilyDefinition:
     return parse_definition(doc)
 
 
-def _sum_terms(terms: tuple[Term, ...], dim: int, evaluate) -> HermitianOperator:
-    acc = np.zeros((dim, dim), dtype=complex)
+def _sum_terms(terms: tuple[Term, ...], dim: int, coefficient, theta) -> np.ndarray:
+    """sum_k coefficient(c_k, theta) * M_k at a float theta, or over an (N,) array of them."""
+    acc = np.zeros(np.shape(theta) + (dim, dim), dtype=complex)
     for term in terms:
-        acc += evaluate(term.coefficient) * term.matrix.matrix
-    return HermitianOperator(acc)
+        acc += factor(coefficient(term.coefficient, theta)) * term.matrix.matrix
+    return acc
 
 
 def build_family(definition: FamilyDefinition) -> HamiltonianFamily:
     """Family with analytic coefficient derivatives (or the explicit override)."""
     dim = definition.dim
     terms = definition.terms
+    explicit = definition.derivative_terms
 
-    def value(theta: float) -> HermitianOperator:
-        return _sum_terms(terms, dim, lambda c: c.value(theta))
+    def value(theta):
+        return _sum_terms(terms, dim, Coefficient.value, theta)
 
-    if definition.derivative_terms is not None:
-        explicit = definition.derivative_terms
+    def derivative(theta):
+        if explicit is not None:
+            return _sum_terms(explicit, dim, Coefficient.value, theta)
+        return _sum_terms(terms, dim, Coefficient.derivative, theta)
 
-        def derivative(theta: float) -> HermitianOperator:
-            return _sum_terms(explicit, dim, lambda c: c.value(theta))
+    def second_derivative(theta):
+        return _sum_terms(terms, dim, Coefficient.second_derivative, theta)
 
-    else:
-
-        def derivative(theta: float) -> HermitianOperator:
-            return _sum_terms(terms, dim, lambda c: c.derivative(theta))
-
-    def second_derivative(theta: float) -> HermitianOperator:
-        return _sum_terms(terms, dim, lambda c: c.second_derivative(theta))
-
-    return HamiltonianFamily(dim, value, derivative, second_derivative)
+    return HamiltonianFamily.from_formulas(dim, value, derivative, second_derivative)
 
 
 def load_family(path) -> HamiltonianFamily:
@@ -223,7 +224,7 @@ def validate_file(path) -> FileDiagnostics:
     """Full validation: schema, Hermiticity, derivative consistency, degeneracy report."""
     try:
         definition = load_definition(path)
-    except (FamilyFileError, NonHermitianInput, OSError) as exc:
+    except (FamilyFileError, NonHermitianInput) as exc:
         return FileDiagnostics("invariant", [str(exc)])
 
     family = build_family(definition)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, StepTooSmall
 from .family import DEFAULT_FD_STEP, HamiltonianFamily
-from .linalg import HermitianOperator, eig_hermitian, eigh_stack, expm_unitary
+from .linalg import HermitianOperator, eig_hermitian, eigh_stack, expm_unitary, hermitian_part
 
 QUADRATURE_TARGET_RTOL = 1e-9
 QUADRATURE_MAX_ORDER = 1024
@@ -51,13 +51,8 @@ class GeneratorResult:
     converged: bool = True
 
 
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(M + M^dag)/2 of one matrix or of each matrix of a stack."""
-    return (m + m.conj().swapaxes(-1, -2)) / 2
-
-
 def _hermitized(m: np.ndarray) -> HermitianOperator:
-    return HermitianOperator(_hermitian_part(m))
+    return HermitianOperator(hermitian_part(m))
 
 
 def _phase_kernel(t, eigenvalues: np.ndarray) -> np.ndarray:
@@ -97,15 +92,16 @@ def generator_spectral_stack(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``generator_spectral`` at N points at once: generators (N, d, d) and errors (N,).
 
-    ``h`` and ``hdot`` are (N, d, d) stacks of ``HermitianOperator.matrix``
-    values (not checked again) and ``t`` is (N,). Each generator has the bits
-    of ``generator_spectral(...).generator.matrix`` at its point, hermitized
+    ``h`` and ``hdot`` are ``HermitianOperator.matrix`` values (not checked
+    again): (N, d, d) stacks, or one (d, d) matrix that holds at every point
+    and is then decomposed once. ``t`` is (N,). Each generator has the bits of
+    ``generator_spectral(...).generator.matrix`` at its point, hermitized
     twice as ``_hermitized`` and ``HermitianOperator`` do.
     """
-    w, v = eigh_stack(h)
+    w, v = eigh_stack(h if h.ndim == 3 else h[None])
     gen = _spectral_product(t[:, None, None], w, v, hdot)
     err = _spectral_error(h.shape[-1], t, np.abs(hdot).max(axis=(-2, -1)))
-    return _hermitian_part(_hermitian_part(gen)), err
+    return hermitian_part(hermitian_part(gen)), err
 
 
 @lru_cache(maxsize=32)

@@ -37,28 +37,61 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M^dag)/2 of one matrix or of each matrix of a stack (..., d, d)."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
+def _hermiticity_error(m: np.ndarray, asym: np.ndarray, scale: float, prefix: str):
+    finite = np.isfinite(m)
+    if not finite.all():
+        i, j = np.unravel_index(int(np.argmin(finite)), finite.shape)
+        return NonHermitianInput(f"{prefix}matrix has a non-finite entry A[{i}][{j}] = {m[i, j]}")
+    i, j = np.unravel_index(int(asym.argmax()), asym.shape)
+    return NonHermitianInput(
+        f"{prefix}matrix is not Hermitian: |A[{i}][{j}] - conj(A[{j}][{i}])| = {asym[i, j]:.3e} "
+        f"exceeds {HERMITICITY_RTOL:.0e} * max|entry| = {HERMITICITY_RTOL * scale:.3e}"
+    )
+
+
+def symmetrized(m: np.ndarray, where=None) -> np.ndarray:
+    """``hermitian_part`` of one complex matrix (d, d) or of a stack (N, d, d), checked.
+
+    Raises NonHermitianInput when a matrix is further from Hermitian than
+    ``HERMITICITY_RTOL * max|entry|`` or holds a NaN or infinite entry. Over a
+    stack the message names the first offending matrix by ``where(n)``
+    (default ``"matrix n"``).
+    """
+    m_dag = m.conj().swapaxes(-1, -2)
+    scale = np.abs(m).max(axis=(-2, -1))
+    asym = np.abs(m - m_dag)
+    worst = asym.max(axis=(-2, -1))
+    # Equal to worst <= RTOL * scale on finite values. An entry that is NaN or
+    # infinite makes scale and worst NaN or infinite, and the difference NaN.
+    ok = HERMITICITY_RTOL * scale - worst >= 0
+    if m.ndim == 2:
+        if not ok:
+            raise _hermiticity_error(m, asym, float(scale), "")
+    elif not ok.all():
+        n = int(np.flatnonzero(~ok)[0])
+        prefix = f"{where(n) if where else f'matrix {n}'}: "
+        raise _hermiticity_error(m[n], asym[n], float(scale[n]), prefix)
+    return (m + m_dag) / 2
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """Immutable dense complex Hermitian matrix.
 
     The constructor symmetrizes rounding-level asymmetry, (A + A^dag)/2, and
-    rejects anything beyond ``HERMITICITY_RTOL * max|entry|``.
+    rejects anything beyond ``HERMITICITY_RTOL * max|entry|`` as well as
+    non-finite entries (see ``symmetrized``).
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _square_complex(self.matrix)
-        scale = float(np.max(np.abs(m)))
-        asym = np.abs(m - m.conj().T)
-        worst = float(asym.max())
-        if worst > HERMITICITY_RTOL * scale:
-            i, j = np.unravel_index(int(asym.argmax()), asym.shape)
-            raise NonHermitianInput(
-                f"matrix is not Hermitian: |A[{i}][{j}] - conj(A[{j}][{i}])| = {worst:.3e} "
-                f"exceeds {HERMITICITY_RTOL:.0e} * max|entry| = {HERMITICITY_RTOL * scale:.3e}"
-            )
-        object.__setattr__(self, "matrix", _freeze((m + m.conj().T) / 2))
+        object.__setattr__(self, "matrix", _freeze(symmetrized(_square_complex(self.matrix))))
 
     @property
     def dim(self) -> int:

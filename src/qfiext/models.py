@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .family import HamiltonianFamily
+from .family import HamiltonianFamily, factor
 from .linalg import HermitianOperator
 
 MU_B = 9.2740100783e-24  # Bohr magneton, J/T
@@ -89,17 +89,12 @@ def nv_family(params: NvParams) -> HamiltonianFamily:
         + params.D * (sz.matrix @ sz.matrix)
         + params.E * (sx.matrix @ sx.matrix - sy.matrix @ sy.matrix)
     )
-    slope = gamma * sz.matrix
-    zero = np.zeros((3, 3), dtype=complex)
-
-    def value(bz: float) -> HermitianOperator:
-        return HermitianOperator(bz * slope + static)
-
-    return HamiltonianFamily(
+    slope = HermitianOperator(gamma * sz.matrix)
+    return HamiltonianFamily.from_formulas(
         3,
-        value,
-        lambda bz: HermitianOperator(slope),
-        lambda bz: HermitianOperator(zero),
+        lambda bz: factor(bz) * slope.matrix + static,
+        slope,
+        HermitianOperator(np.zeros((3, 3), dtype=complex)),
     )
 
 
@@ -110,10 +105,10 @@ def nv_flooded_family(params: NvParams, beta: float) -> HamiltonianFamily:
     return flood(nv_family(params), params.Bz, beta)
 
 
-def _direction_axis(theta: float, phi: float) -> np.ndarray:
-    return np.array(
-        [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
-    )
+def _direction_axis(theta, phi: float) -> np.ndarray:
+    """Unit field axis at polar angle theta: (3,) for a float, (3, N) for an (N,) array."""
+    sin = np.sin(theta)
+    return np.array([sin * math.cos(phi), sin * math.sin(phi), np.cos(theta)])
 
 
 def direction_family(params: DirectionParams) -> HamiltonianFamily:
@@ -126,27 +121,21 @@ def direction_family(params: DirectionParams) -> HamiltonianFamily:
     sx, sy, sz = spin1_matrices()
     omega = gyromagnetic_ratio(params.g) * params.B
     spin = np.stack([sx.matrix, sy.matrix, sz.matrix])
+    phi = params.phi
 
     def along(vec: np.ndarray) -> np.ndarray:
-        return omega * np.einsum("i,ijk->jk", vec, spin)
+        return omega * np.einsum("i...,ijk->...jk", vec, spin)
 
-    def value(theta: float) -> HermitianOperator:
-        return HermitianOperator(along(_direction_axis(theta, params.phi)))
+    def derivative(theta):
+        cos = np.cos(theta)
+        return along(np.array([cos * math.cos(phi), cos * math.sin(phi), -np.sin(theta)]))
 
-    def derivative(theta: float) -> HermitianOperator:
-        e = np.array(
-            [
-                math.cos(theta) * math.cos(params.phi),
-                math.cos(theta) * math.sin(params.phi),
-                -math.sin(theta),
-            ]
-        )
-        return HermitianOperator(along(e))
-
-    def second_derivative(theta: float) -> HermitianOperator:
-        return HermitianOperator(-along(_direction_axis(theta, params.phi)))
-
-    return HamiltonianFamily(3, value, derivative, second_derivative)
+    return HamiltonianFamily.from_formulas(
+        3,
+        lambda theta: along(_direction_axis(theta, phi)),
+        derivative,
+        lambda theta: -along(_direction_axis(theta, phi)),
+    )
 
 
 def direction_sz_operator(params: DirectionParams) -> HermitianOperator:
@@ -193,10 +182,9 @@ def broken_phase_shift_family(g: HermitianOperator, f: HermitianOperator) -> Ham
     """K(theta) = theta*G + F with exact derivative G and vanishing second derivative."""
     if g.dim != f.dim:
         raise DimensionMismatch(f"dimensions differ: {g.dim} vs {f.dim}")
-    zero = np.zeros((g.dim, g.dim), dtype=complex)
-    return HamiltonianFamily(
+    return HamiltonianFamily.from_formulas(
         g.dim,
-        lambda theta: HermitianOperator(theta * g.matrix + f.matrix),
-        lambda theta: g,
-        lambda theta: HermitianOperator(zero),
+        lambda theta: factor(theta) * g.matrix + f.matrix,
+        g,
+        HermitianOperator(np.zeros((g.dim, g.dim), dtype=complex)),
     )

@@ -38,6 +38,8 @@ from .linalg import (
 # extremal eigenvector of dH/dtheta counts as an eigenvector of H.
 SATURATION_RTOL = 1e-8
 
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
 # Brute-force oracle hyperparameters (reliable for dim <= 8).
 _ASCENT_ITERATIONS = 60
 _ASCENT_INITIAL_STEP = 0.1
@@ -89,8 +91,17 @@ def _bound(t: float, hdot_seminorm: float) -> float:
     return t * t * hdot_seminorm**2
 
 
-def _ratio(cqfi: float, bound: float) -> float:
-    return cqfi / bound if bound > 0.0 else 1.0
+def _ratio(cqfi: float, bound: float, spread: float, bound_spread: float) -> float:
+    """cqfi / bound, or 1 when the bound vanishes.
+
+    ``spread`` and ``bound_spread`` = |t| seminorm(dH/dtheta) are the square
+    roots of the two. Once the bound is below the smallest normal float, the
+    squares have lost relative precision (or underflowed to 0), so the ratio
+    is formed from the spreads instead.
+    """
+    if bound >= _SMALLEST_NORMAL:
+        return cqfi / bound
+    return (spread / bound_spread) ** 2 if bound_spread > 0.0 else 1.0
 
 
 def _report_from_generator(
@@ -100,10 +111,10 @@ def _report_from_generator(
     spread = float(dec.eigenvalues[-1] - dec.eigenvalues[0])
     cqfi = spread * spread
     probe = PureState((dec.eigenvectors[:, -1] + dec.eigenvectors[:, 0]) / np.sqrt(2.0))
-    bound = upper_bound(family, theta, t)
-    return ChannelQfiReport(
-        cqfi, bound, _ratio(cqfi, bound), probe, gres.method, gres.estimated_error
-    )
+    hdot_spread = seminorm(family.derivative(theta))
+    bound = _bound(t, hdot_spread)
+    ratio = _ratio(cqfi, bound, spread, abs(t) * hdot_spread)
+    return ChannelQfiReport(cqfi, bound, ratio, probe, gres.method, gres.estimated_error)
 
 
 def channel_qfi(
@@ -127,24 +138,26 @@ def channel_qfi_stack(
 ) -> list[tuple[float, float, float, float]]:
     """``channel_qfi`` by the spectral route at N points in one pass.
 
-    ``h`` and ``hdot`` are (N, d, d) stacks of H(theta) and dH/dtheta as
-    ``HermitianOperator.matrix`` values (not checked again), ``t`` is (N,).
-    Returns (channel QFI, upper bound, ratio, estimated error) per point,
-    each the float that ``channel_qfi`` gives at that point. The optimal
-    probe is not formed.
+    ``h`` and ``hdot`` are H(theta) and dH/dtheta as ``HermitianOperator.matrix``
+    values (not checked again): (N, d, d) stacks, or one (d, d) matrix that
+    holds at every point and is decomposed once. ``t`` is (N,). Returns
+    (channel QFI, upper bound, ratio, estimated error) per point, each the
+    float that ``channel_qfi`` gives at that point. The optimal probe is not
+    formed.
     """
     gen, err = generator_spectral_stack(h, hdot, t)
     # eigh as eig_hermitian calls it and eigvalsh as seminorm does: the two
     # LAPACK drivers need not agree in the last bit.
     k = np.linalg.eigh(gen)[0]
     d = np.linalg.eigvalsh(hdot)
+    d_spread = np.broadcast_to(d[..., -1] - d[..., 0], t.shape)
     points = []
-    for ti, k_spread, d_spread, e in zip(
-        t.tolist(), (k[:, -1] - k[:, 0]).tolist(), (d[:, -1] - d[:, 0]).tolist(), err.tolist()
+    for ti, k_spread, hdot_spread, e in zip(
+        t.tolist(), (k[:, -1] - k[:, 0]).tolist(), d_spread.tolist(), err.tolist()
     ):
         cqfi = k_spread * k_spread
-        bound = _bound(ti, d_spread)
-        points.append((cqfi, bound, _ratio(cqfi, bound), e))
+        bound = _bound(ti, hdot_spread)
+        points.append((cqfi, bound, _ratio(cqfi, bound, k_spread, abs(ti) * hdot_spread), e))
     return points
 
 

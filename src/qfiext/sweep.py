@@ -2,10 +2,12 @@
 
 A sweep evaluates the channel QFI over a grid of one variable (evaluation
 point, evolution time, or an extension parameter) with everything else fixed.
-Each run builds its model family, extension and operator file once, evaluates
-per grid point only what the swept variable changes, and pushes the whole
-grid through one stacked eigendecomposition pass (``qfi.channel_qfi_stack``),
-which gives every point the bits ``qfi.channel_qfi`` would. Rows are in grid
+Each run builds its model family, extension and operator file once and
+evaluates what the swept variable changes for the whole grid in one stacked
+expression (``HamiltonianFamily.values``/``derivatives``). The grid then goes
+through one stacked eigendecomposition pass (``qfi.channel_qfi_stack``), in
+which a matrix that is the same at every point is decomposed once; every
+point gets the bits ``qfi.channel_qfi`` would give it. Rows are in grid
 order and floats are emitted in shortest round-trip form, so identical specs
 produce byte-identical output.
 """
@@ -36,6 +38,7 @@ from .extensions import (
     apply_extension,
     extension_offset,
 )
+from .family import checked_stack
 from .familyfile import load_definition
 from .familyfile import build_family as _build_custom_family
 from .generator import GeneratorMethod
@@ -223,77 +226,88 @@ def _extension_operator(spec: SweepSpec, model_params) -> Optional[HermitianOper
     return None
 
 
-def _extension_spec(spec: SweepSpec, sweep_value: float, operator):
-    ext = dict(spec.extension)
-    kind = ext.pop("kind")
-    if spec.sweep_variable in ("beta", "kappa", "epsilon"):
-        ext[spec.sweep_variable] = sweep_value
+def _extension_spec(spec: SweepSpec, sweep_value, operator):
+    """The run's extension with its swept parameter, if any, set to ``sweep_value``.
+
+    ``sweep_value`` is a float, or the (N,) array of all grid values for a
+    ``beta``, ``kappa`` or ``epsilon`` sweep.
+    """
+    ext = spec.extension
+    kind = ext["kind"]
+
+    def num(key: str, default=None):
+        if key == spec.sweep_variable:
+            return sweep_value
+        return float(ext[key] if default is None else ext.get(key, default))
+
     if kind == "flood":
-        return Flood(beta=float(ext["beta"]), theta0=float(ext.get("theta0", 0.0)))
+        return Flood(beta=num("beta"), theta0=num("theta0", 0.0))
     if kind == "subtract":
-        return Subtract(theta0=float(ext["theta0"]))
+        return Subtract(theta0=num("theta0"))
     if kind == "subtract-perturbed":
-        return SubtractPerturbed(theta0=float(ext["theta0"]), epsilon=float(ext["epsilon"]))
+        return SubtractPerturbed(theta0=num("theta0"), epsilon=num("epsilon"))
     if kind == "add-operator":
-        return AddOperator(operator=operator, epsilon=float(ext["epsilon"]))
-    return AddOperator(operator=operator, epsilon=float(ext["kappa"]))  # sz: kappa * B g mu_B S_z
+        return AddOperator(operator=operator, epsilon=num("epsilon"))
+    return AddOperator(operator=operator, epsilon=num("kappa"))  # sz: kappa * B g mu_B S_z
 
 
 def _load_operator(path) -> HermitianOperator:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    re = np.asarray(doc["re"], dtype=float)
-    im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=float)
-    return HermitianOperator(re + 1j * im)
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise FamilyFileError(f"cannot read operator file {str(path)!r}: {exc}") from exc
+    if not isinstance(doc, dict) or "re" not in doc:
+        raise FamilyFileError(f"{path}: expected an object with 're' (and optional 'im')")
+    try:
+        re = np.asarray(doc["re"], dtype=float)
+        matrix = re + 1j * np.asarray(doc.get("im", np.zeros_like(re)), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FamilyFileError(f"{path}: 're'/'im' must be equal-shape numeric matrices: {exc}") from exc
+    return HermitianOperator(matrix)
 
 
-def _point_evaluator(spec: SweepSpec, first_value: float):
-    """Build a run's family once; return x -> (H, dH/dtheta, t) at grid value x.
+def _grid_stacks(spec: SweepSpec, values: list[float]):
+    """A run's H, dH/dtheta and t over its grid, the family built once.
 
-    Per point only what the sweep variable changes is evaluated: the
-    evaluation point for B_z and theta, the extension offset for beta, kappa
-    and epsilon, and nothing but t itself for t.
+    H and dH/dtheta are checked (N, d, d) stacks, or one (d, d) matrix where
+    the swept variable does not change them; t is (N,). Only what the swept
+    variable changes is stacked: the family's value and derivative for B_z
+    and theta, the extension offset for beta, kappa and epsilon, and nothing
+    but t itself for t.
     """
-    family, theta, t, model_params = _build_base(spec, _params(spec, first_value))
+    grid = np.array(values)
+    family, theta, t, model_params = _build_base(spec, _params(spec, values[0]))
     operator = None if spec.extension is None else _extension_operator(spec, model_params)
+    times = np.full(grid.shape, float(t))
     if spec.sweep_variable in ("beta", "kappa", "epsilon"):
-        h0 = family.value(theta).matrix
-        hdot = family.derivative(theta).matrix
-
-        def shifted(x: float):
-            offset = extension_offset(family, _extension_spec(spec, x, operator))
-            return HermitianOperator(h0 + offset).matrix, hdot, t
-
-        return shifted
+        offsets = extension_offset(family, _extension_spec(spec, grid, operator))
+        h = checked_stack(family.value(theta).matrix + offsets, grid, spec.sweep_variable)
+        return h, family.derivative(theta).matrix, times
     if spec.extension is not None:
-        family = apply_extension(family, _extension_spec(spec, first_value, operator))
+        family = apply_extension(family, _extension_spec(spec, values[0], operator))
     if spec.sweep_variable == "t":
-        h = family.value(theta).matrix
-        hdot = family.derivative(theta).matrix
-        return lambda x: (h, hdot, x)
-    return lambda x: (family.value(x).matrix, family.derivative(x).matrix, t)
+        return family.value(theta).matrix, family.derivative(theta).matrix, grid
+    return family.values(grid), family.derivatives(grid), times
 
 
 def run_sweep(spec: SweepSpec, jobs: Optional[int] = None) -> SweepResult:
     """Evaluate all grid points, rows in grid order.
 
     ``jobs`` is accepted for compatibility and has no effect: the grid is
-    evaluated in one stacked pass. A failure other than a bad input file or
-    matrix is raised as ModelError naming its grid point.
+    evaluated in one stacked pass. A non-Hermitian or non-finite matrix
+    names its first offending grid value. A failure other than a bad input
+    file or matrix is raised as ModelError naming the first grid point,
+    where the run is built.
     """
     validate_spec(spec)
     values = spec.grid.values()
-    x = values[0]  # the point a ModelError names; the first one while the run is built
     try:
-        evaluate = _point_evaluator(spec, x)
-        points = []
-        for x in values:
-            points.append(evaluate(x))
+        h, hdot, t = _grid_stacks(spec, values)
     except _INPUT_ERRORS:
         raise
     except Exception as exc:
-        raise ModelError(f"at {spec.sweep_variable}={x!r}: {exc}") from exc
-    h, hdot, t = zip(*points)
-    numbers = channel_qfi_stack(np.stack(h), np.stack(hdot), np.array(t, dtype=float))
+        raise ModelError(f"at {spec.sweep_variable}={values[0]!r}: {exc}") from exc
+    numbers = channel_qfi_stack(h, hdot, t)
     method = GeneratorMethod.SPECTRAL.value
     rows = tuple(
         SweepRow(x, cqfi, bound, ratio, method, err)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from qfiext import HamiltonianFamily, HermitianOperator, random_hermitian
 
@@ -54,3 +55,45 @@ def taylor_expm(matrix: np.ndarray, terms: int = 30) -> np.ndarray:
         term = term @ matrix / k
         out = out + term
     return out
+
+
+def matrix_doc(m: np.ndarray) -> dict:
+    """A matrix as a family file writes it."""
+    return {"re": m.real.tolist(), "im": m.imag.tolist()}
+
+
+@st.composite
+def family_documents(
+    draw, min_dim=2, max_dim=4, kinds=("const", "linear", "sin", "cos"), explicit_derivative=False
+):
+    """A family file document with GUE term matrices and random coefficients.
+
+    With ``explicit_derivative`` about half of the documents carry
+    ``derivative_terms``. Coefficient parameters are normal floats or zero:
+    a subnormal input carries fewer than 53 significant bits, so no result
+    derived from it has full relative precision.
+    """
+    dim = draw(st.integers(min_dim, max_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def number(bound):
+        return draw(st.floats(-bound, bound, allow_subnormal=False))
+
+    def terms(count):
+        return [
+            {
+                "coefficient": {
+                    "kind": draw(st.sampled_from(kinds)),
+                    "scale": number(2.0),
+                    "frequency": number(3.0),
+                    "phase": number(3.0),
+                },
+                "matrix": matrix_doc(random_hermitian(dim, rng).matrix),
+            }
+            for _ in range(count)
+        ]
+
+    doc = {"dim": dim, "terms": terms(draw(st.integers(1, 4)))}
+    if explicit_derivative and draw(st.booleans()):
+        doc["derivative_terms"] = terms(draw(st.integers(1, 3)))
+    return doc

@@ -94,6 +94,49 @@ class TestSweepCommand:
         assert out == ""
         assert "not Hermitian" in err
 
+    @pytest.mark.parametrize("missing", ["family_file", "operator_file"])
+    def test_missing_input_file_exits_two(self, tmp_path, capsys, missing):
+        absent = str(tmp_path / "absent.json")
+        config = {
+            "model": "custom",
+            "sweep_variable": "epsilon",
+            "grid": {"start": 0.0, "stop": 1.0, "points": 3},
+            "family_file": str(FIXTURES.joinpath("valid-family.json")),
+            "extension": {"kind": "add-operator", "file": absent, "epsilon": 0.0},
+        }
+        if missing == "family_file":
+            config["family_file"] = absent
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert "cannot read" in err and "absent.json" in err
+
+    @pytest.mark.parametrize("doc", [{}, [[1, 0], [0, 1]], {"re": [[1, 0], [0]]}])
+    @pytest.mark.parametrize("command", ["sweep", "report"])
+    def test_malformed_operator_file_exits_two(self, tmp_path, capsys, doc, command):
+        operator = tmp_path / "operator.json"
+        operator.write_text(json.dumps(doc), encoding="utf-8")
+        if command == "sweep":
+            config = {
+                "model": "direction",
+                "sweep_variable": "t",
+                "grid": {"start": 1e-3, "stop": 1e-2, "points": 3},
+                "fixed_params": {"B": 1e-9},
+                "extension": {"kind": "add-operator", "file": str(operator), "epsilon": 1.0},
+            }
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            argv = ("sweep", "--config", str(path))
+        else:
+            argv = ("report", "--model", "direction", "--param", "B=1e-9",
+                    "--extension", f"add-operator:file={operator},eps=1")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "operator.json" in err
+
     def test_unknown_preset_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--preset", "fig9")
         assert code == 1
@@ -214,6 +257,33 @@ class TestReportCommand:
         code, _, err = run_cli(capsys, "report", "--model", "nv", "--param", "bz=0.1")
         assert code == 1
         assert "unknown for model" in err
+
+
+NAN_FAMILY = (
+    '{"dim": 2, "terms": [{"coefficient": {"kind": "linear"},'
+    ' "matrix": {"re": [[NaN, 0], [0, 1]]}}]}'
+)
+
+
+class TestNonFiniteFamilyFile:
+    def test_validate_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(NAN_FAMILY, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert "non-finite entry" in out
+        assert "OK" not in out
+
+    @pytest.mark.parametrize("model", ["custom", "broken-phase-shift"])
+    def test_report_exits_two(self, tmp_path, capsys, model):
+        path = tmp_path / "nan.json"
+        path.write_text(NAN_FAMILY, encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "report", "--model", model, "--family-file", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert "non-finite entry" in err
 
 
 class TestValidateCommand:

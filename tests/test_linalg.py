@@ -19,7 +19,7 @@ from qfiext import (
     spin1_matrices,
     variance,
 )
-from qfiext.linalg import _fix_phases, eigh_stack
+from qfiext.linalg import _fix_phases, eigh_stack, symmetrized
 from helpers import gue, random_state, taylor_expm
 
 SX, SY, SZ = spin1_matrices()
@@ -34,6 +34,39 @@ class TestHermitianOperator:
     def test_rejects_real_asymmetry(self):
         with pytest.raises(NonHermitianInput, match=r"A\[0\]\[1\]"):
             HermitianOperator(np.array([[1.0, 1.0], [0.0, 2.0]]))
+
+    # inf - inf in the asymmetry is expected to warn before the rejection.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[np.nan, 1.0], [0.0, 1.0]],
+            [[1.0, np.nan], [np.nan, 1.0]],
+            [[np.inf, 0.0], [0.0, 1.0]],
+            [[1.0, np.inf], [0.0, 1.0]],
+            [[1.0, complex(0.0, -np.inf)], [complex(0.0, np.inf), 1.0]],
+        ],
+    )
+    def test_rejects_non_finite_entries(self, entries):
+        with pytest.raises(NonHermitianInput, match="non-finite entry"):
+            HermitianOperator(np.array(entries, dtype=complex))
+
+    def test_stacked_check_names_first_offending_matrix(self):
+        good = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
+        stack = np.stack([good, [[1.0, 1.0], [0.0, 2.0]], [[np.nan, 0.0], [0.0, 1.0]]])
+        with pytest.raises(NonHermitianInput, match=r"^at x=1: matrix is not Hermitian"):
+            symmetrized(stack, lambda n: f"at x={n}")
+        with pytest.raises(NonHermitianInput, match=r"^matrix 1: matrix is not Hermitian"):
+            symmetrized(stack[:2])
+        with pytest.raises(NonHermitianInput, match=r"^matrix 1: matrix has a non-finite entry"):
+            symmetrized(stack[[0, 2, 1]])
+
+    def test_stacked_check_symmetrizes_each_matrix_like_the_constructor(self):
+        rng = np.random.default_rng(3)
+        stack = np.stack([gue(3, rng).matrix + 1e-15j * rng.standard_normal((3, 3)) for _ in range(6)])
+        out = symmetrized(stack)
+        for n in range(6):
+            assert out[n].tobytes() == HermitianOperator(stack[n]).matrix.tobytes()
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):

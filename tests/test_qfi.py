@@ -29,6 +29,7 @@ from qfiext import (
     tensor_identity,
     upper_bound,
 )
+from qfiext.qfi import channel_qfi_stack
 from helpers import commuting_family, gue, polynomial_family
 
 SX, SY, SZ = spin1_matrices()
@@ -128,6 +129,27 @@ class TestChannelQfi:
         assert report.upper_bound == 0.0
         assert report.channel_qfi <= 1e-18
         assert report.ratio == 1.0
+
+    @pytest.mark.parametrize("scale", [8.461208957574161e-160, 1e-170])
+    def test_ratio_from_spreads_when_the_squares_are_subnormal(self, scale):
+        # A phase shift saturates; its QFI and bound fall below the smallest
+        # normal float (or underflow to 0) while their square roots do not.
+        g = HermitianOperator(scale * gue(2, np.random.default_rng(36)).matrix)
+        report = channel_qfi(phase_shift(g), 0.0, 2.0)
+        assert report.upper_bound < np.finfo(float).tiny
+        assert report.ratio == pytest.approx(1.0, abs=1e-12)
+        (row,) = channel_qfi_stack(np.zeros((2, 2), dtype=complex), g.matrix, np.array([2.0]))
+        assert row[:3] == (report.channel_qfi, report.upper_bound, report.ratio)
+
+    def test_stack_decomposes_grid_constant_matrices_once_with_the_same_bits(self):
+        rng = np.random.default_rng(37)
+        h, hdot = gue(3, rng).matrix, gue(3, rng).matrix
+        t = np.linspace(0.1, 2.0, 7)
+        h_stack, hdot_stack = (np.repeat(m[None], t.size, axis=0) for m in (h, hdot))
+        full = channel_qfi_stack(h_stack, hdot_stack, t)
+        assert channel_qfi_stack(h, hdot, t) == full
+        assert channel_qfi_stack(h, hdot_stack, t) == full
+        assert channel_qfi_stack(h_stack, hdot, t) == full
 
     def test_upper_bound_trivials(self):
         rng = np.random.default_rng(35)

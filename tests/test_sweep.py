@@ -2,13 +2,18 @@
 
 import hashlib
 import json
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfiext import (
     DirectionParams,
+    FamilyFileError,
     Grid,
     HermitianOperator,
     InvalidSpec,
@@ -32,6 +37,7 @@ from qfiext import (
 from qfiext.cli import main
 from qfiext.familyfile import load_family
 from qfiext.sweep import CSV_HEADER, load_model_family
+from helpers import family_documents
 
 DIRECTION_FIXED = {"B": 1e-9, "phi": 0.7853981633974483, "theta": 1.0471975511965976}
 
@@ -124,14 +130,15 @@ class TestRunSweep:
             run_sweep(spec)
 
     def test_model_error_carries_grid_point(self):
+        spec = SweepSpec("direction", "theta", Grid(0.5, 1.5, 2), {"B": -1e-9})
+        with pytest.raises(ModelError, match=r"theta=0\.5: DirectionParams\.B"):
+            run_sweep(spec)
+
+    def test_missing_family_file_is_an_input_error(self):
         spec = SweepSpec(
-            "custom",
-            "theta",
-            Grid(0.5, 1.5, 2),
-            {},
-            family_file="no-such-file.json",
+            "custom", "theta", Grid(0.5, 1.5, 2), {}, family_file="no-such-file.json"
         )
-        with pytest.raises(ModelError, match="theta=0.5"):
+        with pytest.raises(FamilyFileError, match="cannot read family file"):
             run_sweep(spec)
 
     def test_broken_phase_shift_model_sweep(self):
@@ -356,3 +363,24 @@ def test_preset_csv_bytes_pinned(tmp_path):
         for path in tmp_path.rglob("*.csv")
     }
     assert digests == PRESET_CSV_SHA256
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family_documents(min_dim=2, max_dim=4, kinds=("sin", "cos")),
+    st.floats(-3.0, 2.0),
+    st.floats(0.01, 3.0),
+    st.integers(1, 40),
+    st.floats(0.05, 5.0),
+)
+def test_ratio_never_exceeds_one_on_random_file_families(doc, start, width, points, t):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "family.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        spec = SweepSpec(
+            "custom", "theta", Grid(start, start + width, points), {"t": t}, family_file=str(path)
+        )
+        rows = run_sweep(spec).rows
+    assert len(rows) == points
+    for row in rows:
+        assert 0.0 <= row.ratio <= 1.0 + 1e-9
