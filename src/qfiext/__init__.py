@@ -23,7 +23,6 @@ from .family import (
     FamilyValidation,
     HamiltonianFamily,
     fd_derivative,
-    fd_second_derivative,
     validate_family,
 )
 from .generator import (

@@ -27,21 +27,20 @@ from .errors import (
     QfiextError,
 )
 from .extensions import apply_extension
-from .extensions import AddOperator, Flood, Subtract, SubtractPerturbed
 from .familyfile import validate_file
-from .models import DirectionParams, NvParams, direction_family, direction_sz_family, nv_family
 from .qfi import channel_qfi, check_saturation
 from .sweep import (
+    MODELS,
     Preset,
     SweepResult,
-    _load_operator,
+    build_scenario,
     load_config,
-    load_model_family,
     load_preset,
     preset_names,
     rows_to_csv,
     rows_to_json,
     run_sweep,
+    validate_scenario,
 )
 
 EXIT_OK = 0
@@ -72,8 +71,7 @@ def _build_parser() -> _Parser:
                               "evaluated in one batched pass)")
 
     p_report = sub.add_parser("report", help="single-point evaluation as JSON")
-    p_report.add_argument("--model", required=True,
-                          choices=("nv", "direction", "broken-phase-shift", "custom"))
+    p_report.add_argument("--model", required=True, choices=MODELS)
     p_report.add_argument("--param", action="append", default=[], metavar="K=V",
                           help="model parameter, repeatable (e.g. t=1e-3, Bz=0.1)")
     p_report.add_argument("--extension", default=None,
@@ -121,97 +119,34 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _parse_params(pairs: list[str]) -> dict:
-    params = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise InvalidSpec(f"--param: expected K=V, got {pair!r}")
-        key, value = pair.split("=", 1)
-        try:
-            params[key.strip()] = float(value)
-        except ValueError:
-            raise InvalidSpec(f"--param {key}: not a number: {value!r}")
-    return params
-
-
-def _parse_extension(text: str):
-    kind, _, body = text.partition(":")
+def _fields(items: list[str], option: str) -> dict:
+    """``K=V`` items as a dict of strings; validate_scenario checks the names and values."""
     fields = {}
-    if body:
-        for item in body.split(","):
-            if "=" not in item:
-                raise InvalidSpec(f"--extension: expected k=v items, got {item!r}")
-            key, value = item.split("=", 1)
-            fields[key.strip()] = value.strip()
-    def num(key, default=None):
-        if key not in fields:
-            if default is None:
-                raise InvalidSpec(f"--extension {kind}: missing field {key!r}")
-            return default
-        try:
-            return float(fields[key])
-        except ValueError:
-            raise InvalidSpec(f"--extension {kind}: {key} is not a number: {fields[key]!r}")
-
-    if kind == "flood":
-        return Flood(beta=num("beta"), theta0=num("theta0", 0.0))
-    if kind == "subtract":
-        return Subtract(theta0=num("theta0"))
-    if kind == "subtract-perturbed":
-        return SubtractPerturbed(theta0=num("theta0"), epsilon=num("eps"))
-    if kind == "add-operator":
-        if "file" not in fields:
-            raise InvalidSpec("--extension add-operator: missing field 'file'")
-        return AddOperator(operator=_load_operator(fields["file"]), epsilon=num("eps"))
-    if kind == "sz":
-        return ("sz", num("kappa"))
-    raise InvalidSpec(f"--extension: unknown kind {kind!r}")
-
-
-_REPORT_PARAMS = {
-    "nv": ("Bx", "By", "Bz", "D", "E", "g", "t"),
-    "direction": ("B", "theta", "phi", "t", "g"),
-    "broken-phase-shift": ("theta", "t"),
-    "custom": ("theta", "t"),
-}
+    for item in items:
+        if "=" not in item:
+            raise InvalidSpec(f"{option}: expected K=V, got {item!r}")
+        key, value = item.split("=", 1)
+        fields[key.strip()] = value.strip()
+    return fields
 
 
 def _cmd_report(args) -> int:
-    params = _parse_params(args.param)
-    allowed = _REPORT_PARAMS[args.model]
-    for key in params:
-        if key not in allowed:
-            raise InvalidSpec(
-                f"--param {key}: unknown for model {args.model!r}; "
-                f"expected one of {', '.join(allowed)}"
-            )
-    t = params.get("t")
-    if args.model == "nv":
-        model_params = NvParams(**params)
-        family, theta = nv_family(model_params), model_params.Bz
-        t = model_params.t if t is None else t
-    elif args.model == "direction":
-        if "B" not in params:
-            raise InvalidSpec("--param B=...: required for the direction model")
-        model_params = DirectionParams(**params)
-        family, theta = direction_family(model_params), model_params.theta
-        t = model_params.t if t is None else t
-    else:
-        if not args.family_file:
-            raise InvalidSpec(f"--family-file: required for model {args.model!r}")
-        model_params = None
-        family = load_model_family(args.model, args.family_file)
-        theta = params.get("theta", 0.0)
-        t = 1.0 if t is None else t
-
+    extension = None
     if args.extension:
-        ext = _parse_extension(args.extension)
-        if isinstance(ext, tuple):
-            if args.model != "direction":
-                raise InvalidSpec("--extension sz: applies to the direction model only")
-            family = direction_sz_family(model_params, ext[1])
-        else:
-            family = apply_extension(family, ext)
+        kind, _, body = args.extension.partition(":")
+        extension = {**_fields(body.split(",") if body else [], "--extension"), "kind": kind}
+        if "eps" in extension:
+            extension["epsilon"] = extension.pop("eps")
+    scenario = {
+        "model": args.model,
+        "fixed_params": _fields(args.param, "--param"),
+        "extension": extension,
+        "family_file": args.family_file,
+    }
+    validate_scenario(scenario)
+    family, theta, t, ext = build_scenario(scenario)
+    if ext is not None:
+        family = apply_extension(family, ext)
 
     report = channel_qfi(family, theta, t)
     verdict = check_saturation(family, theta)

@@ -123,14 +123,6 @@ def fd_derivative(value: MatrixFn, theta: float, h: float) -> HermitianOperator:
     return HermitianOperator((plus - minus) / (2.0 * h))
 
 
-def fd_second_derivative(value: MatrixFn, theta: float, h: float) -> HermitianOperator:
-    """Central second difference (H(theta+h) - 2 H(theta) + H(theta-h)) / h^2."""
-    plus = value(theta + h).matrix
-    mid = value(theta).matrix
-    minus = value(theta - h).matrix
-    return HermitianOperator((plus - 2.0 * mid + minus) / (h * h))
-
-
 @dataclass(frozen=True)
 class FamilyValidation:
     """Result of checking a family's analytic derivative against finite differences."""

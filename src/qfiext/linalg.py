@@ -7,6 +7,7 @@ hbar = 1; SI conversions happen in :mod:`qfiext.models` only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,15 +65,21 @@ def symmetrized(m: np.ndarray, where=None) -> np.ndarray:
     """
     m_dag = m.conj().swapaxes(-1, -2)
     scale = np.abs(m).max(axis=(-2, -1))
-    asym = np.abs(m - m_dag)
-    worst = asym.max(axis=(-2, -1))
     # Equal to worst <= RTOL * scale on finite values. An entry that is NaN or
     # infinite makes scale and worst NaN or infinite, and the difference NaN.
-    ok = HERMITICITY_RTOL * scale - worst >= 0
     if m.ndim == 2:
-        if not ok:
+        # A finite scale rules out a non-finite entry for the price of a scalar
+        # test; such an entry is rejected before inf - inf in m - m_dag can warn.
+        if not math.isfinite(scale) and not np.isfinite(m).all():
+            raise _hermiticity_error(m, None, float(scale), "")
+        asym = np.abs(m - m_dag)
+        if not HERMITICITY_RTOL * scale - asym.max() >= 0:
             raise _hermiticity_error(m, asym, float(scale), "")
-    elif not ok.all():
+        return (m + m_dag) / 2
+    with np.errstate(invalid="ignore"):  # inf - inf of a non-finite entry
+        asym = np.abs(m - m_dag)
+    ok = HERMITICITY_RTOL * scale - asym.max(axis=(-2, -1)) >= 0
+    if not ok.all():
         n = int(np.flatnonzero(~ok)[0])
         prefix = f"{where(n) if where else f'matrix {n}'}: "
         raise _hermiticity_error(m[n], asym[n], float(scale[n]), prefix)

@@ -2,9 +2,12 @@
 
 A sweep evaluates the channel QFI over a grid of one variable (evaluation
 point, evolution time, or an extension parameter) with everything else fixed.
-Each run builds its model family, extension and operator file once and
-evaluates what the swept variable changes for the whole grid in one stacked
-expression (``HamiltonianFamily.values``/``derivatives``). The grid then goes
+A run's scenario (model, fixed parameters, extension, family file) is checked
+by ``validate_scenario`` and built by ``build_scenario``, the same pair that
+``qfiext report`` uses. Each run builds its model family, extension and
+operator file once and evaluates what the swept variable changes for the
+whole grid in one stacked expression
+(``HamiltonianFamily.values``/``derivatives``). The grid then goes
 through one stacked eigendecomposition pass (``qfi.channel_qfi_stack``), in
 which a matrix that is the same at every point is decomposed once; every
 point gets the bits ``qfi.channel_qfi`` would give it. Rows are in grid
@@ -44,6 +47,9 @@ from .familyfile import build_family as _build_custom_family
 from .generator import GeneratorMethod
 from .linalg import HermitianOperator
 from .models import (
+    LANDE_G_DEFAULT,
+    NV_D_DEFAULT,
+    NV_E_DEFAULT,
     DirectionParams,
     NvParams,
     broken_phase_shift_family,
@@ -53,18 +59,29 @@ from .models import (
 )
 from .qfi import channel_qfi_stack
 
-MODELS = ("nv", "direction", "broken-phase-shift", "custom")
-EXTENSION_KINDS = ("flood", "subtract", "subtract-perturbed", "add-operator", "sz")
 SCALES = ("linear", "log")
 CSV_HEADER = "sweep_value,channel_qfi,upper_bound,ratio,generator_method,estimated_error"
 # Bad input files and matrices keep their own exit code instead of becoming ModelError.
 _INPUT_ERRORS = (InvalidSpec, NonHermitianInput, DimensionMismatch, FamilyFileError)
 
+# Each model's parameters with their defaults; None marks a required parameter.
 _MODEL_DEFAULTS = {
-    "nv": {"Bx": 0.0, "By": 0.0, "Bz": 0.0, "D": None, "E": None, "g": None, "t": 1e-3},
-    "direction": {"B": None, "theta": 0.0, "phi": 0.0, "g": None, "t": 1e-2},
+    "nv": {"Bx": 0.0, "By": 0.0, "Bz": 0.0, "D": NV_D_DEFAULT, "E": NV_E_DEFAULT,
+           "g": LANDE_G_DEFAULT, "t": 1e-3},
+    "direction": {"B": None, "theta": 0.0, "phi": 0.0, "g": LANDE_G_DEFAULT, "t": 1e-2},
     "broken-phase-shift": {"theta": 0.0, "t": 1.0},
     "custom": {"theta": 0.0, "t": 1.0},
+}
+MODELS = tuple(_MODEL_DEFAULTS)
+_FILE_MODELS = ("broken-phase-shift", "custom")
+# Each extension kind's fields with their defaults; None marks a required field.
+# ``file`` is a path, every other field a number.
+_EXTENSION_FIELDS = {
+    "flood": {"beta": None, "theta0": 0.0},
+    "subtract": {"theta0": None},
+    "subtract-perturbed": {"theta0": None, "epsilon": None},
+    "add-operator": {"file": None, "epsilon": None},
+    "sz": {"kappa": None},
 }
 _SWEEPABLES = {
     "nv": ("B_z", "t", "beta", "epsilon"),
@@ -116,10 +133,13 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
+def _scenario(spec: SweepSpec) -> dict:
+    return {key: getattr(spec, key) for key in ("model", "fixed_params", "extension", "family_file")}
+
+
 def validate_spec(spec: SweepSpec) -> None:
     """Raise InvalidSpec (message carries the offending field path) on any problem."""
-    if spec.model not in MODELS:
-        raise InvalidSpec(f"model: must be one of {', '.join(MODELS)}, got {spec.model!r}")
+    validate_scenario(_scenario(spec), spec.sweep_variable)
     grid = spec.grid
     if grid.points < 1:
         raise InvalidSpec(f"grid.points: must be >= 1, got {grid.points}")
@@ -136,41 +156,125 @@ def validate_spec(spec: SweepSpec) -> None:
             f"sweep_variable: {spec.sweep_variable!r} not valid for model {spec.model!r}; "
             f"expected one of {', '.join(_SWEEPABLES[spec.model])}"
         )
-    for key, value in spec.fixed_params.items():
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
-            raise InvalidSpec(f"fixed_params.{key}: must be a finite number, got {value!r}")
-    if spec.model in ("broken-phase-shift", "custom") and not spec.family_file:
-        raise InvalidSpec(f"family_file: required for model {spec.model!r}")
-    ext = spec.extension
-    if ext is not None:
-        kind = ext.get("kind")
-        if kind not in EXTENSION_KINDS:
+    if spec.sweep_variable in ("beta", "kappa", "epsilon"):
+        kinds = [kind for kind, fields in _EXTENSION_FIELDS.items() if spec.sweep_variable in fields]
+        if spec.extension is None or spec.extension["kind"] not in kinds:
             raise InvalidSpec(
-                f"extension.kind: must be one of {', '.join(EXTENSION_KINDS)}, got {kind!r}"
+                f"sweep_variable: {spec.sweep_variable!r} requires extension.kind = "
+                + " or ".join(map(repr, kinds))
             )
-        if kind == "sz" and spec.model != "direction":
-            raise InvalidSpec("extension.kind: 'sz' applies to the direction model only")
-    if spec.sweep_variable == "beta" and (ext is None or ext.get("kind") != "flood"):
-        raise InvalidSpec("sweep_variable: 'beta' requires extension.kind = 'flood'")
-    if spec.sweep_variable == "kappa" and (ext is None or ext.get("kind") != "sz"):
-        raise InvalidSpec("sweep_variable: 'kappa' requires extension.kind = 'sz'")
-    if spec.sweep_variable == "epsilon" and (
-        ext is None or ext.get("kind") not in ("subtract-perturbed", "add-operator")
-    ):
+
+
+def _is_finite_number(value) -> bool:
+    """A number, or a string that parses as one (CLI values), that is finite."""
+    try:
+        return math.isfinite(float(value))
+    except (TypeError, ValueError):
+        return False
+
+
+def validate_scenario(scenario: dict, swept: Optional[str] = None) -> None:
+    """Raise InvalidSpec naming the offending field of a scenario.
+
+    A scenario is a run document without its grid: ``model``,
+    ``fixed_params``, ``extension`` (None, or a dict whose ``kind`` names the
+    extension) and ``family_file``. Parameters and extension fields are
+    numbers or numeric strings. The extension field named ``swept`` comes
+    from a sweep's grid and may be left out.
+    """
+    model = scenario["model"]
+    if model not in _MODEL_DEFAULTS:
+        raise InvalidSpec(f"model: must be one of {', '.join(MODELS)}, got {model!r}")
+    known = _MODEL_DEFAULTS[model]
+    params = scenario["fixed_params"]
+    for key, value in params.items():
+        if key not in known:
+            raise InvalidSpec(
+                f"fixed_params.{key}: unknown for model {model!r}; "
+                f"expected one of {', '.join(known)}"
+            )
+        if not _is_finite_number(value):
+            raise InvalidSpec(f"fixed_params.{key}: must be a finite number, got {value!r}")
+    for key, default in known.items():
+        if default is None and key not in params:
+            raise InvalidSpec(f"fixed_params.{key}: required for the {model} model")
+    if model == "direction" and float(params["B"]) < 0:
+        raise InvalidSpec(f"fixed_params.B: must be >= 0, got {params['B']!r}")
+    if model in _FILE_MODELS and not scenario["family_file"]:
+        raise InvalidSpec(f"family_file: required for model {model!r}")
+    if model not in _FILE_MODELS and scenario["family_file"]:
+        raise InvalidSpec(f"family_file: not used by model {model!r}")
+    ext = scenario["extension"]
+    if ext is None:
+        return
+    kind = ext.get("kind") if isinstance(ext, dict) else None
+    if kind not in _EXTENSION_FIELDS:
         raise InvalidSpec(
-            "sweep_variable: 'epsilon' requires extension.kind = 'subtract-perturbed' "
-            "or 'add-operator'"
+            f"extension.kind: must be one of {', '.join(_EXTENSION_FIELDS)}, got {kind!r}"
         )
+    if kind == "sz" and model != "direction":
+        raise InvalidSpec("extension.kind: 'sz' applies to the direction model only")
+    fields = _EXTENSION_FIELDS[kind]
+    for key, value in ext.items():
+        if key == "kind":
+            continue
+        if key not in fields:
+            raise InvalidSpec(
+                f"extension.{key}: unknown for kind {kind!r}; expected one of {', '.join(fields)}"
+            )
+        if key == "file" and not (isinstance(value, str) and value):
+            raise InvalidSpec(f"extension.file: must be a file path, got {value!r}")
+        if key != "file" and not _is_finite_number(value):
+            raise InvalidSpec(f"extension.{key}: must be a finite number, got {value!r}")
+    for key, default in fields.items():
+        if default is None and key not in ext and key != swept:
+            raise InvalidSpec(f"extension.{key}: required for kind {kind!r}")
 
 
-def _params(spec: SweepSpec, sweep_value: float) -> dict:
-    params = dict(_MODEL_DEFAULTS[spec.model])
-    params.update(spec.fixed_params)
-    if spec.sweep_variable == "B_z":
-        params["Bz"] = sweep_value
-    elif spec.sweep_variable in ("theta", "t"):
-        params[spec.sweep_variable] = sweep_value
-    return params
+def build_scenario(scenario: dict, swept: Optional[str] = None, value=None):
+    """The model family, evaluation point, time and extension of a checked scenario.
+
+    Returns ``(family, theta, t, extension)``; ``extension`` is the
+    ``ExtensionSpec`` to apply to ``family``, or None. ``swept`` names a
+    ``_SWEEPABLES`` variable that takes ``value`` instead of its fixed or
+    default value: a float, or for ``beta``, ``kappa`` and ``epsilon`` the
+    (N,) array of all grid values. A file family or operator file is loaded
+    once here.
+    """
+    model = scenario["model"]
+    params = dict(_MODEL_DEFAULTS[model])
+    params.update((key, float(v)) for key, v in scenario["fixed_params"].items())
+    if swept in ("B_z", "theta", "t"):
+        params["Bz" if swept == "B_z" else swept] = value
+    if model == "nv":
+        model_params = NvParams(**params)
+        family, theta = nv_family(model_params), params["Bz"]
+    elif model == "direction":
+        model_params = DirectionParams(**params)
+        family, theta = direction_family(model_params), params["theta"]
+    else:
+        family, theta = load_model_family(model, scenario["family_file"]), params["theta"]
+    ext = scenario["extension"]
+    if ext is None:
+        return family, theta, params["t"], None
+    kind = ext["kind"]
+
+    def num(key: str):
+        if key == swept:
+            return value
+        return float(ext.get(key, _EXTENSION_FIELDS[kind][key]))
+
+    if kind == "flood":
+        spec = Flood(beta=num("beta"), theta0=num("theta0"))
+    elif kind == "subtract":
+        spec = Subtract(theta0=num("theta0"))
+    elif kind == "subtract-perturbed":
+        spec = SubtractPerturbed(theta0=num("theta0"), epsilon=num("epsilon"))
+    elif kind == "add-operator":
+        spec = AddOperator(operator=_load_operator(ext["file"]), epsilon=num("epsilon"))
+    else:  # sz: kappa * B g mu_B S_z
+        spec = AddOperator(operator=direction_sz_operator(model_params), epsilon=num("kappa"))
+    return family, theta, params["t"], spec
 
 
 def load_model_family(model: str, family_file):
@@ -198,59 +302,6 @@ def load_model_family(model: str, family_file):
     return broken_phase_shift_family(HermitianOperator(g_acc), HermitianOperator(f_acc))
 
 
-def _build_base(spec: SweepSpec, params: dict):
-    """Model family, evaluation point, time and model parameters of a run."""
-    if spec.model == "nv":
-        kwargs = {k: params[k] for k in ("Bx", "By", "Bz", "D", "E", "g", "t") if params[k] is not None}
-        nv = NvParams(**kwargs)
-        return nv_family(nv), params["Bz"], params["t"], nv
-    if spec.model == "direction":
-        if params["B"] is None:
-            raise InvalidSpec("fixed_params.B: required for the direction model")
-        dp = DirectionParams(
-            B=params["B"], theta=params["theta"], phi=params["phi"],
-            t=params["t"], **({"g": params["g"]} if params["g"] is not None else {}),
-        )
-        return direction_family(dp), params["theta"], params["t"], dp
-    family = load_model_family(spec.model, spec.family_file)
-    return family, params["theta"], params["t"], None
-
-
-def _extension_operator(spec: SweepSpec, model_params) -> Optional[HermitianOperator]:
-    """The operator an add-operator or sz extension adds; built once per run."""
-    kind = spec.extension["kind"]
-    if kind == "add-operator":
-        return _load_operator(spec.extension["file"])
-    if kind == "sz":
-        return direction_sz_operator(model_params)
-    return None
-
-
-def _extension_spec(spec: SweepSpec, sweep_value, operator):
-    """The run's extension with its swept parameter, if any, set to ``sweep_value``.
-
-    ``sweep_value`` is a float, or the (N,) array of all grid values for a
-    ``beta``, ``kappa`` or ``epsilon`` sweep.
-    """
-    ext = spec.extension
-    kind = ext["kind"]
-
-    def num(key: str, default=None):
-        if key == spec.sweep_variable:
-            return sweep_value
-        return float(ext[key] if default is None else ext.get(key, default))
-
-    if kind == "flood":
-        return Flood(beta=num("beta"), theta0=num("theta0", 0.0))
-    if kind == "subtract":
-        return Subtract(theta0=num("theta0"))
-    if kind == "subtract-perturbed":
-        return SubtractPerturbed(theta0=num("theta0"), epsilon=num("epsilon"))
-    if kind == "add-operator":
-        return AddOperator(operator=operator, epsilon=num("epsilon"))
-    return AddOperator(operator=operator, epsilon=num("kappa"))  # sz: kappa * B g mu_B S_z
-
-
 def _load_operator(path) -> HermitianOperator:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -276,18 +327,18 @@ def _grid_stacks(spec: SweepSpec, values: list[float]):
     but t itself for t.
     """
     grid = np.array(values)
-    family, theta, t, model_params = _build_base(spec, _params(spec, values[0]))
-    operator = None if spec.extension is None else _extension_operator(spec, model_params)
-    times = np.full(grid.shape, float(t))
-    if spec.sweep_variable in ("beta", "kappa", "epsilon"):
-        offsets = extension_offset(family, _extension_spec(spec, grid, operator))
-        h = checked_stack(family.value(theta).matrix + offsets, grid, spec.sweep_variable)
-        return h, family.derivative(theta).matrix, times
-    if spec.extension is not None:
-        family = apply_extension(family, _extension_spec(spec, values[0], operator))
-    if spec.sweep_variable == "t":
+    variable = spec.sweep_variable
+    if variable in ("beta", "kappa", "epsilon"):
+        family, theta, t, ext = build_scenario(_scenario(spec), variable, grid)
+        offsets = extension_offset(family, ext)
+        h = checked_stack(family.value(theta).matrix + offsets, grid, variable)
+        return h, family.derivative(theta).matrix, np.full(grid.shape, t)
+    family, theta, t, ext = build_scenario(_scenario(spec), variable, values[0])
+    if ext is not None:
+        family = apply_extension(family, ext)
+    if variable == "t":
         return family.value(theta).matrix, family.derivative(theta).matrix, grid
-    return family.values(grid), family.derivatives(grid), times
+    return family.values(grid), family.derivatives(grid), np.full(grid.shape, t)
 
 
 def run_sweep(spec: SweepSpec, jobs: Optional[int] = None) -> SweepResult:

@@ -143,6 +143,56 @@ class TestSweepCommand:
         assert "unknown preset" in err
 
 
+VALID_FAMILY = str(FIXTURES.joinpath("valid-family.json"))
+NAN, INF = float("nan"), float("inf")
+
+# One mistake per row as (field named on stderr, model, params, extension, family file).
+SCENARIO_MISTAKES = [
+    ("fixed_params.Bxx", "nv", {"Bxx": 0.1}, None, None),
+    ("extension.beta", "nv", {}, {"kind": "flood", "theta0": 0.0}, None),
+    ("extension.beta", "nv", {}, {"kind": "flood", "beta": "abc"}, None),
+    ("extension.beta", "nv", {}, {"kind": "flood", "beta": INF}, None),
+    ("fixed_params.B", "direction", {"B": -1e-9}, None, None),
+    ("fixed_params.t", "nv", {"t": NAN}, None, None),
+    ("extension.bogus", "nv", {}, {"kind": "flood", "beta": 1e-3, "bogus": 1}, None),
+    ("family_file", "nv", {}, None, VALID_FAMILY),
+]
+
+
+def report_argv(model, params, extension, family_file) -> list:
+    argv = ["report", "--model", model]
+    for key, value in params.items():
+        argv += ["--param", f"{key}={value}"]
+    if extension is not None:
+        fields = ",".join(f"{k}={v}" for k, v in extension.items() if k != "kind")
+        argv += ["--extension", f"{extension['kind']}:{fields}"]
+    if family_file is not None:
+        argv += ["--family-file", family_file]
+    return argv
+
+
+@pytest.mark.parametrize("field,model,params,extension,family_file", SCENARIO_MISTAKES)
+def test_report_and_sweep_reject_the_same_mistake(
+    tmp_path, capsys, field, model, params, extension, family_file
+):
+    code, out, err = run_cli(capsys, *report_argv(model, params, extension, family_file))
+    assert (code, out) == (1, "")
+    assert field in err
+    config = {
+        "model": model,
+        "sweep_variable": "B_z" if model == "nv" else "t",
+        "grid": {"start": 1e-3, "stop": 1e-2, "points": 2},
+        "fixed_params": params,
+        "extension": extension,
+        "family_file": family_file,
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert field in err
+
+
 class TestReportCommand:
     def test_phase_shift_custom_model_ratio_one(self, tmp_path, capsys):
         family = {

@@ -35,8 +35,6 @@ class TestHermitianOperator:
         with pytest.raises(NonHermitianInput, match=r"A\[0\]\[1\]"):
             HermitianOperator(np.array([[1.0, 1.0], [0.0, 2.0]]))
 
-    # inf - inf in the asymmetry is expected to warn before the rejection.
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize(
         "entries",
         [

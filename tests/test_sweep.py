@@ -129,9 +129,18 @@ class TestRunSweep:
         with pytest.raises(InvalidSpec, match=r"fixed_params\.B"):
             run_sweep(spec)
 
-    def test_model_error_carries_grid_point(self):
+    def test_negative_field_is_an_input_error(self):
         spec = SweepSpec("direction", "theta", Grid(0.5, 1.5, 2), {"B": -1e-9})
-        with pytest.raises(ModelError, match=r"theta=0\.5: DirectionParams\.B"):
+        with pytest.raises(InvalidSpec, match=r"^fixed_params\.B: must be >= 0"):
+            run_sweep(spec)
+
+    def test_model_error_carries_grid_point(self, monkeypatch):
+        def fail(params):
+            raise FloatingPointError("overflow in the model")
+
+        monkeypatch.setattr("qfiext.sweep.direction_family", fail)
+        spec = SweepSpec("direction", "theta", Grid(0.5, 1.5, 2), {"B": 1e-9})
+        with pytest.raises(ModelError, match=r"theta=0\.5: overflow in the model"):
             run_sweep(spec)
 
     def test_missing_family_file_is_an_input_error(self):
