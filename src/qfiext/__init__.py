@@ -10,7 +10,6 @@ with a spin-1 probe.
 
 from .errors import (
     DegenerateExtremalEigenvalues,
-    DegenerateSpectrum,
     DimensionMismatch,
     FamilyFileError,
     InvalidSpec,
@@ -29,7 +28,6 @@ from .generator import (
     GeneratorMethod,
     GeneratorResult,
     broken_phase_shift_generator_at_zero,
-    compute_generator,
     generator_fd,
     generator_quadrature,
     generator_spectral,
@@ -56,7 +54,6 @@ from .extensions import (
     add_operator,
     apply_extension,
     flood,
-    perturbed_eigenvalues_first_order,
     predicted_subtraction_deficit,
     subtract,
     subtract_perturbed,

@@ -103,7 +103,7 @@ def _run_label_file(label: str, fmt: str) -> str:
 def _cmd_sweep(args) -> int:
     preset: Preset = load_preset(args.preset) if args.preset else load_config(args.config)
     render = rows_to_csv if args.format == "csv" else rows_to_json
-    results: list[SweepResult] = [run_sweep(spec, jobs=args.jobs) for spec in preset.runs]
+    results: list[SweepResult] = [run_sweep(spec) for spec in preset.runs]
     if len(results) == 1:
         _emit(render(results[0]), Path(args.out) if args.out else None)
         return EXIT_OK

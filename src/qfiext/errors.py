@@ -13,10 +13,6 @@ class DimensionMismatch(QfiextError):
     """Operands act on spaces of different dimension."""
 
 
-class DegenerateSpectrum(QfiextError):
-    """Operation requires a non-degenerate spectrum."""
-
-
 class DegenerateExtremalEigenvalues(QfiextError):
     """Operation requires non-degenerate extremal eigenvalues."""
 

@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DegenerateExtremalEigenvalues, DegenerateSpectrum, DimensionMismatch
+from .errors import DegenerateExtremalEigenvalues, DimensionMismatch
 from .family import HamiltonianFamily, checked_stack, factor
 from .linalg import HermitianOperator, commutator, degenerate_blocks, eig_hermitian
 
@@ -201,20 +201,3 @@ def predicted_subtraction_deficit(
     delta_spread = epsilon**4 * (shift(a.size - 1) - shift(0))
     return float(2.0 * t * t * (a[-1] - a[0]) * delta_spread)
 
-
-def perturbed_eigenvalues_first_order(
-    h: HermitianOperator, v: HermitianOperator, epsilon: float
-) -> np.ndarray:
-    """Eigenvalues of H + epsilon*V to first order: lambda_i + epsilon <i|V|i>.
-
-    Requires a non-degenerate spectrum of H; output is ordered by ascending
-    unperturbed eigenvalue.
-    """
-    _require_finite(epsilon=epsilon)
-    if h.dim != v.dim:
-        raise DimensionMismatch(f"dimensions differ: {h.dim} vs {v.dim}")
-    dec = eig_hermitian(h)
-    if any(len(b) > 1 for b in degenerate_blocks(dec.eigenvalues)):
-        raise DegenerateSpectrum("H has degenerate eigenvalues")
-    shifts = np.einsum("ik,ij,jk->k", dec.eigenvectors.conj(), v.matrix, dec.eigenvectors).real
-    return dec.eigenvalues + epsilon * shifts

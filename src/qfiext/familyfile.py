@@ -198,10 +198,6 @@ def build_family(definition: FamilyDefinition) -> HamiltonianFamily:
     return HamiltonianFamily.from_formulas(dim, value, derivative, second_derivative)
 
 
-def load_family(path) -> HamiltonianFamily:
-    return build_family(load_definition(path))
-
-
 @dataclass
 class FileDiagnostics:
     """Validation outcome for a family file.

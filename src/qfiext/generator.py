@@ -11,7 +11,8 @@ with V(a) = exp(-i a t H). Three independent evaluation routes:
                the closed form of the integral above. Diagonal entries reduce
                to t * Hdot_kk, off-diagonal pairs with coinciding eigenvalues
                to the smooth sinc limit, so degenerate blocks need no special
-               casing. This is the default public path.
+               casing. This is the route of ``channel_qfi``, ``report`` and
+               ``sweep``; it evaluates a whole stack of points at once.
 * quadrature -- adaptive Gauss-Legendre evaluation of the integral.
 * finite difference -- i U^dag [U(theta+h) - U(theta-h)] / 2h, the oracle the
                other two are validated against.
@@ -55,53 +56,45 @@ def _hermitized(m: np.ndarray) -> HermitianOperator:
     return HermitianOperator(hermitian_part(m))
 
 
-def _phase_kernel(t, eigenvalues: np.ndarray) -> np.ndarray:
+def _phase_kernel(t: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
     """t * exp(i t d/2) * sin(t d/2)/(t d/2) over all eigenvalue gaps d.
 
-    ``eigenvalues`` is one spectrum (d,) or a stack (..., d); over a stack,
-    ``t`` is an array that broadcasts against (..., d, d).
+    ``eigenvalues`` is a stack (N, d) of spectra and ``t`` is (N, 1, 1).
     """
     gaps = eigenvalues[..., :, None] - eigenvalues[..., None, :]
     return t * np.exp(0.5j * t * gaps) * np.sinc(t * gaps / (2.0 * np.pi))
 
 
-def _spectral_product(t, eigenvalues: np.ndarray, eigenvectors: np.ndarray, op: np.ndarray):
-    """V ((V^dag A V) * kernel) V^dag: the generator for derivative A, before hermitization."""
-    v = eigenvectors
-    v_dag = v.conj().swapaxes(-1, -2)
-    return v @ ((v_dag @ op @ v) * _phase_kernel(t, eigenvalues)) @ v_dag
-
-
-def _spectral_error(dim: int, t, hdot_max):
-    """16 d eps (1 + |t| max|Hdot|), the spectral route's rounding estimate."""
-    return 16.0 * dim * float(np.finfo(float).eps) * (1.0 + abs(t) * hdot_max)
-
-
 def generator_spectral(family: HamiltonianFamily, theta: float, t: float) -> GeneratorResult:
-    """Generator from the eigenbasis of H(theta); exact to eigensolver precision."""
-    h = family.value(theta)
-    hdot = family.derivative(theta)
-    dec = eig_hermitian(h)
-    gen = _spectral_product(t, dec.eigenvalues, dec.eigenvectors, hdot.matrix)
-    err = _spectral_error(family.dim, t, float(np.max(np.abs(hdot.matrix))))
-    return GeneratorResult(_hermitized(gen), GeneratorMethod.SPECTRAL, err)
+    """Generator from the eigenbasis of H(theta); exact to eigensolver precision.
+
+    ``generator_spectral_stack`` at one point.
+    """
+    gen, err = generator_spectral_stack(
+        family.value(theta).matrix, family.derivative(theta).matrix, np.array([t], dtype=float)
+    )
+    return GeneratorResult(HermitianOperator(gen[0]), GeneratorMethod.SPECTRAL, float(err[0]))
 
 
 def generator_spectral_stack(
     h: np.ndarray, hdot: np.ndarray, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``generator_spectral`` at N points at once: generators (N, d, d) and errors (N,).
+    """The spectral generator at N points at once: generators (N, d, d) and errors (N,).
 
     ``h`` and ``hdot`` are ``HermitianOperator.matrix`` values (not checked
     again): (N, d, d) stacks, or one (d, d) matrix that holds at every point
-    and is then decomposed once. ``t`` is (N,). Each generator has the bits of
-    ``generator_spectral(...).generator.matrix`` at its point, hermitized
-    twice as ``_hermitized`` and ``HermitianOperator`` do.
+    and is then decomposed once. ``t`` is (N,). H is decomposed by
+    ``eigh_stack``, which gives each point the bits of ``eig_hermitian``.
+    Each generator is hermitized once, which makes it exactly Hermitian, so
+    wrapping it in a ``HermitianOperator`` leaves its bits unchanged.
     """
     w, v = eigh_stack(h if h.ndim == 3 else h[None])
-    gen = _spectral_product(t[:, None, None], w, v, hdot)
-    err = _spectral_error(h.shape[-1], t, np.abs(hdot).max(axis=(-2, -1)))
-    return hermitian_part(hermitian_part(gen)), err
+    v_dag = v.conj().swapaxes(-1, -2)
+    gen = v @ ((v_dag @ hdot @ v) * _phase_kernel(t[:, None, None], w)) @ v_dag
+    # 16 d eps (1 + |t| max|Hdot|), the spectral route's rounding estimate.
+    hdot_max = np.abs(hdot).max(axis=(-2, -1))
+    err = 16.0 * h.shape[-1] * float(np.finfo(float).eps) * (1.0 + abs(t) * hdot_max)
+    return hermitian_part(gen), err
 
 
 @lru_cache(maxsize=32)
@@ -202,21 +195,5 @@ def broken_phase_shift_generator_at_zero(
     """
     if g.dim != f.dim:
         raise DimensionMismatch(f"dimensions differ: {g.dim} vs {f.dim}")
-    dec = eig_hermitian(f)
-    return _hermitized(_spectral_product(t, dec.eigenvalues, dec.eigenvectors, g.matrix))
-
-
-def compute_generator(
-    family: HamiltonianFamily,
-    theta: float,
-    t: float,
-    method: GeneratorMethod = GeneratorMethod.SPECTRAL,
-) -> GeneratorResult:
-    """Dispatch to the requested generator evaluation route."""
-    if method is GeneratorMethod.SPECTRAL:
-        return generator_spectral(family, theta, t)
-    if method is GeneratorMethod.QUADRATURE:
-        return generator_quadrature(family, theta, t)
-    if method is GeneratorMethod.FINITE_DIFFERENCE:
-        return generator_fd(family, theta, t)
-    raise ValueError(f"unknown generator method: {method!r}")
+    gen, _ = generator_spectral_stack(f.matrix, g.matrix, np.array([t], dtype=float))
+    return HermitianOperator(gen[0])

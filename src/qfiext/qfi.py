@@ -20,19 +20,8 @@ import numpy as np
 from . import config
 from .errors import DimensionMismatch
 from .family import HamiltonianFamily
-from .generator import (
-    GeneratorMethod,
-    GeneratorResult,
-    compute_generator,
-    generator_spectral_stack,
-)
-from .linalg import (
-    PureState,
-    degenerate_blocks,
-    eig_hermitian,
-    seminorm,
-    variance,
-)
+from .generator import GeneratorMethod, generator_spectral, generator_spectral_stack
+from .linalg import PureState, degenerate_blocks, eig_hermitian, eigh_stack, seminorm, variance
 
 # Residual tolerance (relative to the spectral norm of H) below which an
 # extremal eigenvector of dH/dtheta counts as an eigenvector of H.
@@ -68,17 +57,14 @@ class SaturationVerdict:
     witness: Optional[tuple[int, int]] = None
 
 
-def qfi_pure(
-    family: HamiltonianFamily,
-    theta: float,
-    t: float,
-    psi0: PureState,
-    method: GeneratorMethod = GeneratorMethod.SPECTRAL,
-) -> float:
-    """QFI of the evolved pure probe: 4 Var(K) in the initial state."""
+def qfi_pure(family: HamiltonianFamily, theta: float, t: float, psi0: PureState) -> float:
+    """QFI of the evolved pure probe: 4 Var(K) in the initial state.
+
+    K is the spectral generator, ``generator_spectral``.
+    """
     if psi0.dim != family.dim:
         raise DimensionMismatch(f"probe dimension {psi0.dim} does not match family {family.dim}")
-    gen = compute_generator(family, theta, t, method).generator
+    gen = generator_spectral(family, theta, t).generator
     return 4.0 * variance(gen, psi0)
 
 
@@ -104,51 +90,16 @@ def _ratio(cqfi: float, bound: float, spread: float, bound_spread: float) -> flo
     return (spread / bound_spread) ** 2 if bound_spread > 0.0 else 1.0
 
 
-def _report_from_generator(
-    family: HamiltonianFamily, theta: float, t: float, gres: GeneratorResult
-) -> ChannelQfiReport:
-    dec = eig_hermitian(gres.generator)
-    spread = float(dec.eigenvalues[-1] - dec.eigenvalues[0])
-    cqfi = spread * spread
-    probe = PureState((dec.eigenvectors[:, -1] + dec.eigenvectors[:, 0]) / np.sqrt(2.0))
-    hdot_spread = seminorm(family.derivative(theta))
-    bound = _bound(t, hdot_spread)
-    ratio = _ratio(cqfi, bound, spread, abs(t) * hdot_spread)
-    return ChannelQfiReport(cqfi, bound, ratio, probe, gres.method, gres.estimated_error)
-
-
-def channel_qfi(
-    family: HamiltonianFamily,
-    theta: float,
-    t: float,
-    method: GeneratorMethod = GeneratorMethod.SPECTRAL,
-) -> ChannelQfiReport:
-    """Channel QFI = seminorm(K)^2 plus the bound, their ratio and the optimal probe.
-
-    When the bound vanishes (dH/dtheta proportional to identity) the channel
-    QFI vanishes too and the ratio is defined as 1 to keep sweep output free
-    of NaNs.
-    """
-    gres = compute_generator(family, theta, t, method)
-    return _report_from_generator(family, theta, t, gres)
-
-
-def channel_qfi_stack(
-    h: np.ndarray, hdot: np.ndarray, t: np.ndarray
+def _reduce(
+    k: np.ndarray, hdot: np.ndarray, t: np.ndarray, err: np.ndarray
 ) -> list[tuple[float, float, float, float]]:
-    """``channel_qfi`` by the spectral route at N points in one pass.
+    """(channel QFI, upper bound, ratio, estimated error) per point.
 
-    ``h`` and ``hdot`` are H(theta) and dH/dtheta as ``HermitianOperator.matrix``
-    values (not checked again): (N, d, d) stacks, or one (d, d) matrix that
-    holds at every point and is decomposed once. ``t`` is (N,). Returns
-    (channel QFI, upper bound, ratio, estimated error) per point, each the
-    float that ``channel_qfi`` gives at that point. The optimal probe is not
-    formed.
+    ``k`` holds the ascending spectra (N, d) of the generators, ``hdot`` is
+    dH/dtheta as an (N, d, d) stack or one (d, d) matrix, and ``t`` and the
+    generators' ``err`` are (N,).
     """
-    gen, err = generator_spectral_stack(h, hdot, t)
-    # eigh as eig_hermitian calls it and eigvalsh as seminorm does: the two
-    # LAPACK drivers need not agree in the last bit.
-    k = np.linalg.eigh(gen)[0]
+    # eigvalsh as seminorm (so upper_bound) does: eigh need not agree in the last bit.
     d = np.linalg.eigvalsh(hdot)
     d_spread = np.broadcast_to(d[..., -1] - d[..., 0], t.shape)
     points = []
@@ -159,6 +110,41 @@ def channel_qfi_stack(
         bound = _bound(ti, hdot_spread)
         points.append((cqfi, bound, _ratio(cqfi, bound, k_spread, abs(ti) * hdot_spread), e))
     return points
+
+
+def channel_qfi(family: HamiltonianFamily, theta: float, t: float) -> ChannelQfiReport:
+    """Channel QFI = seminorm(K)^2 plus the bound, their ratio and the optimal probe.
+
+    ``channel_qfi_stack`` at one point; the optimal probe, the balanced
+    superposition of K's extremal eigenvectors, comes from ``eigh_stack`` of
+    the same K. When the bound vanishes (dH/dtheta proportional to identity)
+    the channel QFI vanishes too and the ratio is defined as 1 to keep sweep
+    output free of NaNs.
+    """
+    hdot = family.derivative(theta).matrix
+    ts = np.array([t], dtype=float)
+    gen, err = generator_spectral_stack(family.value(theta).matrix, hdot, ts)
+    w, v = eigh_stack(gen)
+    ((cqfi, bound, ratio, e),) = _reduce(w, hdot, ts, err)
+    probe = PureState((v[0, :, -1] + v[0, :, 0]) / np.sqrt(2.0))
+    return ChannelQfiReport(cqfi, bound, ratio, probe, GeneratorMethod.SPECTRAL, e)
+
+
+def channel_qfi_stack(
+    h: np.ndarray, hdot: np.ndarray, t: np.ndarray
+) -> list[tuple[float, float, float, float]]:
+    """``channel_qfi`` at N points in one pass, without the optimal probe.
+
+    ``h`` and ``hdot`` are H(theta) and dH/dtheta as ``HermitianOperator.matrix``
+    values (not checked again): (N, d, d) stacks, or one (d, d) matrix that
+    holds at every point and is decomposed once. ``t`` is (N,). Returns
+    (channel QFI, upper bound, ratio, estimated error) per point, each the
+    float that ``channel_qfi`` gives at that point.
+    """
+    gen, err = generator_spectral_stack(h, hdot, t)
+    # Eigenvalues only: no probe is formed, so eigh_stack's basis fixing,
+    # which leaves the eigenvalues as they are, is skipped.
+    return _reduce(np.linalg.eigh(gen)[0], hdot, t, err)
 
 
 def check_saturation(
@@ -250,7 +236,7 @@ def channel_qfi_brute(
     if seed is None:
         seed = config.oracle_seed()
     rng = np.random.default_rng(seed)
-    gen = compute_generator(family, theta, t).generator
+    gen = generator_spectral(family, theta, t).generator
     dec = eig_hermitian(gen)
     candidate = (dec.eigenvectors[:, -1] + dec.eigenvectors[:, 0]) / np.sqrt(2.0)
     best = _qfi_of_vector(gen.matrix, candidate)

@@ -341,14 +341,13 @@ def _grid_stacks(spec: SweepSpec, values: list[float]):
     return family.values(grid), family.derivatives(grid), np.full(grid.shape, t)
 
 
-def run_sweep(spec: SweepSpec, jobs: Optional[int] = None) -> SweepResult:
-    """Evaluate all grid points, rows in grid order.
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Evaluate all grid points in one stacked pass, rows in grid order.
 
-    ``jobs`` is accepted for compatibility and has no effect: the grid is
-    evaluated in one stacked pass. A non-Hermitian or non-finite matrix
-    names its first offending grid value. A failure other than a bad input
-    file or matrix is raised as ModelError naming the first grid point,
-    where the run is built.
+    The spec is checked here by ``validate_spec``, which also covers specs
+    built by hand. A non-Hermitian or non-finite matrix names its first
+    offending grid value. A failure other than a bad input file or matrix is
+    raised as ModelError naming the first grid point, where the run is built.
     """
     validate_spec(spec)
     values = spec.grid.values()
@@ -408,7 +407,7 @@ def rows_to_json(result: SweepResult) -> str:
 
 
 def spec_from_dict(doc: dict, label: str = "") -> SweepSpec:
-    """Build a SweepSpec from a decoded JSON run document."""
+    """Build a SweepSpec from a decoded JSON run document; ``run_sweep`` validates it."""
     try:
         grid_doc = doc["grid"]
         grid = Grid(
@@ -428,7 +427,6 @@ def spec_from_dict(doc: dict, label: str = "") -> SweepSpec:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"run document: {exc!r}") from exc
-    validate_spec(spec)
     return spec
 
 

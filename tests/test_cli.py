@@ -1,5 +1,6 @@
 """Tests for the command-line interface (in-process via main())."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -76,6 +77,20 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--config", str(path))
         assert code == 1
         assert "error" in err
+
+    def test_bad_field_in_last_run_exits_one_without_output(self, tmp_path, capsys):
+        run = {
+            "model": "direction",
+            "sweep_variable": "t",
+            "grid": {"start": 1e-3, "stop": 1e-2, "points": 3},
+            "fixed_params": {"B": 1e-9},
+        }
+        bad = {**run, "fixed_params": {"B": 1e-9, "Bogus": 1.0}}
+        path = tmp_path / "runs.json"
+        path.write_text(json.dumps({"runs": [run, run, bad]}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert "fixed_params.Bogus" in err
 
     def test_non_hermitian_add_operator_file_exits_two(self, tmp_path, capsys):
         operator = tmp_path / "operator.json"
@@ -307,6 +322,32 @@ class TestReportCommand:
         code, _, err = run_cli(capsys, "report", "--model", "nv", "--param", "bz=0.1")
         assert code == 1
         assert "unknown for model" in err
+
+
+# sha256 of `qfiext report` stdout; each call exercises a different spectral edge.
+REPORT_STDOUT_SHA256 = [
+    # degenerate K: the probe comes from the canonical basis
+    (("--model", "direction", "--param", "B=0"),
+     "b513d6531cef80e764fd98b7384121ccb843056d04a09cb5554bbe4ca3ed6420"),
+    # on the NV level anti-crossing
+    (("--model", "nv", "--param", "Bx=0.1", "--param", "Bz=0.1024",
+      "--extension", "flood:beta=0.1"),
+     "c7ecaba6d65f4e0e98d746f4089d9a2a6593ac77da96a1aeface01fcb5df6d4d"),
+    (("--model", "direction", "--param", "B=1e-9", "--param", "theta=1.047",
+      "--param", "phi=0.785", "--extension", "sz:kappa=10"),
+     "35acd807c5775d35287aa811815cb874e4f01d7f3479486af0e9d562691a7f7a"),
+    (("--model", "custom", "--family-file", VALID_FAMILY, "--param", "theta=0.3"),
+     "d222f0bd49bde08ee3a973f1e0d931230a4297f44767355bf6d829b020287312"),
+    (("--model", "broken-phase-shift", "--family-file", VALID_FAMILY),
+     "616e0f3cf54b63a000f426a0a8b6a1a3fcb59be02855973e0058a94ac846fab8"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", REPORT_STDOUT_SHA256)
+def test_report_stdout_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, "report", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 NAN_FAMILY = (

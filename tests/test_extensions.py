@@ -6,7 +6,6 @@ import pytest
 from qfiext import (
     AddOperator,
     DegenerateExtremalEigenvalues,
-    DegenerateSpectrum,
     DimensionMismatch,
     DirectionParams,
     Flood,
@@ -24,7 +23,6 @@ from qfiext import (
     expm_unitary,
     flood,
     gyromagnetic_ratio,
-    perturbed_eigenvalues_first_order,
     predicted_subtraction_deficit,
     qfi_pure,
     seminorm,
@@ -265,38 +263,6 @@ class TestAddOperator:
         rng = np.random.default_rng(64)
         with pytest.raises(DimensionMismatch):
             add_operator(polynomial_family(rng, 3), gue(2, rng), 1.0)
-
-
-class TestPerturbedEigenvalues:
-    def test_identity_shift(self):
-        h = gue(4, np.random.default_rng(65))
-        out = perturbed_eigenvalues_first_order(h, HermitianOperator(np.eye(4)), 0.2)
-        assert np.allclose(out, np.linalg.eigvalsh(h.matrix) + 0.2, atol=1e-12)
-
-    def test_commuting_perturbation_is_exact(self):
-        rng = np.random.default_rng(66)
-        basis = np.linalg.qr(
-            rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        )[0]
-        h = HermitianOperator((basis * rng.standard_normal(4)) @ basis.conj().T)
-        v = HermitianOperator((basis * rng.standard_normal(4)) @ basis.conj().T)
-        eps = 0.3
-        out = perturbed_eigenvalues_first_order(h, v, eps)
-        exact = np.linalg.eigvalsh(h.matrix + eps * v.matrix)
-        assert np.allclose(np.sort(out), exact, atol=1e-10)
-
-    def test_small_epsilon_matches_exact_diagonalization(self):
-        rng = np.random.default_rng(67)
-        h, v = gue(4, rng), gue(4, rng)
-        eps = 1e-4
-        out = perturbed_eigenvalues_first_order(h, v, eps)
-        exact = np.linalg.eigvalsh(h.matrix + eps * v.matrix)
-        assert np.max(np.abs(np.sort(out) - exact)) < 1e-6
-
-    def test_degenerate_spectrum_rejected(self):
-        h = HermitianOperator(np.diag([1.0, 1.0, 0.0]))
-        with pytest.raises(DegenerateSpectrum):
-            perturbed_eigenvalues_first_order(h, HermitianOperator(np.eye(3)), 0.1)
 
 
 class TestDerivativePreservation:

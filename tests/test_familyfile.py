@@ -10,7 +10,6 @@ from qfiext import FamilyFileError, NonHermitianInput, validate_family
 from qfiext.familyfile import (
     build_family,
     load_definition,
-    load_family,
     parse_definition,
     validate_file,
 )
@@ -49,7 +48,7 @@ BASE_DOC = {
 
 class TestParsing:
     def test_shipped_valid_fixture_loads(self):
-        fam = load_family(fixture_path("valid-family.json"))
+        fam = build_family(load_definition(fixture_path("valid-family.json")))
         assert fam.dim == 3
         assert np.allclose(
             fam.derivative(0.7).matrix, np.diag([1.0, 0.0, -1.0]).astype(complex)
@@ -98,7 +97,7 @@ class TestParsing:
 
 class TestBuiltFamilies:
     def test_value_matches_manual_sum(self, tmp_path):
-        fam = load_family(write_doc(tmp_path, BASE_DOC))
+        fam = build_family(load_definition(write_doc(tmp_path, BASE_DOC)))
         theta = 0.9
         expected = (
             2.0 * theta * np.diag([1.0, -1.0])
@@ -108,12 +107,12 @@ class TestBuiltFamilies:
         assert np.allclose(fam.value(theta).matrix, expected, atol=1e-15)
 
     def test_analytic_derivatives_consistent_with_fd(self, tmp_path):
-        fam = load_family(write_doc(tmp_path, BASE_DOC))
+        fam = build_family(load_definition(write_doc(tmp_path, BASE_DOC)))
         check = validate_family(fam, (-1.0, -0.3, 0.0, 0.4, 1.2))
         assert check.ok
 
     def test_second_derivative_present(self, tmp_path):
-        fam = load_family(write_doc(tmp_path, BASE_DOC))
+        fam = build_family(load_definition(write_doc(tmp_path, BASE_DOC)))
         expected = -0.5 * 9.0 * np.sin(3.0 * 0.1 + 0.2) * np.array(
             [[0, 1 + 0.5j], [1 - 0.5j, 0]]
         ) + (-1.5 * 4.0 * np.cos(2.0 * 0.1)) * np.diag([0.3, 0.1])
