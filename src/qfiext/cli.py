@@ -18,14 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import (
-    DimensionMismatch,
-    FamilyFileError,
-    InvalidSpec,
-    ModelError,
-    NonHermitianInput,
-    QfiextError,
-)
+from .errors import InvalidSpec, ModelError, QfiextError
 from .extensions import apply_extension
 from .familyfile import validate_file
 from .qfi import channel_qfi, check_saturation
@@ -40,7 +33,6 @@ from .sweep import (
     rows_to_csv,
     rows_to_json,
     run_sweep,
-    validate_scenario,
 )
 
 EXIT_OK = 0
@@ -120,7 +112,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _fields(items: list[str], option: str) -> dict:
-    """``K=V`` items as a dict of strings; validate_scenario checks the names and values."""
+    """``K=V`` items as a dict of strings; build_scenario checks the names and values."""
     fields = {}
     for item in items:
         if "=" not in item:
@@ -143,7 +135,6 @@ def _cmd_report(args) -> int:
         "extension": extension,
         "family_file": args.family_file,
     }
-    validate_scenario(scenario)
     family, theta, t, ext = build_scenario(scenario)
     if ext is not None:
         family = apply_extension(family, ext)
@@ -218,16 +209,10 @@ def main(argv=None) -> int:
     except InvalidSpec as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FamilyFileError, NonHermitianInput, DimensionMismatch, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
-    except QfiextError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except OSError as exc:
+    except (QfiextError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -95,11 +95,20 @@ class FamilyDefinition:
     derivative_terms: Optional[tuple[Term, ...]] = None
 
 
-def _parse_matrix(obj, dim: int, where: str) -> HermitianOperator:
+def parse_matrix(obj, where: str, dim: Optional[int] = None) -> HermitianOperator:
+    """A ``{"re": [[..]], "im": [[..]]}`` matrix ("im" optional) as a Hermitian operator.
+
+    It must be ``dim`` x ``dim``, or square when ``dim`` is None; errors start with ``where``.
+    """
     if not isinstance(obj, dict) or "re" not in obj:
         raise FamilyFileError(f"{where}: matrix must be an object with 're' (and optional 'im')")
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj.get("im", np.zeros((dim, dim))), dtype=float)
+    try:
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FamilyFileError(f"{where}: matrix blocks must be numeric matrices: {exc}") from exc
+    if dim is None:
+        dim = re.shape[0] if re.ndim else 1
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise FamilyFileError(
             f"{where}: matrix blocks must be {dim}x{dim}, got re{re.shape} im{im.shape}"
@@ -135,7 +144,7 @@ def _parse_terms(obj, dim: int, key: str) -> tuple[Term, ...]:
         terms.append(
             Term(
                 _parse_coefficient(raw["coefficient"], where),
-                _parse_matrix(raw["matrix"], dim, where),
+                parse_matrix(raw["matrix"], where, dim),
             )
         )
     return tuple(terms)
@@ -146,7 +155,7 @@ def parse_definition(doc) -> FamilyDefinition:
     if not isinstance(doc, dict):
         raise FamilyFileError("top level: expected a JSON object")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise FamilyFileError("dim: must be a positive integer")
     terms = _parse_terms(doc.get("terms"), dim, "terms")
     derivative_terms = None
@@ -155,19 +164,28 @@ def parse_definition(doc) -> FamilyDefinition:
     return FamilyDefinition(dim, terms, derivative_terms)
 
 
-def load_definition(path) -> FamilyDefinition:
-    """Read and parse a family file; JSON errors carry line/column."""
+def read_json(path, what: str):
+    """The decoded JSON document of a ``what`` file; JSON errors carry line/column."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise FamilyFileError(f"cannot read family file {str(path)!r}: {exc}") from exc
+        raise FamilyFileError(f"cannot read {what} file {str(path)!r}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FamilyFileError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return parse_definition(doc)
+
+
+def load_definition(path) -> FamilyDefinition:
+    """Read and parse a family file."""
+    return parse_definition(read_json(path, "family"))
+
+
+def load_operator(path) -> HermitianOperator:
+    """Read an operator file: one matrix in the format of a family file's terms."""
+    return parse_matrix(read_json(path, "operator"), str(path))
 
 
 def _sum_terms(terms: tuple[Term, ...], dim: int, coefficient, theta) -> np.ndarray:
@@ -210,10 +228,6 @@ class FileDiagnostics:
     messages: list[str] = field(default_factory=list)
     derivative_check: Optional[FamilyValidation] = None
     extremal_degeneracy: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
 
 
 def validate_file(path) -> FileDiagnostics:

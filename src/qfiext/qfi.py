@@ -112,6 +112,13 @@ def _reduce(
     return points
 
 
+def _balanced_probe(vectors: np.ndarray) -> np.ndarray:
+    """(v_max + v_min)/sqrt(2) from eigenvector columns in ascending order; at d = 1, v itself."""
+    if vectors.shape[1] == 1:
+        return vectors[:, 0]
+    return (vectors[:, -1] + vectors[:, 0]) / np.sqrt(2.0)
+
+
 def channel_qfi(family: HamiltonianFamily, theta: float, t: float) -> ChannelQfiReport:
     """Channel QFI = seminorm(K)^2 plus the bound, their ratio and the optimal probe.
 
@@ -126,7 +133,7 @@ def channel_qfi(family: HamiltonianFamily, theta: float, t: float) -> ChannelQfi
     gen, err = generator_spectral_stack(family.value(theta).matrix, hdot, ts)
     w, v = eigh_stack(gen)
     ((cqfi, bound, ratio, e),) = _reduce(w, hdot, ts, err)
-    probe = PureState((v[0, :, -1] + v[0, :, 0]) / np.sqrt(2.0))
+    probe = PureState(_balanced_probe(v[0]))
     return ChannelQfiReport(cqfi, bound, ratio, probe, GeneratorMethod.SPECTRAL, e)
 
 
@@ -238,7 +245,7 @@ def channel_qfi_brute(
     rng = np.random.default_rng(seed)
     gen = generator_spectral(family, theta, t).generator
     dec = eig_hermitian(gen)
-    candidate = (dec.eigenvectors[:, -1] + dec.eigenvectors[:, 0]) / np.sqrt(2.0)
+    candidate = _balanced_probe(dec.eigenvectors)
     best = _qfi_of_vector(gen.matrix, candidate)
     for _ in range(n_starts):
         psi = rng.standard_normal(family.dim) + 1j * rng.standard_normal(family.dim)

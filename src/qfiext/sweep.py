@@ -3,8 +3,8 @@
 A sweep evaluates the channel QFI over a grid of one variable (evaluation
 point, evolution time, or an extension parameter) with everything else fixed.
 A run's scenario (model, fixed parameters, extension, family file) is checked
-by ``validate_scenario`` and built by ``build_scenario``, the same pair that
-``qfiext report`` uses. Each run builds its model family, extension and
+by ``validate_scenario`` and built from its values by ``build_scenario``, which
+``qfiext report`` uses too. Each run builds its model family, extension and
 operator file once and evaluates what the swept variable changes for the
 whole grid in one stacked expression
 (``HamiltonianFamily.values``/``derivatives``). The grid then goes
@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 from importlib import resources
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -42,14 +41,11 @@ from .extensions import (
     extension_offset,
 )
 from .family import checked_stack
-from .familyfile import load_definition
+from .familyfile import load_definition, load_operator, read_json
 from .familyfile import build_family as _build_custom_family
 from .generator import GeneratorMethod
 from .linalg import HermitianOperator
 from .models import (
-    LANDE_G_DEFAULT,
-    NV_D_DEFAULT,
-    NV_E_DEFAULT,
     DirectionParams,
     NvParams,
     broken_phase_shift_family,
@@ -64,11 +60,15 @@ CSV_HEADER = "sweep_value,channel_qfi,upper_bound,ratio,generator_method,estimat
 # Bad input files and matrices keep their own exit code instead of becoming ModelError.
 _INPUT_ERRORS = (InvalidSpec, NonHermitianInput, DimensionMismatch, FamilyFileError)
 
+
+def _defaults(cls) -> dict:
+    return {f.name: None if f.default is MISSING else f.default for f in dataclass_fields(cls)}
+
+
 # Each model's parameters with their defaults; None marks a required parameter.
 _MODEL_DEFAULTS = {
-    "nv": {"Bx": 0.0, "By": 0.0, "Bz": 0.0, "D": NV_D_DEFAULT, "E": NV_E_DEFAULT,
-           "g": LANDE_G_DEFAULT, "t": 1e-3},
-    "direction": {"B": None, "theta": 0.0, "phi": 0.0, "g": LANDE_G_DEFAULT, "t": 1e-2},
+    "nv": _defaults(NvParams),
+    "direction": _defaults(DirectionParams),
     "broken-phase-shift": {"theta": 0.0, "t": 1.0},
     "custom": {"theta": 0.0, "t": 1.0},
 }
@@ -83,6 +83,7 @@ _EXTENSION_FIELDS = {
     "add-operator": {"file": None, "epsilon": None},
     "sz": {"kappa": None},
 }
+_EXTENSION_TYPES = {"flood": Flood, "subtract": Subtract, "subtract-perturbed": SubtractPerturbed}
 _SWEEPABLES = {
     "nv": ("B_z", "t", "beta", "epsilon"),
     "direction": ("theta", "t", "beta", "kappa", "epsilon"),
@@ -165,48 +166,61 @@ def validate_spec(spec: SweepSpec) -> None:
             )
 
 
-def _is_finite_number(value) -> bool:
-    """A number, or a string that parses as one (CLI values), that is finite."""
-    try:
-        return math.isfinite(float(value))
-    except (TypeError, ValueError):
-        return False
+def _walk(given: dict, table: dict, where: str, owner: str, swept: Optional[str]) -> dict:
+    """``given`` checked against ``table`` and returned as floats over its defaults.
+
+    Values are finite numbers or numeric strings (CLI values); ``file`` is a
+    non-empty path. A field whose default is None is required unless ``swept``.
+    """
+    values = dict(table)
+    for key, value in given.items():
+        if key not in table:
+            raise InvalidSpec(
+                f"{where}.{key}: unknown for {owner}; expected one of {', '.join(table)}"
+            )
+        if key == "file":
+            if not (isinstance(value, str) and value):
+                raise InvalidSpec(f"{where}.file: must be a file path, got {value!r}")
+            values[key] = value
+            continue
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = math.nan
+        if not math.isfinite(number):
+            raise InvalidSpec(f"{where}.{key}: must be a finite number, got {value!r}")
+        values[key] = number
+    for key, value in values.items():
+        if value is None and key != swept:
+            raise InvalidSpec(f"{where}.{key}: required for {owner}")
+    return values
 
 
-def validate_scenario(scenario: dict, swept: Optional[str] = None) -> None:
-    """Raise InvalidSpec naming the offending field of a scenario.
+def validate_scenario(scenario: dict, swept: Optional[str] = None):
+    """Check a scenario and return its values as ``(model, params, kind, fields)``.
 
     A scenario is a run document without its grid: ``model``,
     ``fixed_params``, ``extension`` (None, or a dict whose ``kind`` names the
-    extension) and ``family_file``. Parameters and extension fields are
-    numbers or numeric strings. The extension field named ``swept`` comes
-    from a sweep's grid and may be left out.
+    extension) and ``family_file``. The extension field named ``swept``
+    comes from a sweep's grid and may be left out. ``params`` and ``fields``
+    map every name to its float (or default); without an extension ``kind``
+    is None and ``fields`` empty.
     """
     model = scenario["model"]
     if model not in _MODEL_DEFAULTS:
         raise InvalidSpec(f"model: must be one of {', '.join(MODELS)}, got {model!r}")
-    known = _MODEL_DEFAULTS[model]
-    params = scenario["fixed_params"]
-    for key, value in params.items():
-        if key not in known:
-            raise InvalidSpec(
-                f"fixed_params.{key}: unknown for model {model!r}; "
-                f"expected one of {', '.join(known)}"
-            )
-        if not _is_finite_number(value):
-            raise InvalidSpec(f"fixed_params.{key}: must be a finite number, got {value!r}")
-    for key, default in known.items():
-        if default is None and key not in params:
-            raise InvalidSpec(f"fixed_params.{key}: required for the {model} model")
-    if model == "direction" and float(params["B"]) < 0:
-        raise InvalidSpec(f"fixed_params.B: must be >= 0, got {params['B']!r}")
+    params = _walk(
+        scenario["fixed_params"], _MODEL_DEFAULTS[model], "fixed_params", f"model {model!r}", swept
+    )
+    if model == "direction" and params["B"] < 0:
+        raise InvalidSpec(f"fixed_params.B: must be >= 0, got {scenario['fixed_params']['B']!r}")
     if model in _FILE_MODELS and not scenario["family_file"]:
         raise InvalidSpec(f"family_file: required for model {model!r}")
     if model not in _FILE_MODELS and scenario["family_file"]:
         raise InvalidSpec(f"family_file: not used by model {model!r}")
     ext = scenario["extension"]
     if ext is None:
-        return
+        return model, params, None, {}
     kind = ext.get("kind") if isinstance(ext, dict) else None
     if kind not in _EXTENSION_FIELDS:
         raise InvalidSpec(
@@ -214,26 +228,15 @@ def validate_scenario(scenario: dict, swept: Optional[str] = None) -> None:
         )
     if kind == "sz" and model != "direction":
         raise InvalidSpec("extension.kind: 'sz' applies to the direction model only")
-    fields = _EXTENSION_FIELDS[kind]
-    for key, value in ext.items():
-        if key == "kind":
-            continue
-        if key not in fields:
-            raise InvalidSpec(
-                f"extension.{key}: unknown for kind {kind!r}; expected one of {', '.join(fields)}"
-            )
-        if key == "file" and not (isinstance(value, str) and value):
-            raise InvalidSpec(f"extension.file: must be a file path, got {value!r}")
-        if key != "file" and not _is_finite_number(value):
-            raise InvalidSpec(f"extension.{key}: must be a finite number, got {value!r}")
-    for key, default in fields.items():
-        if default is None and key not in ext and key != swept:
-            raise InvalidSpec(f"extension.{key}: required for kind {kind!r}")
+    given = {key: value for key, value in ext.items() if key != "kind"}
+    fields = _walk(given, _EXTENSION_FIELDS[kind], "extension", f"kind {kind!r}", swept)
+    return model, params, kind, fields
 
 
 def build_scenario(scenario: dict, swept: Optional[str] = None, value=None):
-    """The model family, evaluation point, time and extension of a checked scenario.
+    """The model family, evaluation point, time and extension of a scenario.
 
+    The scenario is checked by ``validate_scenario`` before any file is read.
     Returns ``(family, theta, t, extension)``; ``extension`` is the
     ``ExtensionSpec`` to apply to ``family``, or None. ``swept`` names a
     ``_SWEEPABLES`` variable that takes ``value`` instead of its fixed or
@@ -241,39 +244,26 @@ def build_scenario(scenario: dict, swept: Optional[str] = None, value=None):
     (N,) array of all grid values. A file family or operator file is loaded
     once here.
     """
-    model = scenario["model"]
-    params = dict(_MODEL_DEFAULTS[model])
-    params.update((key, float(v)) for key, v in scenario["fixed_params"].items())
+    model, params, kind, fields = validate_scenario(scenario, swept)
     if swept in ("B_z", "theta", "t"):
         params["Bz" if swept == "B_z" else swept] = value
+    elif swept is not None:
+        fields[swept] = value
     if model == "nv":
-        model_params = NvParams(**params)
-        family, theta = nv_family(model_params), params["Bz"]
+        family, theta = nv_family(NvParams(**params)), params["Bz"]
     elif model == "direction":
         model_params = DirectionParams(**params)
         family, theta = direction_family(model_params), params["theta"]
     else:
         family, theta = load_model_family(model, scenario["family_file"]), params["theta"]
-    ext = scenario["extension"]
-    if ext is None:
-        return family, theta, params["t"], None
-    kind = ext["kind"]
-
-    def num(key: str):
-        if key == swept:
-            return value
-        return float(ext.get(key, _EXTENSION_FIELDS[kind][key]))
-
-    if kind == "flood":
-        spec = Flood(beta=num("beta"), theta0=num("theta0"))
-    elif kind == "subtract":
-        spec = Subtract(theta0=num("theta0"))
-    elif kind == "subtract-perturbed":
-        spec = SubtractPerturbed(theta0=num("theta0"), epsilon=num("epsilon"))
+    if kind is None:
+        spec = None
     elif kind == "add-operator":
-        spec = AddOperator(operator=_load_operator(ext["file"]), epsilon=num("epsilon"))
-    else:  # sz: kappa * B g mu_B S_z
-        spec = AddOperator(operator=direction_sz_operator(model_params), epsilon=num("kappa"))
+        spec = AddOperator(operator=load_operator(fields["file"]), epsilon=fields["epsilon"])
+    elif kind == "sz":  # kappa * B g mu_B S_z
+        spec = AddOperator(operator=direction_sz_operator(model_params), epsilon=fields["kappa"])
+    else:
+        spec = _EXTENSION_TYPES[kind](**fields)
     return family, theta, params["t"], spec
 
 
@@ -300,21 +290,6 @@ def load_model_family(model: str, family_file):
                 f"const and linear coefficients, got {term.coefficient.kind!r}"
             )
     return broken_phase_shift_family(HermitianOperator(g_acc), HermitianOperator(f_acc))
-
-
-def _load_operator(path) -> HermitianOperator:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FamilyFileError(f"cannot read operator file {str(path)!r}: {exc}") from exc
-    if not isinstance(doc, dict) or "re" not in doc:
-        raise FamilyFileError(f"{path}: expected an object with 're' (and optional 'im')")
-    try:
-        re = np.asarray(doc["re"], dtype=float)
-        matrix = re + 1j * np.asarray(doc.get("im", np.zeros_like(re)), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FamilyFileError(f"{path}: 're'/'im' must be equal-shape numeric matrices: {exc}") from exc
-    return HermitianOperator(matrix)
 
 
 def _grid_stacks(spec: SweepSpec, values: list[float]):
@@ -460,11 +435,9 @@ def load_preset(name: str) -> Preset:
 def load_config(path) -> Preset:
     """Load a config file: either one run document or {name, description, runs: [...]}."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InvalidSpec(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    except OSError as exc:
-        raise InvalidSpec(f"--config: cannot read {path!r}: {exc}")
+        doc = read_json(path, "config")
+    except FamilyFileError as exc:
+        raise InvalidSpec(str(exc)) from exc
     if "runs" in doc:
         runs = tuple(spec_from_dict(run, label=f"run{k}") for k, run in enumerate(doc["runs"]))
         return Preset(doc.get("name", str(path)), doc.get("description", ""), runs)

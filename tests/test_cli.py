@@ -309,6 +309,15 @@ class TestReportCommand:
         amp = np.array([complex(re, im) for re, im in doc["optimal_probe"]])
         assert np.linalg.norm(amp) == pytest.approx(1.0, abs=1e-12)
 
+    def test_one_dimensional_custom_family(self, tmp_path, capsys):
+        path = tmp_path / "scalar.json"
+        path.write_text(json.dumps(linear_family({"re": [[1.0]]}, dim=1)), encoding="utf-8")
+        code, out, err = run_cli(capsys, "report", "--model", "custom", "--family-file", str(path))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["channel_qfi"], doc["upper_bound"], doc["ratio"]) == (0.0, 0.0, 1.0)
+        assert doc["optimal_probe"] == [[1.0, 0.0]]
+
     def test_missing_model_param_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "report", "--model", "direction")
         assert code == 1
@@ -348,6 +357,66 @@ def test_report_stdout_bytes_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, "report", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# One mistake per matrix; each is read as a family-file term and as an operator file.
+MALFORMED_MATRICES = {
+    "ragged": {"re": [[1, 0], [0]]},
+    "non-numeric": {"re": [[1, "x"], ["x", 1]]},
+    "im-shape": {"re": [[1, 0], [0, 1]], "im": [[0, 0, 0]]},
+    "non-square": {"re": [[1, 0, 0], [0, 1, 0]]},
+    "non-object": [[1, 0], [0, 1]],
+}
+FAMILY_ENTRIES = ("validate", "report-family")
+OPERATOR_ENTRIES = ("report-operator", "sweep-operator")
+
+
+def linear_family(matrix, dim=2) -> dict:
+    return {"dim": dim, "terms": [{"coefficient": {"kind": "linear"}, "matrix": matrix}]}
+
+
+@pytest.mark.parametrize(
+    "entry,case",
+    [(entry, case) for case in MALFORMED_MATRICES for entry in FAMILY_ENTRIES + OPERATOR_ENTRIES]
+    + [(entry, "dim-true") for entry in FAMILY_ENTRIES],
+)
+def test_malformed_matrix_exits_two_at_every_entry_point(tmp_path, capsys, entry, case):
+    if case == "dim-true":
+        family, named = linear_family({"re": [[1.0]]}, dim=True), "dim"
+    else:
+        family, named = linear_family(MALFORMED_MATRICES[case]), "terms[0]"
+    family_path = tmp_path / "family.json"
+    family_path.write_text(json.dumps(family), encoding="utf-8")
+    operator_path = tmp_path / "operator.json"
+    operator_path.write_text(json.dumps(MALFORMED_MATRICES.get(case)), encoding="utf-8")
+    if entry == "validate":
+        argv = ("validate", str(family_path))
+    elif entry == "report-family":
+        argv = ("report", "--model", "custom", "--family-file", str(family_path))
+    elif entry == "report-operator":
+        argv = ("report", "--model", "direction", "--param", "B=1e-9",
+                "--extension", f"add-operator:file={operator_path},eps=1")
+    else:
+        config = {
+            "model": "direction",
+            "sweep_variable": "epsilon",
+            "grid": {"start": 0.0, "stop": 1.0, "points": 3},
+            "fixed_params": {"B": 1e-9},
+            "extension": {"kind": "add-operator", "file": str(operator_path)},
+        }
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ("sweep", "--config", str(config_path))
+    if entry in OPERATOR_ENTRIES:
+        named = "operator.json"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    if entry == "validate":
+        assert named in out
+        assert out.endswith(f"{family_path}: FAILED (input invariant violation)\n")
+    else:
+        assert out == ""
+        assert err.startswith("error: ") and named in err
 
 
 NAN_FAMILY = (

@@ -151,6 +151,13 @@ class TestChannelQfi:
         assert channel_qfi_stack(h, hdot_stack, t) == full
         assert channel_qfi_stack(h_stack, hdot, t) == full
 
+    def test_one_dimensional_family_has_zero_qfi_and_the_one_probe(self):
+        fam = phase_shift(HermitianOperator(np.array([[2.0]])))
+        report = channel_qfi(fam, 0.4, 1.5)
+        assert (report.channel_qfi, report.upper_bound, report.ratio) == (0.0, 0.0, 1.0)
+        assert np.abs(report.optimal_probe.amplitudes).tolist() == [1.0]
+        assert channel_qfi_brute(fam, 0.4, 1.5, n_starts=1, seed=0) == 0.0
+
     def test_upper_bound_trivials(self):
         rng = np.random.default_rng(35)
         fam = polynomial_family(rng, 3)
