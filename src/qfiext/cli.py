@@ -8,12 +8,13 @@ Subcommands:
 
 Exit codes: 0 success, 1 invalid arguments or specification, 2 invariant
 violation in an input file, 3 numerical validation failure, 4 internal
-numerical non-convergence.
+numerical non-convergence or a result that is not finite.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -48,7 +49,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first ``main`` call and reused by later ones in the process."""
     parser = _Parser(prog="qfiext", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -157,7 +160,7 @@ def _cmd_report(args) -> int:
         },
         "optimal_probe": probe,
     }
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return EXIT_OK
 
 

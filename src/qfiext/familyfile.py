@@ -95,17 +95,36 @@ class FamilyDefinition:
     derivative_terms: Optional[tuple[Term, ...]] = None
 
 
+def _non_number(block, path: str):
+    """``(path, entry)`` of the first entry of nested lists that is not a JSON number, or None."""
+    if isinstance(block, list):
+        for k, item in enumerate(block):
+            found = _non_number(item, f"{path}[{k}]")
+            if found is not None:
+                return found
+        return None
+    if isinstance(block, bool) or not isinstance(block, (int, float)):
+        return path, block
+    return None
+
+
 def parse_matrix(obj, where: str, dim: Optional[int] = None) -> HermitianOperator:
     """A ``{"re": [[..]], "im": [[..]]}`` matrix ("im" optional) as a Hermitian operator.
 
-    It must be ``dim`` x ``dim``, or square when ``dim`` is None; errors start with ``where``.
+    Entries are JSON numbers; a string, a bool or null is not one. It must be
+    ``dim`` x ``dim``, or square when ``dim`` is None; errors start with ``where``.
     """
     if not isinstance(obj, dict) or "re" not in obj:
         raise FamilyFileError(f"{where}: matrix must be an object with 're' (and optional 'im')")
+    for block in ("re", "im"):
+        found = _non_number(obj.get(block, []), block)
+        if found is not None:
+            path, entry = found
+            raise FamilyFileError(f"{where}: non-numeric entry {path} = {json.dumps(entry)}")
     try:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FamilyFileError(f"{where}: matrix blocks must be numeric matrices: {exc}") from exc
     if dim is None:
         dim = re.shape[0] if re.ndim else 1

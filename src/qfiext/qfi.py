@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import config
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ModelError
 from .family import HamiltonianFamily
 from .generator import GeneratorMethod, generator_spectral, generator_spectral_stack
 from .linalg import PureState, degenerate_blocks, eig_hermitian, eigh_stack, seminorm, variance
@@ -70,46 +70,52 @@ def qfi_pure(family: HamiltonianFamily, theta: float, t: float, psi0: PureState)
 
 def upper_bound(family: HamiltonianFamily, theta: float, t: float) -> float:
     """t^2 * seminorm(dH/dtheta)^2, the ceiling for the channel QFI."""
-    return _bound(t, seminorm(family.derivative(theta)))
-
-
-def _bound(t: float, hdot_seminorm: float) -> float:
-    return t * t * hdot_seminorm**2
-
-
-def _ratio(cqfi: float, bound: float, spread: float, bound_spread: float) -> float:
-    """cqfi / bound, or 1 when the bound vanishes.
-
-    ``spread`` and ``bound_spread`` = |t| seminorm(dH/dtheta) are the square
-    roots of the two. Once the bound is below the smallest normal float, the
-    squares have lost relative precision (or underflowed to 0), so the ratio
-    is formed from the spreads instead.
-    """
-    if bound >= _SMALLEST_NORMAL:
-        return cqfi / bound
-    return (spread / bound_spread) ** 2 if bound_spread > 0.0 else 1.0
+    return t * t * seminorm(family.derivative(theta)) ** 2
 
 
 def _reduce(
     k: np.ndarray, hdot: np.ndarray, t: np.ndarray, err: np.ndarray
-) -> list[tuple[float, float, float, float]]:
-    """(channel QFI, upper bound, ratio, estimated error) per point.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(channel QFI, upper bound, ratio, estimated error) as (N,) columns.
 
     ``k`` holds the ascending spectra (N, d) of the generators, ``hdot`` is
     dH/dtheta as an (N, d, d) stack or one (d, d) matrix, and ``t`` and the
-    generators' ``err`` are (N,).
+    generators' ``err`` are (N,). The ratio is cqfi / bound, or 1 when the
+    bound vanishes. Once the bound is below the smallest normal float, the
+    squares have lost relative precision (or underflowed to 0), so the ratio
+    is formed from their square roots, the spreads of K and of t dH/dtheta.
     """
     # eigvalsh as seminorm (so upper_bound) does: eigh need not agree in the last bit.
     d = np.linalg.eigvalsh(hdot)
-    d_spread = np.broadcast_to(d[..., -1] - d[..., 0], t.shape)
-    points = []
-    for ti, k_spread, hdot_spread, e in zip(
-        t.tolist(), (k[:, -1] - k[:, 0]).tolist(), d_spread.tolist(), err.tolist()
-    ):
+    d_spread = d[..., -1] - d[..., 0]
+    k_spread = k[:, -1] - k[:, 0]
+    bound_spread = np.abs(t) * d_spread
+    # Both branches of each where are formed; an overflow, 0/0 or inf/inf
+    # there is left to check_finite, not reported by numpy.
+    with np.errstate(all="ignore"):
         cqfi = k_spread * k_spread
-        bound = _bound(ti, hdot_spread)
-        points.append((cqfi, bound, _ratio(cqfi, bound, k_spread, abs(ti) * hdot_spread), e))
-    return points
+        bound = t * t * d_spread**2
+        from_spreads = np.where(bound_spread > 0.0, (k_spread / bound_spread) ** 2, 1.0)
+        ratio = np.where(bound >= _SMALLEST_NORMAL, cqfi / bound, from_spreads)
+    return cqfi, bound, ratio, err
+
+
+_COLUMNS = ("channel_qfi", "upper_bound", "ratio", "estimated_error")
+
+
+def check_finite(columns, variable: str, values) -> None:
+    """Raise ModelError naming the first point whose results are not all finite.
+
+    ``columns`` are ``_reduce``'s four (N,) columns and ``values`` the N values
+    of ``variable`` that the points stand for; the message names the first
+    such value and the first quantity that is not finite there.
+    """
+    finite = np.isfinite(np.stack(columns))
+    if finite.all():
+        return
+    point = int(np.argmin(finite.all(axis=0)))
+    quantity = _COLUMNS[int(np.argmin(finite[:, point]))]
+    raise ModelError(f"at {variable}={values[point]!r}: {quantity} is not finite")
 
 
 def _balanced_probe(vectors: np.ndarray) -> np.ndarray:
@@ -126,27 +132,31 @@ def channel_qfi(family: HamiltonianFamily, theta: float, t: float) -> ChannelQfi
     superposition of K's extremal eigenvectors, comes from ``eigh_stack`` of
     the same K. When the bound vanishes (dH/dtheta proportional to identity)
     the channel QFI vanishes too and the ratio is defined as 1 to keep sweep
-    output free of NaNs.
+    output free of NaNs. A result that is not finite (an overflow at large
+    t) raises ModelError naming it and t.
     """
     hdot = family.derivative(theta).matrix
     ts = np.array([t], dtype=float)
     gen, err = generator_spectral_stack(family.value(theta).matrix, hdot, ts)
     w, v = eigh_stack(gen)
-    ((cqfi, bound, ratio, e),) = _reduce(w, hdot, ts, err)
+    columns = _reduce(w, hdot, ts, err)
+    check_finite(columns, "t", [t])
+    cqfi, bound, ratio, e = (float(column[0]) for column in columns)
     probe = PureState(_balanced_probe(v[0]))
     return ChannelQfiReport(cqfi, bound, ratio, probe, GeneratorMethod.SPECTRAL, e)
 
 
 def channel_qfi_stack(
     h: np.ndarray, hdot: np.ndarray, t: np.ndarray
-) -> list[tuple[float, float, float, float]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``channel_qfi`` at N points in one pass, without the optimal probe.
 
     ``h`` and ``hdot`` are H(theta) and dH/dtheta as ``HermitianOperator.matrix``
     values (not checked again): (N, d, d) stacks, or one (d, d) matrix that
-    holds at every point and is decomposed once. ``t`` is (N,). Returns
-    (channel QFI, upper bound, ratio, estimated error) per point, each the
-    float that ``channel_qfi`` gives at that point.
+    holds at every point and is decomposed once. ``t`` is (N,). Returns the
+    (N,) columns channel QFI, upper bound, ratio and estimated error, each
+    element the float that ``channel_qfi`` gives at that point. They are not
+    checked; ``check_finite`` does that.
     """
     gen, err = generator_spectral_stack(h, hdot, t)
     # Eigenvalues only: no probe is formed, so eigh_stack's basis fixing,

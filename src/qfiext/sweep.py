@@ -10,8 +10,11 @@ whole grid in one stacked expression
 (``HamiltonianFamily.values``/``derivatives``). The grid then goes
 through one stacked eigendecomposition pass (``qfi.channel_qfi_stack``), in
 which a matrix that is the same at every point is decomposed once; every
-point gets the bits ``qfi.channel_qfi`` would give it. Rows are in grid
-order and floats are emitted in shortest round-trip form, so identical specs
+point gets the bits ``qfi.channel_qfi`` would give it. The results stay
+columns (one list per quantity, in grid order) from the eigensolver to the
+CSV or JSON text. A run with a result that is not finite raises ModelError
+naming the quantity and the first such grid value, and no row of it is
+written. Floats are emitted in shortest round-trip form, so identical specs
 produce byte-identical output.
 """
 
@@ -21,6 +24,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 from importlib import resources
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -53,7 +57,7 @@ from .models import (
     direction_sz_operator,
     nv_family,
 )
-from .qfi import channel_qfi_stack
+from .qfi import channel_qfi_stack, check_finite
 
 SCALES = ("linear", "log")
 CSV_HEADER = "sweep_value,channel_qfi,upper_bound,ratio,generator_method,estimated_error"
@@ -103,8 +107,8 @@ class Grid:
         if self.points == 1:
             return [float(self.start)]
         if self.scale == "log":
-            return [float(x) for x in np.geomspace(self.start, self.stop, self.points)]
-        return [float(x) for x in np.linspace(self.start, self.stop, self.points)]
+            return np.geomspace(self.start, self.stop, self.points).tolist()
+        return np.linspace(self.start, self.stop, self.points).tolist()
 
 
 @dataclass(frozen=True)
@@ -130,8 +134,26 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A run's results as columns of floats, one element per grid point in grid order."""
+
     label: str
-    rows: tuple[SweepRow, ...]
+    sweep_value: list[float]
+    channel_qfi: list[float]
+    upper_bound: list[float]
+    ratio: list[float]
+    estimated_error: list[float]
+
+    @property
+    def rows(self) -> tuple[SweepRow, ...]:
+        return tuple(SweepRow(*record) for record in self._records())
+
+    def _records(self):
+        """One tuple per grid point, in ``CSV_HEADER`` order."""
+        method = repeat(GeneratorMethod.SPECTRAL.value)
+        return zip(
+            self.sweep_value, self.channel_qfi, self.upper_bound, self.ratio, method,
+            self.estimated_error,
+        )
 
 
 def _scenario(spec: SweepSpec) -> dict:
@@ -317,12 +339,13 @@ def _grid_stacks(spec: SweepSpec, values: list[float]):
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate all grid points in one stacked pass, rows in grid order.
+    """Evaluate all grid points in one stacked pass, columns in grid order.
 
     The spec is checked here by ``validate_spec``, which also covers specs
     built by hand. A non-Hermitian or non-finite matrix names its first
     offending grid value. A failure other than a bad input file or matrix is
-    raised as ModelError naming the first grid point, where the run is built.
+    raised as ModelError naming the first grid point, where the run is built,
+    and a result that is not finite as ModelError naming the first such point.
     """
     validate_spec(spec)
     values = spec.grid.values()
@@ -332,53 +355,23 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         raise
     except Exception as exc:
         raise ModelError(f"at {spec.sweep_variable}={values[0]!r}: {exc}") from exc
-    numbers = channel_qfi_stack(h, hdot, t)
-    method = GeneratorMethod.SPECTRAL.value
-    rows = tuple(
-        SweepRow(x, cqfi, bound, ratio, method, err)
-        for x, (cqfi, bound, ratio, err) in zip(values, numbers)
-    )
-    return SweepResult(spec.label, rows)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+    columns = channel_qfi_stack(h, hdot, t)
+    check_finite(columns, spec.sweep_variable, values)
+    return SweepResult(spec.label, values, *(column.tolist() for column in columns))
 
 
 def rows_to_csv(result: SweepResult) -> str:
-    lines = [CSV_HEADER]
-    for r in result.rows:
-        lines.append(
-            ",".join(
-                (
-                    _fmt(r.sweep_value),
-                    _fmt(r.channel_qfi),
-                    _fmt(r.upper_bound),
-                    _fmt(r.ratio),
-                    r.generator_method,
-                    _fmt(r.estimated_error),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    lines = [
+        f"{x!r},{cqfi!r},{bound!r},{ratio!r},{method},{err!r}"
+        for x, cqfi, bound, ratio, method, err in result._records()
+    ]
+    return "\n".join([CSV_HEADER, *lines, ""])
 
 
 def rows_to_json(result: SweepResult) -> str:
-    doc = {
-        "label": result.label,
-        "rows": [
-            {
-                "sweep_value": r.sweep_value,
-                "channel_qfi": r.channel_qfi,
-                "upper_bound": r.upper_bound,
-                "ratio": r.ratio,
-                "generator_method": r.generator_method,
-                "estimated_error": r.estimated_error,
-            }
-            for r in result.rows
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    keys = CSV_HEADER.split(",")
+    rows = [dict(zip(keys, record)) for record in result._records()]
+    return json.dumps({"label": result.label, "rows": rows}, indent=2, allow_nan=False) + "\n"
 
 
 def spec_from_dict(doc: dict, label: str = "") -> SweepSpec:
@@ -438,7 +431,11 @@ def load_config(path) -> Preset:
         doc = read_json(path, "config")
     except FamilyFileError as exc:
         raise InvalidSpec(str(exc)) from exc
+    if not isinstance(doc, dict):
+        raise InvalidSpec(f"config: expected a JSON object, got {type(doc).__name__}")
     if "runs" in doc:
+        if not isinstance(doc["runs"], list):
+            raise InvalidSpec(f"runs: expected a list of run documents, got {doc['runs']!r}")
         runs = tuple(spec_from_dict(run, label=f"run{k}") for k, run in enumerate(doc["runs"]))
         return Preset(doc.get("name", str(path)), doc.get("description", ""), runs)
     return Preset(str(path), "", (spec_from_dict(doc, label="run0"),))

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -77,6 +79,27 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--config", str(path))
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("doc,named", [(5, "config"), ({"runs": 3}, "runs")])
+    def test_malformed_config_document_exits_one(self, tmp_path, capsys, doc, named):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {named}: ")
+
+    def test_non_finite_result_exits_four_without_output(self, tmp_path, capsys):
+        config = {
+            "model": "custom",
+            "sweep_variable": "t",
+            "grid": {"start": 1e199, "stop": 1e201, "points": 3, "scale": "log"},
+            "family_file": str(FIXTURES.joinpath("valid-family.json")),
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert (code, out) == (4, "")
+        assert err == "error: at t=1e+199: channel_qfi is not finite\n"
 
     def test_bad_field_in_last_run_exits_one_without_output(self, tmp_path, capsys):
         run = {
@@ -318,6 +341,14 @@ class TestReportCommand:
         assert (doc["channel_qfi"], doc["upper_bound"], doc["ratio"]) == (0.0, 0.0, 1.0)
         assert doc["optimal_probe"] == [[1.0, 0.0]]
 
+    def test_non_finite_result_exits_four_without_output(self, capsys):
+        code, out, err = run_cli(
+            capsys, "report", "--model", "custom",
+            "--family-file", str(FIXTURES.joinpath("valid-family.json")), "--param", "t=1e200",
+        )
+        assert (code, out) == (4, "")
+        assert err == "error: at t=1e+200: channel_qfi is not finite\n"
+
     def test_missing_model_param_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "report", "--model", "direction")
         assert code == 1
@@ -359,6 +390,31 @@ def test_report_stdout_bytes_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_one_parser_serves_successive_calls_like_fresh_processes(capsys):
+    # The parser is built once per process: an appended --param, or the
+    # usage error in between, must not leak into the next call.
+    calls = [
+        ("report", "--model", "nv", "--param", "Bz=0.1", "--param", "t=1e-3"),
+        ("report", "--model", "bogus"),
+        ("report", "--model", "nv"),
+    ]
+    fresh = [
+        subprocess.run([sys.executable, "-m", "qfiext.cli", *argv], capture_output=True, text=True)
+        for argv in calls
+    ]
+    for argv, expected in zip(calls, fresh):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            expected.returncode, expected.stdout, expected.stderr
+        )
+    assert [p.returncode for p in fresh] == [0, 1, 0]
+    assert fresh[0].stdout != fresh[2].stdout
+
+
 # One mistake per matrix; each is read as a family-file term and as an operator file.
 MALFORMED_MATRICES = {
     "ragged": {"re": [[1, 0], [0]]},
@@ -366,7 +422,12 @@ MALFORMED_MATRICES = {
     "im-shape": {"re": [[1, 0], [0, 1]], "im": [[0, 0, 0]]},
     "non-square": {"re": [[1, 0, 0], [0, 1, 0]]},
     "non-object": [[1, 0], [0, 1]],
+    "string": {"re": [["1", 0], [0, 1]]},
+    "bool": {"re": [[1, True], [True, 1]]},
+    "null": {"re": [[1, 0], [0, None]]},
 }
+# The entry each non-numeric case is reported by, as written in the file.
+NOT_NUMBERS = {"non-numeric": '"x"', "string": '"1"', "bool": "true", "null": "null"}
 FAMILY_ENTRIES = ("validate", "report-family")
 OPERATOR_ENTRIES = ("report-operator", "sweep-operator")
 
@@ -411,6 +472,8 @@ def test_malformed_matrix_exits_two_at_every_entry_point(tmp_path, capsys, entry
         named = "operator.json"
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
+    if case in NOT_NUMBERS:
+        assert "non-numeric entry re" in out + err and NOT_NUMBERS[case] in out + err
     if entry == "validate":
         assert named in out
         assert out.endswith(f"{family_path}: FAILED (input invariant violation)\n")

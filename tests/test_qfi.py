@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qfiext.config as config
+from qfiext import qfi
 from qfiext import (
     DimensionMismatch,
     DirectionParams,
@@ -138,18 +139,51 @@ class TestChannelQfi:
         report = channel_qfi(phase_shift(g), 0.0, 2.0)
         assert report.upper_bound < np.finfo(float).tiny
         assert report.ratio == pytest.approx(1.0, abs=1e-12)
-        (row,) = channel_qfi_stack(np.zeros((2, 2), dtype=complex), g.matrix, np.array([2.0]))
-        assert row[:3] == (report.channel_qfi, report.upper_bound, report.ratio)
+        cqfi, bound, ratio, _ = channel_qfi_stack(
+            np.zeros((2, 2), dtype=complex), g.matrix, np.array([2.0])
+        )
+        assert (cqfi.tolist(), bound.tolist(), ratio.tolist()) == (
+            [report.channel_qfi], [report.upper_bound], [report.ratio]
+        )
 
     def test_stack_decomposes_grid_constant_matrices_once_with_the_same_bits(self):
         rng = np.random.default_rng(37)
         h, hdot = gue(3, rng).matrix, gue(3, rng).matrix
         t = np.linspace(0.1, 2.0, 7)
         h_stack, hdot_stack = (np.repeat(m[None], t.size, axis=0) for m in (h, hdot))
-        full = channel_qfi_stack(h_stack, hdot_stack, t)
-        assert channel_qfi_stack(h, hdot, t) == full
-        assert channel_qfi_stack(h, hdot_stack, t) == full
-        assert channel_qfi_stack(h_stack, hdot, t) == full
+
+        def bits(columns):
+            return [column.tobytes() for column in columns]
+
+        full = bits(channel_qfi_stack(h_stack, hdot_stack, t))
+        assert len(full) == 4 and all(len(column) == 8 * t.size for column in full)
+        assert bits(channel_qfi_stack(h, hdot, t)) == full
+        assert bits(channel_qfi_stack(h, hdot_stack, t)) == full
+        assert bits(channel_qfi_stack(h_stack, hdot, t)) == full
+
+    def test_columns_match_the_per_point_float_formulas_bit_for_bit(self):
+        # Reference: bound and ratio formed point by point in Python floats.
+        tiny = float(np.finfo(float).tiny)
+        rng = np.random.default_rng(40)
+        for _ in range(200):
+            n, d = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+            scale = 10.0 ** rng.uniform(-170, 150)
+            k = np.sort(scale * rng.standard_normal((n, d)), axis=1)
+            hdot = np.stack([gue(d, rng).matrix * scale for _ in range(n)])
+            t = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 3, n)
+            err = rng.uniform(0.0, 1.0, n)
+            columns = qfi._reduce(k, hdot, t, err)
+            d_spread = [float(s[-1] - s[0]) for s in np.linalg.eigvalsh(hdot)]
+            for i in range(n):
+                spread, ti = float(k[i, -1] - k[i, 0]), float(t[i])
+                cqfi = spread * spread
+                bound = ti * ti * d_spread[i] ** 2
+                bound_spread = abs(ti) * d_spread[i]
+                if bound >= tiny:
+                    ratio = cqfi / bound
+                else:
+                    ratio = (spread / bound_spread) ** 2 if bound_spread > 0.0 else 1.0
+                assert [float(c[i]) for c in columns] == [cqfi, bound, ratio, err[i]]
 
     def test_one_dimensional_family_has_zero_qfi_and_the_one_probe(self):
         fam = phase_shift(HermitianOperator(np.array([[2.0]])))

@@ -19,6 +19,7 @@ from qfiext import (
     InvalidSpec,
     ModelError,
     NvParams,
+    SweepResult,
     SweepSpec,
     add_operator,
     channel_qfi,
@@ -194,6 +195,35 @@ class TestSerialization:
             assert float(fields[3]) == jrow["ratio"] == row.ratio
             assert fields[4] == jrow["generator_method"]
             assert float(fields[5]) == jrow["estimated_error"]
+
+    def test_columns_are_written_as_the_repr_of_each_float(self):
+        special = [-0.0, 5e-324, 1e308, 0.1 + 0.2, 1.0]
+        texts = ["-0.0", "5e-324", "1e+308", "0.30000000000000004", "1.0"]
+        columns = [special[k:] + special[:k] for k in range(5)]
+        cells = [texts[k:] + texts[:k] for k in range(5)]
+        result = SweepResult("special", *columns)
+        expected = [
+            ",".join([x, cqfi, bound, ratio, "spectral", err])
+            for x, cqfi, bound, ratio, err in zip(*cells)
+        ]
+        assert rows_to_csv(result) == "\n".join([CSV_HEADER, *expected]) + "\n"
+        doc = json.loads(rows_to_json(result))
+        assert doc["label"] == "special"
+        keys = ("sweep_value", "channel_qfi", "upper_bound", "ratio", "estimated_error")
+        for k, row in enumerate(doc["rows"]):
+            assert row["generator_method"] == "spectral"
+            assert [repr(row[key]) for key in keys] == [repr(column[k]) for column in columns]
+        assert [row.channel_qfi for row in result.rows] == columns[1]
+
+    def test_non_finite_result_raises_before_any_row(self):
+        spec = SweepSpec(
+            model="custom",
+            sweep_variable="t",
+            grid=Grid(1e199, 1e201, 3, "log"),
+            family_file=VALID_FAMILY,
+        )
+        with pytest.raises(ModelError, match=r"^at t=1e\+199: channel_qfi is not finite$"):
+            run_sweep(spec)
 
     def test_csv_deterministic(self):
         spec = direction_spec(6)
