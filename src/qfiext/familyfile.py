@@ -189,6 +189,8 @@ def read_json(path, what: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FamilyFileError(f"cannot read {what} file {str(path)!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FamilyFileError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -156,8 +156,10 @@ def generator_quadrature(
     return GeneratorResult(_hermitized(cur), GeneratorMethod.QUADRATURE, err, converged)
 
 
-def _fd_generator(family: HamiltonianFamily, theta: float, t: float, h: float) -> np.ndarray:
-    u0 = expm_unitary(family.value(theta), t).matrix
+def _fd_generator(
+    family: HamiltonianFamily, theta: float, t: float, h: float, u0: np.ndarray
+) -> np.ndarray:
+    """i U(theta)^dag [U(theta+h) - U(theta-h)] / 2h, with U(theta) given as ``u0``."""
     up = expm_unitary(family.value(theta + h), t).matrix
     um = expm_unitary(family.value(theta - h), t).matrix
     return 1j * u0.conj().T @ (up - um) / (2.0 * h)
@@ -177,8 +179,9 @@ def generator_fd(
         raise StepTooSmall(
             f"step {h!r} below safe floor {FD_MIN_STEP_FACTOR * max(1.0, abs(theta)):.3e}"
         )
-    full = _fd_generator(family, theta, t, h)
-    half = _fd_generator(family, theta, t, h / 2.0)
+    u0 = expm_unitary(family.value(theta), t).matrix
+    full = _fd_generator(family, theta, t, h, u0)
+    half = _fd_generator(family, theta, t, h / 2.0, u0)
     err = (4.0 / 3.0) * float(np.max(np.abs(full - half)))
     return GeneratorResult(_hermitized(full), GeneratorMethod.FINITE_DIFFERENCE, err)
 

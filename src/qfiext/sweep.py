@@ -374,14 +374,38 @@ def rows_to_json(result: SweepResult) -> str:
     return json.dumps({"label": result.label, "rows": rows}, indent=2, allow_nan=False) + "\n"
 
 
-def spec_from_dict(doc: dict, label: str = "") -> SweepSpec:
-    """Build a SweepSpec from a decoded JSON run document; ``run_sweep`` validates it."""
+def _grid_points(value, prefix: str) -> int:
+    """A JSON integer (or an integral float such as 5.0) as the grid's point count."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise InvalidSpec(f"{prefix}grid.points: must be an integer, got {value!r}")
+    return int(value)
+
+
+def spec_from_dict(doc, label: str = "", where: str = "") -> SweepSpec:
+    """Build a SweepSpec from a decoded JSON run document; ``run_sweep`` validates it.
+
+    Error messages name fields from ``where`` on (``runs[k]`` for an entry
+    of a ``runs`` list, nothing for a config that is one run document).
+    """
+    prefix = f"{where}." if where else ""
+    where = where or "run document"
+    if not isinstance(doc, dict):
+        raise InvalidSpec(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    for key in ("model", "sweep_variable", "grid"):
+        if key not in doc:
+            raise InvalidSpec(f"{prefix}{key}: required")
+    grid_doc = doc["grid"]
+    if not isinstance(grid_doc, dict):
+        raise InvalidSpec(f"{prefix}grid: expected a JSON object, got {type(grid_doc).__name__}")
+    for key in ("start", "stop", "points"):
+        if key not in grid_doc:
+            raise InvalidSpec(f"{prefix}grid.{key}: required")
     try:
-        grid_doc = doc["grid"]
         grid = Grid(
             start=float(grid_doc["start"]),
             stop=float(grid_doc["stop"]),
-            points=int(grid_doc["points"]),
+            points=_grid_points(grid_doc["points"], prefix),
             scale=str(grid_doc.get("scale", "linear")),
         )
         spec = SweepSpec(
@@ -393,9 +417,14 @@ def spec_from_dict(doc: dict, label: str = "") -> SweepSpec:
             family_file=doc.get("family_file"),
             label=str(doc.get("label", label)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidSpec(f"run document: {exc!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"{where}: {exc!r}") from exc
     return spec
+
+
+def _run_specs(runs) -> tuple[SweepSpec, ...]:
+    """The specs of a ``runs`` list, labelled ``run<k>`` unless a run has its own label."""
+    return tuple(spec_from_dict(run, f"run{k}", f"runs[{k}]") for k, run in enumerate(runs))
 
 
 @dataclass(frozen=True)
@@ -419,10 +448,7 @@ def load_preset(name: str) -> Preset:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise InvalidSpec(f"preset: unknown preset {name!r}; available: {', '.join(preset_names())}")
-    runs = tuple(
-        spec_from_dict(run, label=f"run{k}") for k, run in enumerate(doc["runs"])
-    )
-    return Preset(doc["name"], doc.get("description", ""), runs)
+    return Preset(doc["name"], doc.get("description", ""), _run_specs(doc["runs"]))
 
 
 def load_config(path) -> Preset:
@@ -436,6 +462,6 @@ def load_config(path) -> Preset:
     if "runs" in doc:
         if not isinstance(doc["runs"], list):
             raise InvalidSpec(f"runs: expected a list of run documents, got {doc['runs']!r}")
-        runs = tuple(spec_from_dict(run, label=f"run{k}") for k, run in enumerate(doc["runs"]))
+        runs = _run_specs(doc["runs"])
         return Preset(doc.get("name", str(path)), doc.get("description", ""), runs)
     return Preset(str(path), "", (spec_from_dict(doc, label="run0"),))

@@ -5,7 +5,15 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from qfiext import HamiltonianFamily, HermitianOperator, random_hermitian
+from qfiext import (
+    Flood,
+    HamiltonianFamily,
+    HermitianOperator,
+    SubtractPerturbed,
+    apply_extension,
+    random_hermitian,
+    tensor_identity,
+)
 
 
 def gue(dim: int, rng: np.random.Generator) -> HermitianOperator:
@@ -23,6 +31,28 @@ def polynomial_family(rng: np.random.Generator, dim: int) -> HamiltonianFamily:
         lambda th: HermitianOperator(b + 2.0 * th * c),
         lambda th: HermitianOperator(2.0 * c),
     )
+
+
+def cross_check_cases(rng: np.random.Generator, dims=(2, 3, 4)) -> list:
+    """(family, theta, t) as the verify benchmark builds them, each also lifted onto an ancilla.
+
+    Per dimension: a GUE polynomial family as it is, flooded, and subtracted
+    with a miscalibrated derivative; the lift onto a 2-dim ancilla makes every
+    spectrum degenerate.
+    """
+    cases = []
+    for dim in dims:
+        for kind in (None, "flood", "subtract-perturbed"):
+            fam = polynomial_family(rng, dim)
+            theta, t = float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 1.5))
+            if kind == "flood":
+                beta, theta0 = float(rng.uniform(0.1, 1.0)), float(rng.uniform(-1, 1))
+                fam = apply_extension(fam, Flood(beta=beta, theta0=theta0))
+            elif kind == "subtract-perturbed":
+                epsilon = float(rng.uniform(-0.3, 0.3))
+                fam = apply_extension(fam, SubtractPerturbed(theta0=theta, epsilon=epsilon))
+            cases += [(fam, theta, t), (tensor_identity(fam, 2), theta, t)]
+    return cases
 
 
 def commuting_family(rng: np.random.Generator, dim: int) -> HamiltonianFamily:

@@ -22,6 +22,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def drop(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+DIRECTION_RUN = {
+    "model": "direction",
+    "sweep_variable": "t",
+    "grid": {"start": 1e-3, "stop": 1e-2, "points": 3},
+    "fixed_params": {"B": 1e-9},
+}
+
+
 class TestSweepCommand:
     def test_preset_fig3_to_stdout(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--preset", "fig3")
@@ -87,6 +99,47 @@ class TestSweepCommand:
         code, out, err = run_cli(capsys, "sweep", "--config", str(path))
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {named}: ")
+
+    @pytest.mark.parametrize("points", [2.9, True, "3"])
+    def test_non_integer_grid_points_exit_one(self, tmp_path, capsys, points):
+        path = tmp_path / "run.json"
+        run = {**DIRECTION_RUN, "grid": {**DIRECTION_RUN["grid"], "points": points}}
+        path.write_text(json.dumps(run), encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: grid.points: must be an integer, got {points!r}\n"
+
+    def test_integral_float_grid_points_accepted(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        run = {**DIRECTION_RUN, "grid": {**DIRECTION_RUN["grid"], "points": 5.0}}
+        path.write_text(json.dumps(run), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 0
+        assert len(out.strip().split("\n")) == 6
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"runs": [5]}, "runs[0]: expected a JSON object, got int"),
+            ({"runs": [DIRECTION_RUN, None]}, "runs[1]: expected a JSON object, got NoneType"),
+            ({"runs": [drop(DIRECTION_RUN, "grid")]}, "runs[0].grid: required"),
+            ({"runs": [DIRECTION_RUN, drop(DIRECTION_RUN, "model")]}, "runs[1].model: required"),
+            (
+                {"runs": [{**DIRECTION_RUN, "grid": drop(DIRECTION_RUN["grid"], "stop")}]},
+                "runs[0].grid.stop: required",
+            ),
+            (
+                {"runs": [{**DIRECTION_RUN, "grid": [1]}]},
+                "runs[0].grid: expected a JSON object, got list",
+            ),
+            (drop(DIRECTION_RUN, "sweep_variable"), "sweep_variable: required"),
+        ],
+    )
+    def test_malformed_run_entry_named(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_non_finite_result_exits_four_without_output(self, tmp_path, capsys):
         config = {
@@ -507,6 +560,27 @@ class TestNonFiniteFamilyFile:
         assert code == 2
         assert out == ""
         assert "non-finite entry" in err
+
+
+@pytest.mark.parametrize("entry", ["config", "validate", "report-family", "report-operator"])
+def test_input_file_that_is_not_utf8_is_named(tmp_path, capsys, entry):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\xff\xfe")
+    argv = {
+        "config": ("sweep", "--config", str(path)),
+        "validate": ("validate", str(path)),
+        "report-family": ("report", "--model", "custom", "--family-file", str(path)),
+        "report-operator": ("report", "--model", "direction", "--param", "B=1e-9",
+                            "--extension", f"add-operator:file={path},eps=1"),
+    }[entry]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == (1 if entry == "config" else 2)
+    if entry == "validate":
+        assert out.startswith(f"{path}: not UTF-8 text: ")
+        assert out.endswith(f"{path}: FAILED (input invariant violation)\n")
+    else:
+        assert out == ""
+        assert err.startswith(f"error: {path}: not UTF-8 text: ")
 
 
 class TestValidateCommand:

@@ -22,7 +22,10 @@ from qfiext import (
     DirectionParams,
     direction_family,
 )
-from helpers import commuting_family, gue, polynomial_family
+from qfiext import generator
+from qfiext.family import DEFAULT_FD_STEP
+from qfiext.linalg import expm_unitary, hermitian_part
+from helpers import commuting_family, cross_check_cases, gue, polynomial_family
 
 SX, SY, SZ = spin1_matrices()
 
@@ -174,6 +177,32 @@ class TestFiniteDifference:
             g = generator_fd(fam, 0.3, 1.2, h=h).generator.matrix
             err.append(np.max(np.abs(g - truth)))
         assert err[0] / err[1] == pytest.approx(4.0, rel=0.15)
+
+    def test_one_unitary_at_theta_keeps_the_bits_of_two(self, monkeypatch):
+        # Reference: each step evaluates U(theta) itself, 6 exponentials per call.
+        def central(family, theta, t, h):
+            u0 = expm_unitary(family.value(theta), t).matrix
+            up = expm_unitary(family.value(theta + h), t).matrix
+            um = expm_unitary(family.value(theta - h), t).matrix
+            return 1j * u0.conj().T @ (up - um) / (2.0 * h)
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return expm_unitary(*args)
+
+        monkeypatch.setattr(generator, "expm_unitary", counted)
+        for fam, theta, t in cross_check_cases(np.random.default_rng(24)):
+            h = DEFAULT_FD_STEP * max(1.0, abs(theta))
+            full, half = central(fam, theta, t, h), central(fam, theta, t, h / 2.0)
+            err = (4.0 / 3.0) * float(np.max(np.abs(full - half)))
+            calls.clear()
+            res = generator_fd(fam, theta, t)
+            assert len(calls) == 5
+            reference = HermitianOperator(hermitian_part(full)).matrix
+            assert res.generator.matrix.tobytes() == reference.tobytes()
+            assert res.estimated_error == err
 
 
 class TestBrokenPhaseShiftGenerator:

@@ -31,7 +31,7 @@ from qfiext import (
     upper_bound,
 )
 from qfiext.qfi import channel_qfi_stack
-from helpers import commuting_family, gue, polynomial_family
+from helpers import commuting_family, cross_check_cases, gue, polynomial_family
 
 SX, SY, SZ = spin1_matrices()
 
@@ -312,6 +312,107 @@ class TestBruteForceOracle:
         rng = np.random.default_rng(44)
         with pytest.raises(ValueError):
             channel_qfi_brute(polynomial_family(rng, 3), 0.0, 1.0, n_starts=0)
+
+
+def _reference_qfi_of_vector(gen, psi):
+    v = gen @ psi
+    mean = float((psi.conj() @ v).real)
+    return 4.0 * max(float((v.conj() @ v).real) - mean * mean, 0.0)
+
+
+def _reference_ascend(gen, psi):
+    gen2 = gen @ gen
+    best = _reference_qfi_of_vector(gen, psi)
+    step = qfi._ASCENT_INITIAL_STEP
+    for _ in range(qfi._ASCENT_ITERATIONS):
+        gpsi = gen @ psi
+        mean = float((psi.conj() @ gpsi).real)
+        grad = 8.0 * (gen2 @ psi) - 16.0 * mean * gpsi
+        grad -= (psi.conj() @ grad) * psi
+        cand = psi + step * grad
+        cand /= np.linalg.norm(cand)
+        val = _reference_qfi_of_vector(gen, cand)
+        if val > best:
+            best, psi = val, cand
+        else:
+            step /= 2.0
+    return best
+
+
+def reference_brute(family, theta, t, n_starts, seed):
+    """The oracle with one restart after another, each a vector ascent."""
+    rng = np.random.default_rng(seed)
+    gen = generator_spectral(family, theta, t).generator
+    candidate = qfi._balanced_probe(eig_hermitian(gen).eigenvectors)
+    best = _reference_qfi_of_vector(gen.matrix, candidate)
+    for _ in range(n_starts):
+        psi = rng.standard_normal(family.dim) + 1j * rng.standard_normal(family.dim)
+        psi /= np.linalg.norm(psi)
+        best = max(best, _reference_ascend(gen.matrix, psi))
+    return best
+
+
+def assert_matches_reference(family, theta, t, n_starts, seed):
+    batched = channel_qfi_brute(family, theta, t, n_starts=n_starts, seed=seed)
+    reference = reference_brute(family, theta, t, n_starts, seed)
+    # Where K is proportional to identity (d = 1, or its lift) the channel QFI
+    # is 0 and both sides are rounding noise of 4 Var(K), about eps ||K||^2.
+    k = generator_spectral(family, theta, t).generator
+    floor = 1e-12 * np.linalg.norm(k.matrix, 2) ** 2 if seminorm(k) < 1e-12 else 0.0
+    assert abs(batched - reference) <= 1e-12 * reference + floor
+
+
+class TestBatchedOracleMatchesPerStartLoop:
+    @pytest.mark.parametrize("n_starts", [1, 3, 8])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_gue_polynomial_families(self, dim, n_starts):
+        rng = np.random.default_rng(100 + dim)
+        for seed in range(5):
+            fam = polynomial_family(rng, dim)
+            theta, t = float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 1.5))
+            assert_matches_reference(fam, theta, t, n_starts, seed)
+
+    @pytest.mark.parametrize("n_starts", [1, 3, 8])
+    def test_flooded_subtracted_and_lifted_families(self, n_starts):
+        cases = cross_check_cases(np.random.default_rng(101))
+        for seed, (fam, theta, t) in enumerate(cases):
+            assert_matches_reference(fam, theta, t, n_starts, seed)
+
+    @pytest.mark.parametrize("n_starts", [1, 3, 8])
+    def test_direction_model(self, n_starts):
+        params = DirectionParams(B=1e-9, theta=np.pi / 3, phi=np.pi / 4, t=5e-3)
+        assert_matches_reference(direction_family(params), params.theta, params.t, n_starts, 1)
+
+    @pytest.mark.parametrize("iterations", [1, 4, 15, 60])
+    @pytest.mark.parametrize("n_starts", [1, 3, 8])
+    def test_ascent_block_matches_ascents_one_by_one(self, monkeypatch, n_starts, iterations):
+        # Short ascents have not converged, so each start's path shows in the result.
+        monkeypatch.setattr(qfi, "_ASCENT_ITERATIONS", iterations)
+        rng = np.random.default_rng(103)
+        for fam, theta, t in cross_check_cases(rng):
+            gen = generator_spectral(fam, theta, t).generator.matrix
+            shape = (fam.dim, n_starts)
+            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            starts = z / np.linalg.norm(z, axis=0)
+            reference = max(_reference_ascend(gen, starts[:, k]) for k in range(n_starts))
+            assert qfi._ascend(gen, starts) == pytest.approx(reference, rel=1e-12)
+
+    def test_starts_are_the_per_start_draws(self, monkeypatch):
+        blocks = []
+        ascend = qfi._ascend
+
+        def capture(gen, psi):
+            blocks.append(psi.copy())
+            return ascend(gen, psi)
+
+        monkeypatch.setattr(qfi, "_ascend", capture)
+        fam = polynomial_family(np.random.default_rng(102), 3)
+        channel_qfi_brute(fam, 0.2, 1.0, n_starts=5, seed=9)
+        rng = np.random.default_rng(9)
+        for k in range(5):
+            psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            expected = psi / np.linalg.norm(psi)
+            np.testing.assert_allclose(blocks[0][:, k], expected, rtol=0, atol=1e-15)
 
 
 class TestEnvironmentDefaults:
