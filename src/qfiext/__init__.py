@@ -82,6 +82,7 @@ from .qfi import (
     SaturationStatus,
     SaturationVerdict,
     channel_qfi,
+    channel_qfi_and_saturation,
     channel_qfi_brute,
     check_saturation,
     qfi_pure,

@@ -22,7 +22,7 @@ from pathlib import Path
 from .errors import InvalidSpec, ModelError, QfiextError
 from .extensions import apply_extension
 from .familyfile import validate_file
-from .qfi import channel_qfi, check_saturation
+from .qfi import channel_qfi_and_saturation
 from .sweep import (
     MODELS,
     Preset,
@@ -142,8 +142,7 @@ def _cmd_report(args) -> int:
     if ext is not None:
         family = apply_extension(family, ext)
 
-    report = channel_qfi(family, theta, t)
-    verdict = check_saturation(family, theta)
+    report, verdict = channel_qfi_and_saturation(family, theta, t)
     probe = [[float(a.real), float(a.imag)] for a in report.optimal_probe.amplitudes]
     doc = {
         "model": args.model,

@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DegenerateExtremalEigenvalues, DimensionMismatch
+from .errors import DegenerateExtremalEigenvalues, DimensionMismatch, InvalidSpec
 from .family import HamiltonianFamily, checked_stack, factor
 from .linalg import HermitianOperator, commutator, degenerate_blocks, eig_hermitian
 
@@ -47,6 +47,8 @@ class SubtractPerturbed:
 class AddOperator:
     operator: HermitianOperator
     epsilon: float
+    # The extension field that epsilon was given as, named in errors.
+    name: str = "epsilon"
 
 
 ExtensionSpec = Union[Flood, Subtract, SubtractPerturbed, AddOperator]
@@ -119,15 +121,33 @@ def tensor_identity(family: HamiltonianFamily, ancilla_dim: int) -> HamiltonianF
     )
 
 
+def _scaled(coefficient, matrix: np.ndarray, name: str) -> np.ndarray:
+    """``coefficient * matrix``; InvalidSpec naming ``extension.<name>`` where it overflows.
+
+    ``coefficient`` is a float or an (N,) array of grid values; the message
+    names the first grid value whose term is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        offset = factor(coefficient) * matrix
+    finite = np.isfinite(offset).all(axis=(-2, -1))
+    if not finite.all():
+        value = float(coefficient if finite.ndim == 0 else coefficient[np.argmin(finite)])
+        raise InvalidSpec(f"extension.{name}: the added term is not finite at {name}={value!r}")
+    return offset
+
+
 def extension_offset(family: HamiltonianFamily, spec: ExtensionSpec) -> np.ndarray:
     """The fixed matrix that the extension ``spec`` adds to ``family``'s value.
 
     ``beta`` or ``epsilon`` may be an (N,) array of grid values instead of a
-    float; the offset is then the (N, d, d) stack of the offsets at each.
+    float; the offset is then the (N, d, d) stack of the offsets at each. A
+    ``beta * dH/dtheta(theta0)`` or ``epsilon * V`` that overflows raises
+    InvalidSpec naming its field (``extension.beta``, say), before the family
+    is evaluated with it.
     """
     if isinstance(spec, Flood):
         _require_finite(theta0=spec.theta0, beta=spec.beta)
-        return factor(spec.beta) * family.derivative(spec.theta0).matrix
+        return _scaled(spec.beta, family.derivative(spec.theta0).matrix, "beta")
     if isinstance(spec, Subtract):
         _require_finite(theta0=spec.theta0)
         return -family.value(spec.theta0).matrix
@@ -144,7 +164,7 @@ def extension_offset(family: HamiltonianFamily, spec: ExtensionSpec) -> np.ndarr
             raise DimensionMismatch(
                 f"operator dimension {v.dim} does not match family {family.dim}"
             )
-        return factor(spec.epsilon) * v.matrix
+        return _scaled(spec.epsilon, v.matrix, spec.name)
     raise ValueError(f"unknown extension spec: {spec!r}")
 
 

@@ -84,17 +84,30 @@ def generator_spectral_stack(
     ``h`` and ``hdot`` are ``HermitianOperator.matrix`` values (not checked
     again): (N, d, d) stacks, or one (d, d) matrix that holds at every point
     and is then decomposed once. ``t`` is (N,). H is decomposed by
-    ``eigh_stack``, which gives each point the bits of ``eig_hermitian``.
-    Each generator is hermitized once, which makes it exactly Hermitian, so
-    wrapping it in a ``HermitianOperator`` leaves its bits unchanged.
+    ``eigh_stack``, which gives each point the bits of ``eig_hermitian``;
+    ``generator_in_eigenbasis`` does the rest.
     """
-    w, v = eigh_stack(h if h.ndim == 3 else h[None])
+    return generator_in_eigenbasis(*eigh_stack(h if h.ndim == 3 else h[None]), hdot, t)
+
+
+def generator_in_eigenbasis(
+    w: np.ndarray, v: np.ndarray, hdot: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``generator_spectral_stack`` from H's decomposition ``eigh_stack`` has already made.
+
+    ``w`` (N, d) or (1, d) and ``v`` (N, d, d) or (1, d, d) are H's
+    eigenvalues and eigenvectors. Each generator is hermitized once, which
+    makes it exactly Hermitian, so wrapping it in a ``HermitianOperator``
+    leaves its bits unchanged. An overflow at large t gives a generator or
+    error that is not finite, without a numpy warning; the caller checks.
+    """
     v_dag = v.conj().swapaxes(-1, -2)
-    gen = v @ ((v_dag @ hdot @ v) * _phase_kernel(t[:, None, None], w)) @ v_dag
-    # 16 d eps (1 + |t| max|Hdot|), the spectral route's rounding estimate.
-    hdot_max = np.abs(hdot).max(axis=(-2, -1))
-    err = 16.0 * h.shape[-1] * float(np.finfo(float).eps) * (1.0 + abs(t) * hdot_max)
-    return hermitian_part(gen), err
+    with np.errstate(all="ignore"):
+        gen = v @ ((v_dag @ hdot @ v) * _phase_kernel(t[:, None, None], w)) @ v_dag
+        # 16 d eps (1 + |t| max|Hdot|), the spectral route's rounding estimate.
+        hdot_max = np.abs(hdot).max(axis=(-2, -1))
+        err = 16.0 * w.shape[-1] * float(np.finfo(float).eps) * (1.0 + abs(t) * hdot_max)
+        return hermitian_part(gen), err
 
 
 @lru_cache(maxsize=32)

@@ -9,6 +9,7 @@ dimensionless-per-rad^2 for angle estimation).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,8 +31,12 @@ def gyromagnetic_ratio(g: float = LANDE_G_DEFAULT) -> float:
     return g * MU_B / HBAR
 
 
+@functools.cache
 def spin1_matrices() -> tuple[HermitianOperator, HermitianOperator, HermitianOperator]:
-    """Dimensionless spin-1 matrices with S_z = diag(1, 0, -1) and [S_x, S_y] = i S_z."""
+    """Dimensionless spin-1 matrices with S_z = diag(1, 0, -1) and [S_x, S_y] = i S_z.
+
+    Built once per process: the operators are immutable and their arrays read-only.
+    """
     s = 1.0 / math.sqrt(2.0)
     sx = HermitianOperator(np.array([[0, s, 0], [s, 0, s], [0, s, 0]], dtype=complex))
     sy = HermitianOperator(np.array([[0, -1j * s, 0], [1j * s, 0, -1j * s], [0, 1j * s, 0]]))

@@ -20,8 +20,21 @@ import numpy as np
 from . import config
 from .errors import DimensionMismatch, ModelError
 from .family import HamiltonianFamily
-from .generator import GeneratorMethod, generator_spectral, generator_spectral_stack
-from .linalg import PureState, degenerate_blocks, eig_hermitian, eigh_stack, seminorm, variance
+from .generator import (
+    GeneratorMethod,
+    generator_in_eigenbasis,
+    generator_spectral,
+    generator_spectral_stack,
+)
+from .linalg import (
+    HermitianOperator,
+    PureState,
+    degenerate_blocks,
+    eig_hermitian,
+    eigh_stack,
+    seminorm,
+    variance,
+)
 
 # Residual tolerance (relative to the spectral norm of H) below which an
 # extremal eigenvector of dH/dtheta counts as an eigenvector of H.
@@ -91,7 +104,7 @@ def _reduce(
     k_spread = k[:, -1] - k[:, 0]
     bound_spread = np.abs(t) * d_spread
     # Both branches of each where are formed; an overflow, 0/0 or inf/inf
-    # there is left to check_finite, not reported by numpy.
+    # there is left to _check_finite, not reported by numpy.
     with np.errstate(all="ignore"):
         cqfi = k_spread * k_spread
         bound = t * t * d_spread**2
@@ -103,19 +116,25 @@ def _reduce(
 _COLUMNS = ("channel_qfi", "upper_bound", "ratio", "estimated_error")
 
 
-def check_finite(columns, variable: str, values) -> None:
-    """Raise ModelError naming the first point whose results are not all finite.
+def _check_finite(quantities, arrays, variable: str, values) -> None:
+    """Raise ModelError naming the first point where one of ``arrays`` is not finite.
 
-    ``columns`` are ``_reduce``'s four (N,) columns and ``values`` the N values
-    of ``variable`` that the points stand for; the message names the first
-    such value and the first quantity that is not finite there.
+    Each array holds one value, or one (d, d) matrix, per point; ``values``
+    are the N values of ``variable`` that the points stand for. The message
+    names the first such value and, of ``quantities``, the first array that
+    is not finite there.
     """
-    finite = np.isfinite(np.stack(columns))
-    if finite.all():
+    if all(np.isfinite(a).all() for a in arrays):
         return
+    finite = np.stack([np.isfinite(a).reshape(len(values), -1).all(axis=1) for a in arrays])
     point = int(np.argmin(finite.all(axis=0)))
-    quantity = _COLUMNS[int(np.argmin(finite[:, point]))]
+    quantity = quantities[int(np.argmin(finite[:, point]))]
     raise ModelError(f"at {variable}={values[point]!r}: {quantity} is not finite")
+
+
+# K holds a NaN or infinity after an overflow at large t; LAPACK's eigh then
+# fails with "Eigenvalues did not converge", so K is checked before it.
+_GENERATOR = ("generator", "estimated_error")
 
 
 def _balanced_probe(vectors: np.ndarray) -> np.ndarray:
@@ -125,6 +144,19 @@ def _balanced_probe(vectors: np.ndarray) -> np.ndarray:
     return (vectors[:, -1] + vectors[:, 0]) / np.sqrt(2.0)
 
 
+def _channel_qfi_at(w: np.ndarray, v: np.ndarray, hdot: np.ndarray, t: float) -> ChannelQfiReport:
+    """``channel_qfi`` from H's decomposition (``eigh_stack`` of the (1, d, d) stack of H)."""
+    ts = np.array([t], dtype=float)
+    gen, err = generator_in_eigenbasis(w, v, hdot, ts)
+    _check_finite(_GENERATOR, (gen, err), "t", [t])
+    kw, kv = eigh_stack(gen)
+    columns = _reduce(kw, hdot, ts, err)
+    _check_finite(_COLUMNS, columns, "t", [t])
+    cqfi, bound, ratio, e = (float(column[0]) for column in columns)
+    probe = PureState(_balanced_probe(kv[0]))
+    return ChannelQfiReport(cqfi, bound, ratio, probe, GeneratorMethod.SPECTRAL, e)
+
+
 def channel_qfi(family: HamiltonianFamily, theta: float, t: float) -> ChannelQfiReport:
     """Channel QFI = seminorm(K)^2 plus the bound, their ratio and the optimal probe.
 
@@ -132,22 +164,16 @@ def channel_qfi(family: HamiltonianFamily, theta: float, t: float) -> ChannelQfi
     superposition of K's extremal eigenvectors, comes from ``eigh_stack`` of
     the same K. When the bound vanishes (dH/dtheta proportional to identity)
     the channel QFI vanishes too and the ratio is defined as 1 to keep sweep
-    output free of NaNs. A result that is not finite (an overflow at large
-    t) raises ModelError naming it and t.
+    output free of NaNs. A generator or result that is not finite (an
+    overflow at large t) raises ModelError naming it and t.
     """
     hdot = family.derivative(theta).matrix
-    ts = np.array([t], dtype=float)
-    gen, err = generator_spectral_stack(family.value(theta).matrix, hdot, ts)
-    w, v = eigh_stack(gen)
-    columns = _reduce(w, hdot, ts, err)
-    check_finite(columns, "t", [t])
-    cqfi, bound, ratio, e = (float(column[0]) for column in columns)
-    probe = PureState(_balanced_probe(v[0]))
-    return ChannelQfiReport(cqfi, bound, ratio, probe, GeneratorMethod.SPECTRAL, e)
+    w, v = eigh_stack(family.value(theta).matrix[None])
+    return _channel_qfi_at(w, v, hdot, t)
 
 
 def channel_qfi_stack(
-    h: np.ndarray, hdot: np.ndarray, t: np.ndarray
+    h: np.ndarray, hdot: np.ndarray, t: np.ndarray, variable: str = "t", values=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``channel_qfi`` at N points in one pass, without the optimal probe.
 
@@ -155,13 +181,52 @@ def channel_qfi_stack(
     values (not checked again): (N, d, d) stacks, or one (d, d) matrix that
     holds at every point and is decomposed once. ``t`` is (N,). Returns the
     (N,) columns channel QFI, upper bound, ratio and estimated error, each
-    element the float that ``channel_qfi`` gives at that point. They are not
-    checked; ``check_finite`` does that.
+    element the float that ``channel_qfi`` gives at that point. A generator
+    or result that is not finite raises ModelError naming the first such
+    point by its value in ``values`` (default ``t``) of ``variable``.
     """
+    values = t.tolist() if values is None else values
     gen, err = generator_spectral_stack(h, hdot, t)
+    _check_finite(_GENERATOR, (gen, err), variable, values)
     # Eigenvalues only: no probe is formed, so eigh_stack's basis fixing,
     # which leaves the eigenvalues as they are, is skipped.
-    return _reduce(np.linalg.eigh(gen)[0], hdot, t, err)
+    columns = _reduce(np.linalg.eigh(gen)[0], hdot, t, err)
+    _check_finite(_COLUMNS, columns, variable, values)
+    return columns
+
+
+def _saturation_at(
+    h: np.ndarray, hdot: HermitianOperator, w: np.ndarray, v: np.ndarray, tol: float
+) -> SaturationVerdict:
+    """``check_saturation`` from H's eigenvalues ``w`` and eigenvectors ``v`` (one point)."""
+    ddec = eig_hermitian(hdot)
+    blocks = degenerate_blocks(ddec.eigenvalues)
+    low, high = blocks[0], blocks[-1]
+    h_norm = float(np.max(np.abs(w)))
+
+    if len(low) == 1 and len(high) == 1 and len(blocks) > 1:
+        ok = True
+        for idx in (high[0], low[0]):
+            vec = ddec.eigenvectors[:, idx]
+            mean = float((vec.conj() @ (h @ vec)).real)
+            resid = float(np.linalg.norm(h @ vec - mean * vec))
+            ok = ok and resid <= tol * h_norm
+        status = SaturationStatus.SATURATES if ok else SaturationStatus.NOT_SATURATING
+        return SaturationVerdict(status, (low[0], high[0]))
+
+    # Degenerate extremal eigenvalues (or dH/dtheta proportional to identity).
+    max_span = ddec.eigenvectors[:, high.start : high.stop]
+    min_span = ddec.eigenvectors[:, low.start : low.stop]
+    in_max = in_min = None
+    for k in range(w.shape[0]):
+        u = v[:, k]
+        if in_max is None and float(np.linalg.norm(max_span.conj().T @ u)) > 1.0 - tol:
+            in_max = k
+        if in_min is None and float(np.linalg.norm(min_span.conj().T @ u)) > 1.0 - tol:
+            in_min = k
+    if in_max is not None and in_min is not None and (len(blocks) == 1 or in_max != in_min):
+        return SaturationVerdict(SaturationStatus.DEGENERATE_SUFFICIENT_HOLDS, (in_max, in_min))
+    return SaturationVerdict(SaturationStatus.DEGENERATE_INCONCLUSIVE)
 
 
 def check_saturation(
@@ -178,35 +243,24 @@ def check_saturation(
     h = family.value(theta)
     hdot = family.derivative(theta)
     hdec = eig_hermitian(h)
-    ddec = eig_hermitian(hdot)
-    blocks = degenerate_blocks(ddec.eigenvalues)
-    low, high = blocks[0], blocks[-1]
-    dim = family.dim
-    h_norm = float(np.max(np.abs(hdec.eigenvalues)))
+    return _saturation_at(h.matrix, hdot, hdec.eigenvalues, hdec.eigenvectors, tol)
 
-    if len(low) == 1 and len(high) == 1 and len(blocks) > 1:
-        ok = True
-        for idx in (high[0], low[0]):
-            vec = ddec.eigenvectors[:, idx]
-            mean = float((vec.conj() @ (h.matrix @ vec)).real)
-            resid = float(np.linalg.norm(h.matrix @ vec - mean * vec))
-            ok = ok and resid <= tol * h_norm
-        status = SaturationStatus.SATURATES if ok else SaturationStatus.NOT_SATURATING
-        return SaturationVerdict(status, (low[0], high[0]))
 
-    # Degenerate extremal eigenvalues (or dH/dtheta proportional to identity).
-    max_span = ddec.eigenvectors[:, high.start : high.stop]
-    min_span = ddec.eigenvectors[:, low.start : low.stop]
-    in_max = in_min = None
-    for k in range(dim):
-        u = hdec.eigenvectors[:, k]
-        if in_max is None and float(np.linalg.norm(max_span.conj().T @ u)) > 1.0 - tol:
-            in_max = k
-        if in_min is None and float(np.linalg.norm(min_span.conj().T @ u)) > 1.0 - tol:
-            in_min = k
-    if in_max is not None and in_min is not None and (len(blocks) == 1 or in_max != in_min):
-        return SaturationVerdict(SaturationStatus.DEGENERATE_SUFFICIENT_HOLDS, (in_max, in_min))
-    return SaturationVerdict(SaturationStatus.DEGENERATE_INCONCLUSIVE)
+def channel_qfi_and_saturation(
+    family: HamiltonianFamily, theta: float, t: float, tol: float = SATURATION_RTOL
+) -> tuple[ChannelQfiReport, SaturationVerdict]:
+    """``channel_qfi`` and ``check_saturation`` at one point, each thing computed once.
+
+    H(theta) and dH/dtheta are evaluated once and H is decomposed once, by
+    ``eigh_stack``, whose bits are ``eig_hermitian``'s; the generator and the
+    saturation check share that decomposition. Equal, bit for bit, to the
+    two calls made one after the other.
+    """
+    hdot = family.derivative(theta)
+    h = family.value(theta).matrix
+    w, v = eigh_stack(h[None])
+    report = _channel_qfi_at(w, v, hdot.matrix, t)
+    return report, _saturation_at(h, hdot, w[0], v[0], tol)
 
 
 def _qfi_of_columns(gen: np.ndarray, psi: np.ndarray) -> np.ndarray:

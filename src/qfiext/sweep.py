@@ -12,10 +12,10 @@ through one stacked eigendecomposition pass (``qfi.channel_qfi_stack``), in
 which a matrix that is the same at every point is decomposed once; every
 point gets the bits ``qfi.channel_qfi`` would give it. The results stay
 columns (one list per quantity, in grid order) from the eigensolver to the
-CSV or JSON text. A run with a result that is not finite raises ModelError
-naming the quantity and the first such grid value, and no row of it is
-written. Floats are emitted in shortest round-trip form, so identical specs
-produce byte-identical output.
+CSV or JSON text. A run with a generator or result that is not finite (an
+overflow at large t) raises ModelError naming the quantity and the first
+such grid value, and no row of it is written. Floats are emitted in
+shortest round-trip form, so identical specs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .models import (
     direction_sz_operator,
     nv_family,
 )
-from .qfi import channel_qfi_stack, check_finite
+from .qfi import channel_qfi_stack
 
 SCALES = ("linear", "log")
 CSV_HEADER = "sweep_value,channel_qfi,upper_bound,ratio,generator_method,estimated_error"
@@ -283,7 +283,8 @@ def build_scenario(scenario: dict, swept: Optional[str] = None, value=None):
     elif kind == "add-operator":
         spec = AddOperator(operator=load_operator(fields["file"]), epsilon=fields["epsilon"])
     elif kind == "sz":  # kappa * B g mu_B S_z
-        spec = AddOperator(operator=direction_sz_operator(model_params), epsilon=fields["kappa"])
+        operator = direction_sz_operator(model_params)
+        spec = AddOperator(operator=operator, epsilon=fields["kappa"], name="kappa")
     else:
         spec = _EXTENSION_TYPES[kind](**fields)
     return family, theta, params["t"], spec
@@ -345,7 +346,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     built by hand. A non-Hermitian or non-finite matrix names its first
     offending grid value. A failure other than a bad input file or matrix is
     raised as ModelError naming the first grid point, where the run is built,
-    and a result that is not finite as ModelError naming the first such point.
+    and a generator or result that is not finite as ModelError naming the
+    first such point.
     """
     validate_spec(spec)
     values = spec.grid.values()
@@ -355,8 +357,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         raise
     except Exception as exc:
         raise ModelError(f"at {spec.sweep_variable}={values[0]!r}: {exc}") from exc
-    columns = channel_qfi_stack(h, hdot, t)
-    check_finite(columns, spec.sweep_variable, values)
+    columns = channel_qfi_stack(h, hdot, t, spec.sweep_variable, values)
     return SweepResult(spec.label, values, *(column.tolist() for column in columns))
 
 
@@ -382,6 +383,18 @@ def _grid_points(value, prefix: str) -> int:
     return int(value)
 
 
+def _grid_bound(value, key: str, prefix: str) -> float:
+    """A finite JSON number (int or float, not bool) as the grid's start or stop."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise InvalidSpec(f"{prefix}grid.{key}: must be a finite number, got {json.dumps(value)}")
+
+
 def spec_from_dict(doc, label: str = "", where: str = "") -> SweepSpec:
     """Build a SweepSpec from a decoded JSON run document; ``run_sweep`` validates it.
 
@@ -403,8 +416,8 @@ def spec_from_dict(doc, label: str = "", where: str = "") -> SweepSpec:
             raise InvalidSpec(f"{prefix}grid.{key}: required")
     try:
         grid = Grid(
-            start=float(grid_doc["start"]),
-            stop=float(grid_doc["stop"]),
+            start=_grid_bound(grid_doc["start"], "start", prefix),
+            stop=_grid_bound(grid_doc["stop"], "stop", prefix),
             points=_grid_points(grid_doc["points"], prefix),
             scale=str(grid_doc.get("scale", "linear")),
         )

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from importlib import resources
 
+import qfiext.cli
+from qfiext import HamiltonianFamily
 from qfiext.cli import main
 from qfiext.models import gyromagnetic_ratio
 from qfiext.sweep import CSV_HEADER
@@ -108,6 +110,27 @@ class TestSweepCommand:
         code, out, err = run_cli(capsys, "sweep", "--config", str(path))
         assert (code, out) == (1, "")
         assert err == f"error: grid.points: must be an integer, got {points!r}\n"
+
+    @pytest.mark.parametrize(
+        "key,value,shown",
+        [("start", True, "true"), ("stop", "2", '"2"'), ("start", None, "null"),
+         ("stop", float("inf"), "Infinity"), ("start", [1], "[1]")],
+    )
+    def test_grid_bounds_must_be_finite_numbers(self, tmp_path, capsys, key, value, shown):
+        path = tmp_path / "config.json"
+        grid = {"start": 1.0, "stop": 2.0, "points": 3, key: value}
+        path.write_text(json.dumps({"runs": [{**DIRECTION_RUN, "grid": grid}]}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: runs[0].grid.{key}: must be a finite number, got {shown}\n"
+
+    def test_integer_too_large_for_a_float_grid_bound_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**DIRECTION_RUN, "grid": {
+            "start": 1, "stop": 10**400, "points": 2}}), encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: grid.stop: must be a finite number, got 1000")
 
     def test_integral_float_grid_points_accepted(self, tmp_path, capsys):
         path = tmp_path / "run.json"
@@ -539,6 +562,92 @@ NAN_FAMILY = (
     '{"dim": 2, "terms": [{"coefficient": {"kind": "linear"},'
     ' "matrix": {"re": [[NaN, 0], [0, 1]]}}]}'
 )
+
+
+OPERATOR = {"re": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3e10]]}
+
+
+class TestOverflow:
+    """Inputs whose evaluation overflows: an error naming the input, no warning, no output."""
+
+    def test_report_generator_overflow_exits_four_naming_t(self, capsys):
+        code, out, err = run_cli(
+            capsys, "report", "--model", "nv", "--param", "Bz=0.1", "--param", "t=1e300"
+        )
+        assert (code, out) == (4, "")
+        assert err == "error: at t=1e+300: generator is not finite\n"
+
+    def test_sweep_generator_overflow_names_first_grid_value(self, tmp_path, capsys):
+        run = {"model": "nv", "sweep_variable": "t", "fixed_params": {"Bz": 0.1},
+               "grid": {"start": 1e-3, "stop": 1e300, "points": 2, "scale": "log"}}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(run), encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert (code, out) == (4, "")
+        assert err == "error: at t=1e+300: generator is not finite\n"
+
+    @pytest.mark.parametrize(
+        "model,params,extension,field",
+        [
+            ("nv", {"Bz": 0.1}, {"kind": "flood", "beta": 1e300}, "beta"),
+            ("direction", {"B": 1.0}, {"kind": "sz", "kappa": 1e300}, "kappa"),
+            ("nv", {"Bz": 0.1}, {"kind": "add-operator", "file": "OP", "epsilon": 1e300},
+             "epsilon"),
+        ],
+    )
+    def test_overflowing_extension_term_exits_one_naming_the_field(
+        self, tmp_path, capsys, model, params, extension, field
+    ):
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps(OPERATOR), encoding="utf-8")
+        extension = {k: str(op) if v == "OP" else v for k, v in extension.items()}
+        expected = f"error: extension.{field}: the added term is not finite at {field}=1e+300\n"
+        code, out, err = run_cli(capsys, *report_argv(model, params, extension, None))
+        assert (code, out, err) == (1, "", expected)
+        swept = {"model": model, "sweep_variable": "t", "fixed_params": params,
+                 "extension": extension, "grid": {"start": 1e-3, "stop": 1e-2, "points": 2}}
+        fixed = {**swept, "sweep_variable": field, "extension": drop(extension, field),
+                 "grid": {"start": 1e290, "stop": 1e300, "points": 3, "scale": "log"}}
+        for run in (swept, fixed):
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(run), encoding="utf-8")
+            code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+            assert (code, out, err) == (1, "", expected)
+
+
+def test_report_evaluates_the_family_once_and_decomposes_h_once(monkeypatch, capsys):
+    calls = {"value": 0, "derivative": 0}
+    build_scenario = qfiext.cli.build_scenario
+
+    def counted_scenario(scenario):
+        family, theta, t, ext = build_scenario(scenario)
+
+        def counted(name):
+            def fn(x):
+                calls[name] += 1
+                return getattr(family, name)(x)
+            return fn
+
+        counted_family = HamiltonianFamily(family.dim, counted("value"), counted("derivative"))
+        return counted_family, theta, t, ext
+
+    argv = ("report", "--model", "direction", "--param", "B=1e-9", "--param", "theta=1.047")
+    scenario = {"model": "direction", "fixed_params": {"B": "1e-9", "theta": "1.047"},
+                "extension": None, "family_file": None}
+    h = build_scenario(scenario)[0].value(1.047).matrix
+    decomposed = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        decomposed.append(np.array_equal(a.reshape(-1, 3, 3)[0], h))
+        return eigh(a, *args, **kwargs)
+
+    expected = run_cli(capsys, *argv)
+    monkeypatch.setattr(qfiext.cli, "build_scenario", counted_scenario)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    assert run_cli(capsys, *argv) == expected
+    assert calls == {"value": 1, "derivative": 1}
+    assert decomposed.count(True) == 1
 
 
 class TestNonFiniteFamilyFile:

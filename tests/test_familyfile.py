@@ -11,6 +11,7 @@ from qfiext.familyfile import (
     build_family,
     load_definition,
     parse_definition,
+    parse_matrix,
     validate_file,
 )
 
@@ -93,6 +94,39 @@ class TestParsing:
         }
         with pytest.raises(NonHermitianInput, match=r"terms\[0\]"):
             parse_definition(doc)
+
+
+# A bad entry at re[1][0], each also in a ragged block and in one nested deeper.
+BAD_ENTRIES = [True, "1", None]
+BAD_BLOCKS = [
+    lambda bad: [[1, 0], [bad, 1]],
+    lambda bad: [[1, 0, 2], [bad]],
+    lambda bad: [[1], [bad, [2]]],
+]
+
+
+class TestParseMatrix:
+    @pytest.mark.parametrize("block", BAD_BLOCKS)
+    @pytest.mark.parametrize("bad", BAD_ENTRIES)
+    def test_non_number_entry_is_named(self, bad, block):
+        expected = f"m: non-numeric entry re[1][0] = {json.dumps(bad)}"
+        with pytest.raises(FamilyFileError) as raised:
+            parse_matrix({"re": block(bad)}, "m")
+        assert str(raised.value) == expected
+        with pytest.raises(FamilyFileError) as raised:
+            parse_matrix({"re": [[1, 0], [0, 1]], "im": block(bad)}, "m")
+        assert str(raised.value) == expected.replace("re[", "im[")
+
+    def test_numbers_of_any_list_shape_reach_the_shape_check(self):
+        for block in ([[1, 0], [0]], [1, 0], [[[1.0]]], 5):
+            with pytest.raises(FamilyFileError, match="matrix blocks must"):
+                parse_matrix({"re": block}, "m", 2)
+
+    def test_ints_floats_and_numpy_floats_parse_alike(self):
+        plain = parse_matrix({"re": [[1, 0.5], [0.5, -2]], "im": [[0, 1], [-1, 0]]}, "m")
+        numpy_floats = [[np.float64(1), np.float64(0.5)], [np.float64(0.5), np.float64(-2)]]
+        other = parse_matrix({"re": numpy_floats, "im": [[0.0, 1.0], [-1.0, 0.0]]}, "m")
+        assert plain.matrix.tobytes() == other.matrix.tobytes()
 
 
 class TestBuiltFamilies:

@@ -47,6 +47,13 @@ class TestSpin1:
         total = SX.matrix @ SX.matrix + SY.matrix @ SY.matrix + SZ.matrix @ SZ.matrix
         assert np.allclose(total, 2.0 * np.eye(3), atol=1e-15)
 
+    def test_built_once_and_read_only(self):
+        assert spin1_matrices() is spin1_matrices()
+        for op in spin1_matrices():
+            assert not op.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                op.matrix[0, 0] = 1.0
+
 
 class TestNvFamily:
     def test_broken_phase_shift_structure(self):

@@ -13,11 +13,14 @@ from qfiext import (
     PureState,
     SaturationStatus,
     channel_qfi,
+    channel_qfi_and_saturation,
     channel_qfi_brute,
     check_saturation,
     direction_family,
+    direction_sz_family,
     direction_reference_qfi,
     eig_hermitian,
+    flood,
     generator_spectral,
     gyromagnetic_ratio,
     nv_family,
@@ -32,6 +35,7 @@ from qfiext import (
 )
 from qfiext.qfi import channel_qfi_stack
 from helpers import commuting_family, cross_check_cases, gue, polynomial_family
+from qfiext.errors import ModelError
 
 SX, SY, SZ = spin1_matrices()
 
@@ -277,6 +281,100 @@ class TestSaturationVerdict:
         assert verdict.verdict is SaturationStatus.DEGENERATE_INCONCLUSIVE
 
 
+def _shared_pass_cases() -> list:
+    """(family, theta, t) with non-degenerate, ancilla-lifted (all degenerate) and
+    direction + S_z spectra, and the NV level anti-crossing."""
+    rng = np.random.default_rng(110)
+    cases = cross_check_cases(rng)
+    for dim in (1, 2, 3, 4):
+        fam = polynomial_family(rng, dim)
+        cases.append((fam, float(rng.uniform(-1, 1)), float(rng.uniform(0.5, 1.5))))
+    for kappa in (0.0, 0.5, 10.0):
+        params = DirectionParams(B=1e-9, theta=1.047, phi=0.785, t=1e-2)
+        cases.append((direction_sz_family(params, kappa), params.theta, params.t))
+    params = NvParams(Bx=0.1, t=1e-3)
+    cases.append((flood(nv_family(params), 0.1024, 0.1), 0.1024, params.t))
+    cases.append((phase_shift(gue(3, rng)), 0.4, 1.1))
+    cases.append((tensor_identity(commuting_family(rng, 3), 2), 0.2, 0.9))
+    d = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+    h0 = np.diag([0.3, 0.7, -0.2, 0.9]).astype(complex)
+    fam = HamiltonianFamily(
+        4, lambda th: HermitianOperator(h0 + th * d), lambda th: HermitianOperator(d)
+    )
+    cases.append((fam, 0.1, 1.3))
+    return cases
+
+
+def _bits(report, verdict) -> tuple:
+    return (
+        np.array([report.channel_qfi, report.upper_bound, report.ratio,
+                  report.estimated_error]).tobytes(),
+        report.optimal_probe.amplitudes.tobytes(),
+        report.generator_method,
+        verdict.verdict,
+        verdict.witness,
+    )
+
+
+class TestSharedPointPass:
+    @pytest.mark.parametrize("case", range(len(_shared_pass_cases())))
+    def test_equals_channel_qfi_then_check_saturation(self, case):
+        fam, theta, t = _shared_pass_cases()[case]
+        shared = channel_qfi_and_saturation(fam, theta, t)
+        separate = (channel_qfi(fam, theta, t), check_saturation(fam, theta))
+        assert _bits(*shared) == _bits(*separate)
+
+    def test_cases_reach_every_verdict(self):
+        verdicts = {check_saturation(fam, theta).verdict for fam, theta, _ in _shared_pass_cases()}
+        assert verdicts == set(SaturationStatus)
+
+    def test_tolerance_reaches_the_verdict(self):
+        fam = nv_family(NvParams(Bx=0.1, t=1e-3))
+        for tol in (1e-8, 1e-3, 1.0):
+            _, verdict = channel_qfi_and_saturation(fam, 1e-6, 1e-3, tol)
+            assert verdict == check_saturation(fam, 1e-6, tol)
+
+    def test_evaluates_each_matrix_once_and_decomposes_h_once(self, monkeypatch):
+        calls = {"value": 0, "derivative": 0}
+        base = polynomial_family(np.random.default_rng(111), 3)
+
+        def counted(name):
+            def fn(theta):
+                calls[name] += 1
+                return getattr(base, name)(theta)
+            return fn
+
+        fam = HamiltonianFamily(3, counted("value"), counted("derivative"))
+        h = base.value(0.3).matrix
+        decomposed = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            decomposed.append(np.array_equal(a.reshape(-1, 3, 3)[0], h))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        channel_qfi_and_saturation(fam, 0.3, 1.1)
+        assert calls == {"value": 1, "derivative": 1}
+        # H once; K, and dH/dtheta for the verdict's eigenvectors, once each.
+        assert decomposed.count(True) == 1
+        assert len(decomposed) == 3
+
+    def test_overflowing_generator_names_t_before_eigh(self):
+        fam = nv_family(NvParams(Bz=0.1))
+        for call in (lambda: channel_qfi(fam, 0.1, 1e300),
+                     lambda: channel_qfi_and_saturation(fam, 0.1, 1e300)):
+            with pytest.raises(ModelError, match=r"^at t=1e\+300: generator is not finite$"):
+                call()
+
+    def test_overflowing_generator_names_first_grid_value(self):
+        fam = nv_family(NvParams(Bz=0.1))
+        t = np.array([1e-3, 1e300, np.inf])
+        h, hdot = fam.value(0.1).matrix, fam.derivative(0.1).matrix
+        with pytest.raises(ModelError, match=r"^at t=1e\+300: generator is not finite$"):
+            channel_qfi_stack(h, hdot, t)
+
+
 class TestBruteForceOracle:
     def test_dim2_exact(self):
         rng = np.random.default_rng(41)
@@ -413,6 +511,31 @@ class TestBatchedOracleMatchesPerStartLoop:
             psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             expected = psi / np.linalg.norm(psi)
             np.testing.assert_allclose(blocks[0][:, k], expected, rtol=0, atol=1e-15)
+
+
+def test_ascent_alone_reaches_the_seminorm_on_criterion_7_cases(monkeypatch):
+    # channel_qfi_brute seeds its maximum with the exact maximiser, so only
+    # the ascent on its own shows whether the restarts climb.
+    blocks = []
+    ascend = qfi._ascend
+    monkeypatch.setattr(qfi, "_ascend", lambda gen, psi: blocks.append((gen, psi)) or 0.0)
+    rng = np.random.default_rng(107)
+    worst = overshoot = 0.0
+    for k in range(50):
+        dim = int(rng.integers(2, 5))
+        fam = polynomial_family(rng, dim)
+        theta = float(rng.uniform(-1.0, 1.0))
+        t = float(rng.uniform(0.5, 1.5))
+        closed = channel_qfi(fam, theta, t).channel_qfi
+        channel_qfi_brute(fam, theta, t, n_starts=8, seed=k)
+        gen, starts = blocks[-1]
+        assert starts.shape == (dim, 8)
+        found = ascend(gen, starts)
+        worst = max(worst, abs(found - closed) / closed)
+        overshoot = max(overshoot, found - closed)
+    assert len(blocks) == 50
+    assert worst < 1e-2
+    assert overshoot <= 1e-9
 
 
 class TestEnvironmentDefaults:
