@@ -82,7 +82,6 @@ from .qfi import (
     SaturationStatus,
     SaturationVerdict,
     channel_qfi,
-    channel_qfi_and_saturation,
     channel_qfi_brute,
     check_saturation,
     qfi_pure,

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .errors import InvalidSpec, ModelError, QfiextError
-from .extensions import apply_extension
+from .extensions import shifted_family
 from .familyfile import validate_file
 from .qfi import channel_qfi_and_saturation
 from .sweep import (
@@ -138,9 +138,9 @@ def _cmd_report(args) -> int:
         "extension": extension,
         "family_file": args.family_file,
     }
-    family, theta, t, ext = build_scenario(scenario)
-    if ext is not None:
-        family = apply_extension(family, ext)
+    family, theta, t, offset = build_scenario(scenario)
+    if offset is not None:
+        family = shifted_family(family, offset)
 
     report, verdict = channel_qfi_and_saturation(family, theta, t)
     probe = [[float(a.real), float(a.imag)] for a in report.optimal_probe.amplitudes]

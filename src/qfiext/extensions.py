@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DegenerateExtremalEigenvalues, DimensionMismatch, InvalidSpec
+from .errors import DegenerateExtremalEigenvalues, DimensionMismatch
 from .family import HamiltonianFamily, checked_stack, factor
 from .linalg import HermitianOperator, commutator, degenerate_blocks, eig_hermitian
 
@@ -47,8 +47,6 @@ class SubtractPerturbed:
 class AddOperator:
     operator: HermitianOperator
     epsilon: float
-    # The extension field that epsilon was given as, named in errors.
-    name: str = "epsilon"
 
 
 ExtensionSpec = Union[Flood, Subtract, SubtractPerturbed, AddOperator]
@@ -65,7 +63,9 @@ def _require_finite(**values):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _shifted_family(family: HamiltonianFamily, offset: np.ndarray) -> HamiltonianFamily:
+def shifted_family(family: HamiltonianFamily, offset: np.ndarray) -> HamiltonianFamily:
+    """``family`` with the fixed (d, d) matrix ``offset`` added to its value."""
+
     def value(theta: float) -> HermitianOperator:
         return HermitianOperator(family.value(theta).matrix + offset)
 
@@ -121,18 +121,18 @@ def tensor_identity(family: HamiltonianFamily, ancilla_dim: int) -> HamiltonianF
     )
 
 
-def _scaled(coefficient, matrix: np.ndarray, name: str) -> np.ndarray:
-    """``coefficient * matrix``; InvalidSpec naming ``extension.<name>`` where it overflows.
+def _scaled(coefficient, matrix: np.ndarray) -> np.ndarray:
+    """``coefficient * matrix``; OverflowError where it is not finite.
 
     ``coefficient`` is a float or an (N,) array of grid values; the message
-    names the first grid value whose term is not finite.
+    names the first coefficient whose term is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         offset = factor(coefficient) * matrix
     finite = np.isfinite(offset).all(axis=(-2, -1))
     if not finite.all():
         value = float(coefficient if finite.ndim == 0 else coefficient[np.argmin(finite)])
-        raise InvalidSpec(f"extension.{name}: the added term is not finite at {name}={value!r}")
+        raise OverflowError(f"the added term is not finite at coefficient {value!r}")
     return offset
 
 
@@ -142,12 +142,11 @@ def extension_offset(family: HamiltonianFamily, spec: ExtensionSpec) -> np.ndarr
     ``beta`` or ``epsilon`` may be an (N,) array of grid values instead of a
     float; the offset is then the (N, d, d) stack of the offsets at each. A
     ``beta * dH/dtheta(theta0)`` or ``epsilon * V`` that overflows raises
-    InvalidSpec naming its field (``extension.beta``, say), before the family
-    is evaluated with it.
+    OverflowError naming the first such ``beta`` or ``epsilon``.
     """
     if isinstance(spec, Flood):
         _require_finite(theta0=spec.theta0, beta=spec.beta)
-        return _scaled(spec.beta, family.derivative(spec.theta0).matrix, "beta")
+        return _scaled(spec.beta, family.derivative(spec.theta0).matrix)
     if isinstance(spec, Subtract):
         _require_finite(theta0=spec.theta0)
         return -family.value(spec.theta0).matrix
@@ -164,12 +163,12 @@ def extension_offset(family: HamiltonianFamily, spec: ExtensionSpec) -> np.ndarr
             raise DimensionMismatch(
                 f"operator dimension {v.dim} does not match family {family.dim}"
             )
-        return _scaled(spec.epsilon, v.matrix, spec.name)
+        return _scaled(spec.epsilon, v.matrix)
     raise ValueError(f"unknown extension spec: {spec!r}")
 
 
 def apply_extension(family: HamiltonianFamily, spec: ExtensionSpec) -> HamiltonianFamily:
-    return _shifted_family(family, extension_offset(family, spec))
+    return shifted_family(family, extension_offset(family, spec))
 
 
 def predicted_subtraction_deficit(

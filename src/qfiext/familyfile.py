@@ -98,17 +98,16 @@ class FamilyDefinition:
 _NUMBER_TYPES = {int, float}
 
 
-def _numbers_only(block) -> bool:
-    """Whether ``block`` is a list of lists of int and float entries (not bool): one flat pass."""
-    return type(block) is list and all(
-        type(row) is list and {type(x) for x in row} <= _NUMBER_TYPES for row in block
-    )
-
-
 def _non_number(block, path: str):
-    """``(path, entry)`` of the first entry of nested lists that is not a JSON number, or None."""
+    """``(path, entry)`` of the first entry of nested lists that is not a JSON number, or None.
+
+    A row of plain ``int`` and ``float`` entries (no ``bool``) is passed in one
+    flat check; only other items are walked entry by entry.
+    """
     if isinstance(block, list):
         for k, item in enumerate(block):
+            if type(item) is list and {type(x) for x in item} <= _NUMBER_TYPES:
+                continue
             found = _non_number(item, f"{path}[{k}]")
             if found is not None:
                 return found
@@ -127,9 +126,7 @@ def parse_matrix(obj, where: str, dim: Optional[int] = None) -> HermitianOperato
     if not isinstance(obj, dict) or "re" not in obj:
         raise FamilyFileError(f"{where}: matrix must be an object with 're' (and optional 'im')")
     for block in ("re", "im"):
-        entries = obj.get(block, [])
-        # The recursive walk only names the bad entry, or finds none in a block of another shape.
-        found = None if _numbers_only(entries) else _non_number(entries, block)
+        found = _non_number(obj.get(block, []), block)
         if found is not None:
             path, entry = found
             raise FamilyFileError(f"{where}: non-numeric entry {path} = {json.dumps(entry)}")

@@ -214,18 +214,13 @@ def _canonical_block_basis(block_vectors: np.ndarray) -> np.ndarray:
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive.
 
-    Works on one matrix (d, d) or a stack (N, d, d) of them. The columns are
-    unit eigenvectors, so no pivot is zero. Its magnitude is taken as
+    Works on one matrix or a stack (..., d, d) of them. The columns are unit
+    eigenvectors, so no pivot is zero. Its magnitude is taken as
     hypot(re, im), which equals the scalar abs() of a complex entry bit for
     bit; numpy's vectorized complex abs does not.
     """
-    rows = np.abs(vectors).argmax(axis=-2)
-    cols = np.arange(vectors.shape[-1])
-    if vectors.ndim == 2:
-        pivot = vectors[rows, cols]
-    else:
-        pivot = vectors[np.arange(vectors.shape[0])[:, None], rows, cols]
-    pivot = pivot[..., None, :]
+    idx = np.argmax(np.abs(vectors), axis=-2, keepdims=True)
+    pivot = np.take_along_axis(vectors, idx, axis=-2)
     return vectors * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
 
 

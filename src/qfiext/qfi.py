@@ -247,20 +247,20 @@ def check_saturation(
 
 
 def channel_qfi_and_saturation(
-    family: HamiltonianFamily, theta: float, t: float, tol: float = SATURATION_RTOL
+    family: HamiltonianFamily, theta: float, t: float
 ) -> tuple[ChannelQfiReport, SaturationVerdict]:
     """``channel_qfi`` and ``check_saturation`` at one point, each thing computed once.
 
     H(theta) and dH/dtheta are evaluated once and H is decomposed once, by
     ``eigh_stack``, whose bits are ``eig_hermitian``'s; the generator and the
-    saturation check share that decomposition. Equal, bit for bit, to the
-    two calls made one after the other.
+    saturation check share that decomposition. Equal, bit for bit, to
+    ``channel_qfi`` and then ``check_saturation`` at its default tolerance.
     """
     hdot = family.derivative(theta)
     h = family.value(theta).matrix
     w, v = eigh_stack(h[None])
     report = _channel_qfi_at(w, v, hdot.matrix, t)
-    return report, _saturation_at(h, hdot, w[0], v[0], tol)
+    return report, _saturation_at(h, hdot, w[0], v[0], SATURATION_RTOL)
 
 
 def _qfi_of_columns(gen: np.ndarray, psi: np.ndarray) -> np.ndarray:

@@ -41,8 +41,8 @@ from .extensions import (
     Flood,
     Subtract,
     SubtractPerturbed,
-    apply_extension,
     extension_offset,
+    shifted_family,
 )
 from .family import checked_stack
 from .familyfile import load_definition, load_operator, read_json
@@ -88,6 +88,8 @@ _EXTENSION_FIELDS = {
     "sz": {"kappa": None},
 }
 _EXTENSION_TYPES = {"flood": Flood, "subtract": Subtract, "subtract-perturbed": SubtractPerturbed}
+# The field that scales each kind's added term, named when that term overflows.
+_SCALE_FIELDS = {"flood": "beta", "add-operator": "epsilon", "sz": "kappa"}
 _SWEEPABLES = {
     "nv": ("B_z", "t", "beta", "epsilon"),
     "direction": ("theta", "t", "beta", "kappa", "epsilon"),
@@ -259,12 +261,14 @@ def build_scenario(scenario: dict, swept: Optional[str] = None, value=None):
     """The model family, evaluation point, time and extension of a scenario.
 
     The scenario is checked by ``validate_scenario`` before any file is read.
-    Returns ``(family, theta, t, extension)``; ``extension`` is the
-    ``ExtensionSpec`` to apply to ``family``, or None. ``swept`` names a
-    ``_SWEEPABLES`` variable that takes ``value`` instead of its fixed or
-    default value: a float, or for ``beta``, ``kappa`` and ``epsilon`` the
-    (N,) array of all grid values. A file family or operator file is loaded
-    once here.
+    Returns ``(family, theta, t, offset)``; ``offset`` is the matrix that the
+    extension adds to ``family``'s value (``extensions.extension_offset``),
+    or None without one. ``swept`` names a ``_SWEEPABLES`` variable that
+    takes ``value`` instead of its fixed or default value: a float, or for
+    ``beta``, ``kappa`` and ``epsilon`` the (N,) array of all grid values,
+    which makes ``offset`` an (N, d, d) stack. A file family or operator file
+    is loaded once here. An added term that overflows raises InvalidSpec
+    naming ``extension.beta``, ``extension.epsilon`` or ``extension.kappa``.
     """
     model, params, kind, fields = validate_scenario(scenario, swept)
     if swept in ("B_z", "theta", "t"):
@@ -279,15 +283,18 @@ def build_scenario(scenario: dict, swept: Optional[str] = None, value=None):
     else:
         family, theta = load_model_family(model, scenario["family_file"]), params["theta"]
     if kind is None:
-        spec = None
-    elif kind == "add-operator":
+        return family, theta, params["t"], None
+    if kind == "add-operator":
         spec = AddOperator(operator=load_operator(fields["file"]), epsilon=fields["epsilon"])
     elif kind == "sz":  # kappa * B g mu_B S_z
-        operator = direction_sz_operator(model_params)
-        spec = AddOperator(operator=operator, epsilon=fields["kappa"], name="kappa")
+        spec = AddOperator(operator=direction_sz_operator(model_params), epsilon=fields["kappa"])
     else:
         spec = _EXTENSION_TYPES[kind](**fields)
-    return family, theta, params["t"], spec
+    try:
+        offset = extension_offset(family, spec)
+    except OverflowError as exc:  # raised only by a kind with a scaled term
+        raise InvalidSpec(f"extension.{_SCALE_FIELDS[kind]}: {exc}") from exc
+    return family, theta, params["t"], offset
 
 
 def load_model_family(model: str, family_file):
@@ -327,13 +334,12 @@ def _grid_stacks(spec: SweepSpec, values: list[float]):
     grid = np.array(values)
     variable = spec.sweep_variable
     if variable in ("beta", "kappa", "epsilon"):
-        family, theta, t, ext = build_scenario(_scenario(spec), variable, grid)
-        offsets = extension_offset(family, ext)
+        family, theta, t, offsets = build_scenario(_scenario(spec), variable, grid)
         h = checked_stack(family.value(theta).matrix + offsets, grid, variable)
         return h, family.derivative(theta).matrix, np.full(grid.shape, t)
-    family, theta, t, ext = build_scenario(_scenario(spec), variable, values[0])
-    if ext is not None:
-        family = apply_extension(family, ext)
+    family, theta, t, offset = build_scenario(_scenario(spec), variable, values[0])
+    if offset is not None:
+        family = shifted_family(family, offset)
     if variable == "t":
         return family.value(theta).matrix, family.derivative(theta).matrix, grid
     return family.values(grid), family.derivatives(grid), np.full(grid.shape, t)

@@ -601,7 +601,7 @@ class TestOverflow:
         op = tmp_path / "op.json"
         op.write_text(json.dumps(OPERATOR), encoding="utf-8")
         extension = {k: str(op) if v == "OP" else v for k, v in extension.items()}
-        expected = f"error: extension.{field}: the added term is not finite at {field}=1e+300\n"
+        expected = f"error: extension.{field}: the added term is not finite at coefficient 1e+300\n"
         code, out, err = run_cli(capsys, *report_argv(model, params, extension, None))
         assert (code, out, err) == (1, "", expected)
         swept = {"model": model, "sweep_variable": "t", "fixed_params": params,

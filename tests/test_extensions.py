@@ -31,6 +31,7 @@ from qfiext import (
     subtract_perturbed,
     upper_bound,
 )
+from qfiext.extensions import extension_offset
 from helpers import commuting_family, gue, polynomial_family, random_state
 
 SX, SY, SZ = spin1_matrices()
@@ -309,3 +310,14 @@ class TestApplyExtension:
             flood(fam, theta0=float("nan"), beta=1.0)
         with pytest.raises(ValueError):
             subtract(fam, theta0=float("inf"))
+
+    def test_overflowing_added_term_names_its_coefficient(self):
+        fam = direction_family(DirectionParams(B=1.0))  # dH/dtheta ~ gamma B ~ 1.8e11
+        v = HermitianOperator(1e10 * gue(3, np.random.default_rng(70)).matrix)
+        message = r"^the added term is not finite at coefficient 1e\+300$"
+        with pytest.raises(OverflowError, match=message):
+            flood(fam, theta0=0.1, beta=1e300)
+        with pytest.raises(OverflowError, match=message):
+            add_operator(fam, v, 1e300)
+        with pytest.raises(OverflowError, match=message):
+            extension_offset(fam, Flood(beta=np.array([1.0, 1e300, 1e301]), theta0=0.1))

@@ -13,7 +13,6 @@ from qfiext import (
     PureState,
     SaturationStatus,
     channel_qfi,
-    channel_qfi_and_saturation,
     channel_qfi_brute,
     check_saturation,
     direction_family,
@@ -33,7 +32,7 @@ from qfiext import (
     tensor_identity,
     upper_bound,
 )
-from qfiext.qfi import channel_qfi_stack
+from qfiext.qfi import channel_qfi_and_saturation, channel_qfi_stack
 from helpers import commuting_family, cross_check_cases, gue, polynomial_family
 from qfiext.errors import ModelError
 
@@ -327,12 +326,6 @@ class TestSharedPointPass:
     def test_cases_reach_every_verdict(self):
         verdicts = {check_saturation(fam, theta).verdict for fam, theta, _ in _shared_pass_cases()}
         assert verdicts == set(SaturationStatus)
-
-    def test_tolerance_reaches_the_verdict(self):
-        fam = nv_family(NvParams(Bx=0.1, t=1e-3))
-        for tol in (1e-8, 1e-3, 1.0):
-            _, verdict = channel_qfi_and_saturation(fam, 1e-6, 1e-3, tol)
-            assert verdict == check_saturation(fam, 1e-6, tol)
 
     def test_evaluates_each_matrix_once_and_decomposes_h_once(self, monkeypatch):
         calls = {"value": 0, "derivative": 0}
