@@ -1,7 +1,6 @@
 """Environment-controlled defaults.
 
 QFIEXT_SEED  -- default seed for the brute-force channel-QFI oracle (int, default 0)
-QFIEXT_TOL   -- multiplier applied to validation tolerances (float, default 1.0)
 """
 
 import os
@@ -9,7 +8,3 @@ import os
 
 def oracle_seed() -> int:
     return int(os.environ.get("QFIEXT_SEED", "0"))
-
-
-def tolerance_scale() -> float:
-    return float(os.environ.get("QFIEXT_TOL", "1.0"))

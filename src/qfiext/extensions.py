@@ -110,15 +110,14 @@ def tensor_identity(family: HamiltonianFamily, ancilla_dim: int) -> HamiltonianF
     """Extend to H(theta) (x) identity on an ancilla of the given dimension."""
     if ancilla_dim < 1:
         raise DimensionMismatch(f"ancilla dimension must be >= 1, got {ancilla_dim}")
-    eye = np.eye(ancilla_dim)
+    eye = np.eye(ancilla_dim)[None, :, None, :]
+    n = family.dim * ancilla_dim
 
-    def lift(fn):
-        return lambda theta: HermitianOperator(np.kron(fn(theta).matrix, eye))
+    def lift(fn):  # the products of np.kron(m, eye), without its Python overhead
+        return lambda th: HermitianOperator((fn(th).matrix[:, None, :, None] * eye).reshape(n, n))
 
     second = None if family.second_derivative is None else lift(family.second_derivative)
-    return HamiltonianFamily(
-        family.dim * ancilla_dim, lift(family.value), lift(family.derivative), second
-    )
+    return HamiltonianFamily(n, lift(family.value), lift(family.derivative), second)
 
 
 def _scaled(coefficient, matrix: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import config
 from .errors import DimensionMismatch
 from .linalg import HermitianOperator, symmetrized
 
@@ -139,19 +138,18 @@ class FamilyValidation:
 def validate_family(family: HamiltonianFamily, thetas: Sequence[float]) -> FamilyValidation:
     """Compare family.derivative with a finite difference of family.value.
 
-    The tolerance scales with QFIEXT_TOL. Hermiticity of value/derivative is
-    enforced by construction of HermitianOperator and surfaces as
-    NonHermitianInput from the evaluation itself.
+    Hermiticity of value/derivative is enforced by construction of
+    HermitianOperator and surfaces as NonHermitianInput from the evaluation
+    itself.
     """
-    scale = config.tolerance_scale()
     worst_ratio = -1.0
-    worst = FamilyValidation(0.0, scale * DERIVATIVE_CHECK_TOL, float(thetas[0]))
+    worst = FamilyValidation(0.0, DERIVATIVE_CHECK_TOL, float(thetas[0]))
     for theta in thetas:
         h = DERIVATIVE_CHECK_STEP * max(1.0, abs(theta))
         analytic = family.derivative(theta).matrix
         numeric = fd_derivative(family.value, theta, h).matrix
         dev = float(np.max(np.abs(analytic - numeric)))
-        bound = scale * DERIVATIVE_CHECK_TOL * (1.0 + float(np.max(np.abs(analytic))))
+        bound = DERIVATIVE_CHECK_TOL * (1.0 + float(np.max(np.abs(analytic))))
         if dev / bound > worst_ratio:
             worst_ratio = dev / bound
             worst = FamilyValidation(dev, bound, float(theta))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, StepTooSmall
 from .family import DEFAULT_FD_STEP, HamiltonianFamily
-from .linalg import HermitianOperator, eig_hermitian, eigh_stack, expm_unitary, hermitian_part
+from .linalg import HermitianOperator, UnitaryOperator, eig_hermitian, eigh_stack, hermitian_part
 
 QUADRATURE_TARGET_RTOL = 1e-9
 QUADRATURE_MAX_ORDER = 1024
@@ -112,26 +112,20 @@ def generator_in_eigenbasis(
 
 @lru_cache(maxsize=32)
 def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+    return np.polynomial.legendre.leggauss(order)  # loads numpy.polynomial on first use
 
 
 def _gauss_legendre_generator(
-    t: float,
-    eigenvalues: np.ndarray,
-    eigenvectors: np.ndarray,
-    hdot: np.ndarray,
-    order: int,
+    t: float, eigenvalues: np.ndarray, eigenvectors: np.ndarray, hdot: np.ndarray, order: int
 ) -> np.ndarray:
     # nodes/weights on [-1, 1] mapped to the integration interval [-1, 0]
     nodes, weights = _leggauss(order)
     alphas = (nodes - 1.0) / 2.0
-    acc = np.zeros_like(hdot)
-    vdag = eigenvectors.conj().T
-    for alpha, w in zip(alphas, weights):
-        u = (eigenvectors * np.exp(-1j * alpha * t * eigenvalues)) @ vdag
-        acc += (w / 2.0) * (u @ hdot @ u.conj().T)
-    return t * acc
+    # V(alpha) = exp(-i alpha t H) at every node, an (order, d, d) stack
+    phases = np.exp(-1j * alphas[:, None] * t * eigenvalues)
+    u = (eigenvectors * phases[:, None, :]) @ eigenvectors.conj().T
+    terms = u @ hdot @ u.conj().swapaxes(-1, -2)
+    return t * np.tensordot(weights / 2.0, terms, axes=1)
 
 
 def generator_quadrature(
@@ -169,22 +163,15 @@ def generator_quadrature(
     return GeneratorResult(_hermitized(cur), GeneratorMethod.QUADRATURE, err, converged)
 
 
-def _fd_generator(
-    family: HamiltonianFamily, theta: float, t: float, h: float, u0: np.ndarray
-) -> np.ndarray:
-    """i U(theta)^dag [U(theta+h) - U(theta-h)] / 2h, with U(theta) given as ``u0``."""
-    up = expm_unitary(family.value(theta + h), t).matrix
-    um = expm_unitary(family.value(theta - h), t).matrix
-    return 1j * u0.conj().T @ (up - um) / (2.0 * h)
-
-
 def generator_fd(
     family: HamiltonianFamily, theta: float, t: float, h: float | None = None
 ) -> GeneratorResult:
     """Generator by central differences of the evolution operator.
 
     Error is estimated by Richardson comparison with step h/2: for a
-    second-order scheme err(h) ~ (4/3) |K(h) - K(h/2)|.
+    second-order scheme err(h) ~ (4/3) |K(h) - K(h/2)|. H at the five points
+    is decomposed in one ``eigh_stack`` call; each unitary keeps the bits of
+    ``expm_unitary`` and its ``UnitaryOperator`` check.
     """
     if h is None:
         h = DEFAULT_FD_STEP * max(1.0, abs(theta))
@@ -192,10 +179,17 @@ def generator_fd(
         raise StepTooSmall(
             f"step {h!r} below safe floor {FD_MIN_STEP_FACTOR * max(1.0, abs(theta)):.3e}"
         )
-    u0 = expm_unitary(family.value(theta), t).matrix
-    full = _fd_generator(family, theta, t, h, u0)
-    half = _fd_generator(family, theta, t, h / 2.0, u0)
-    err = (4.0 / 3.0) * float(np.max(np.abs(full - half)))
+    half = h / 2.0
+    hs = family.values([theta, theta + h, theta - h, theta + half, theta - half])
+    w, v = eigh_stack(np.broadcast_to(hs, (5, family.dim, family.dim)))
+    stack = (v * np.exp(-1j * t * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    u0, up, um, uph, umh = (UnitaryOperator(u).matrix for u in stack)
+
+    def central(plus: np.ndarray, minus: np.ndarray, step: float) -> np.ndarray:
+        return 1j * u0.conj().T @ (plus - minus) / (2.0 * step)
+
+    full = central(up, um, h)
+    err = (4.0 / 3.0) * float(np.max(np.abs(full - central(uph, umh, half))))
     return GeneratorResult(_hermitized(full), GeneratorMethod.FINITE_DIFFERENCE, err)
 
 

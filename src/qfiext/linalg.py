@@ -24,6 +24,7 @@ DEGENERACY_ATOL = 1e-13
 NORM_RTOL = 1e-6
 
 _GS_RANK_TOL = 1e-6
+_HALF_MAX = float(np.finfo(float).max) / 2  # above this max|entry|, m + m^dag can overflow
 
 
 def _square_complex(entries) -> np.ndarray:
@@ -58,6 +59,9 @@ def _hermiticity_error(m: np.ndarray, asym: np.ndarray, scale: float, prefix: st
 def symmetrized(m: np.ndarray, where=None) -> np.ndarray:
     """``hermitian_part`` of one complex matrix (d, d) or of a stack (N, d, d), checked.
 
+    A matrix whose max|entry| exceeds half the largest float is averaged as
+    m/2 + m^dag/2, which cannot overflow.
+
     Raises NonHermitianInput when a matrix is further from Hermitian than
     ``HERMITICITY_RTOL * max|entry|`` or holds a NaN or infinite entry. Over a
     stack the message names the first offending matrix by ``where(n)``
@@ -75,7 +79,7 @@ def symmetrized(m: np.ndarray, where=None) -> np.ndarray:
         asym = np.abs(m - m_dag)
         if not HERMITICITY_RTOL * scale - asym.max() >= 0:
             raise _hermiticity_error(m, asym, float(scale), "")
-        return (m + m_dag) / 2
+        return (m + m_dag) / 2 if scale <= _HALF_MAX else m / 2 + m_dag / 2
     with np.errstate(invalid="ignore"):  # inf - inf of a non-finite entry
         asym = np.abs(m - m_dag)
     ok = HERMITICITY_RTOL * scale - asym.max(axis=(-2, -1)) >= 0
@@ -83,7 +87,12 @@ def symmetrized(m: np.ndarray, where=None) -> np.ndarray:
         n = int(np.flatnonzero(~ok)[0])
         prefix = f"{where(n) if where else f'matrix {n}'}: "
         raise _hermiticity_error(m[n], asym[n], float(scale[n]), prefix)
-    return (m + m_dag) / 2
+    big = scale > _HALF_MAX
+    if not big.any():
+        return (m + m_dag) / 2
+    out = m / 2 + m_dag / 2
+    out[~big] = (m[~big] + m_dag[~big]) / 2
+    return out
 
 
 @dataclass(frozen=True, eq=False)

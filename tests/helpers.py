@@ -77,6 +77,22 @@ def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
+def gauss_legendre_loop(
+    t: float, eigenvalues: np.ndarray, eigenvectors: np.ndarray, hdot: np.ndarray, order: int
+) -> np.ndarray:
+    """The Gauss-Legendre sum of the generator integral, one node at a time.
+
+    Reference for the stacked nodes of ``generator._gauss_legendre_generator``.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    acc = np.zeros_like(hdot)
+    vdag = eigenvectors.conj().T
+    for alpha, w in zip((nodes - 1.0) / 2.0, weights):
+        u = (eigenvectors * np.exp(-1j * alpha * t * eigenvalues)) @ vdag
+        acc += (w / 2.0) * (u @ hdot @ u.conj().T)
+    return t * acc
+
+
 def taylor_expm(matrix: np.ndarray, terms: int = 30) -> np.ndarray:
     """Truncated Taylor series of exp(matrix); independent oracle for expm_unitary."""
     out = np.eye(matrix.shape[0], dtype=complex)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -585,6 +586,17 @@ class TestOverflow:
         code, out, err = run_cli(capsys, "sweep", "--config", str(path))
         assert (code, out) == (4, "")
         assert err == "error: at t=1e+300: generator is not finite\n"
+
+    def test_report_saturation_of_a_large_hamiltonian_is_quiet(self, capsys):
+        # kappa = 1e300 makes ||H|| far beyond 1e154, where the unscaled residual overflowed.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "report", "--model", "direction", "--param", "B=1e-9",
+                "--extension", "sz:kappa=1e300",
+            )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["saturation"]["verdict"] == "not-saturating"
 
     @pytest.mark.parametrize(
         "model,params,extension,field",

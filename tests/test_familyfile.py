@@ -183,7 +183,3 @@ class TestValidateFile:
         diag = validate_file("does-not-exist.json")
         assert diag.status == "invariant"
 
-    def test_tolerance_env_scaling(self, monkeypatch):
-        monkeypatch.setenv("QFIEXT_TOL", "1e9")
-        diag = validate_file(fixture_path("corrupt-derivative.json"))
-        assert diag.status == "ok"

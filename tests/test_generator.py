@@ -24,8 +24,14 @@ from qfiext import (
 )
 from qfiext import generator
 from qfiext.family import DEFAULT_FD_STEP
-from qfiext.linalg import expm_unitary, hermitian_part
-from helpers import commuting_family, cross_check_cases, gue, polynomial_family
+from qfiext.linalg import eigh_stack, expm_unitary, hermitian_part
+from helpers import (
+    commuting_family,
+    cross_check_cases,
+    gauss_legendre_loop,
+    gue,
+    polynomial_family,
+)
 
 SX, SY, SZ = spin1_matrices()
 
@@ -143,6 +149,32 @@ class TestQuadrature:
         assert res.converged
         assert res.estimated_error <= 1e-9 * (1.0 + np.max(np.abs(res.generator.matrix)))
 
+    def test_stacked_nodes_equal_the_per_node_loop(self, monkeypatch):
+        # Summation order differs, so the bound is set from float64 rounding.
+        stacked = generator._gauss_legendre_generator
+        cases = cross_check_cases(np.random.default_rng(25))
+        cases.append((nv_family(NvParams(Bx=1e-4, t=1e-3)), 1e-4, 1e-3))  # not converging
+
+        def quadrature(rule, fam, theta, t):
+            orders = []
+
+            def recorded(*args):
+                orders.append(args[-1])
+                return rule(*args)
+
+            monkeypatch.setattr(generator, "_gauss_legendre_generator", recorded)
+            return generator_quadrature(fam, theta, t), orders
+
+        converged = []
+        for fam, theta, t in cases:
+            res, orders = quadrature(stacked, fam, theta, t)
+            ref, ref_orders = quadrature(gauss_legendre_loop, fam, theta, t)
+            k = ref.generator.matrix
+            assert np.max(np.abs(res.generator.matrix - k)) <= 1e-13 * (1.0 + np.max(np.abs(k)))
+            assert (res.converged, orders) == (ref.converged, ref_orders)
+            converged.append(res.converged)
+        assert converged == [True] * (len(cases) - 1) + [False]
+
     def test_rejects_tiny_order(self):
         rng = np.random.default_rng(21)
         with pytest.raises(ValueError):
@@ -190,16 +222,16 @@ class TestFiniteDifference:
 
         def counted(*args):
             calls.append(args)
-            return expm_unitary(*args)
+            return eigh_stack(*args)
 
-        monkeypatch.setattr(generator, "expm_unitary", counted)
+        monkeypatch.setattr(generator, "eigh_stack", counted)
         for fam, theta, t in cross_check_cases(np.random.default_rng(24)):
             h = DEFAULT_FD_STEP * max(1.0, abs(theta))
             full, half = central(fam, theta, t, h), central(fam, theta, t, h / 2.0)
             err = (4.0 / 3.0) * float(np.max(np.abs(full - half)))
             calls.clear()
             res = generator_fd(fam, theta, t)
-            assert len(calls) == 5
+            assert len(calls) == 1
             reference = HermitianOperator(hermitian_part(full)).matrix
             assert res.generator.matrix.tobytes() == reference.tobytes()
             assert res.estimated_error == err

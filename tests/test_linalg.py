@@ -1,5 +1,7 @@
 """Tests for the Hermitian matrix calculus layer."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,18 @@ class TestHermitianOperator:
         out = symmetrized(stack)
         for n in range(6):
             assert out[n].tobytes() == HermitianOperator(stack[n]).matrix.tobytes()
+
+    def test_large_finite_hermitian_matrix_stays_finite(self):
+        # Above max|entry| = finfo.max/2 the sum m + m^dag overflows.
+        big = np.array([[1e308, 0.0], [0.0, 1.0]], dtype=complex)
+        small = np.array([[1.0, 0.5 + 1e-15j], [0.5, 2.0]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            one = HermitianOperator(big).matrix
+            stack = symmetrized(np.stack([big, small]))
+        assert one.tobytes() == big.tobytes()
+        assert stack[0].tobytes() == big.tobytes()
+        assert stack[1].tobytes() == ((small + small.conj().T) / 2).tobytes()
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):

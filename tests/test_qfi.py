@@ -1,7 +1,11 @@
 """Tests for pure-state QFI, channel QFI, bound, saturation and the brute-force oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qfiext.config as config
 from qfiext import qfi
@@ -26,6 +30,7 @@ from qfiext import (
     nv_flooded_family,
     NvParams,
     qfi_pure,
+    random_hermitian,
     seminorm,
     spin1_matrices,
     subtract,
@@ -216,11 +221,37 @@ class TestAncillaNoOp:
             c1 = channel_qfi(extended, theta, t).channel_qfi
             assert abs(c1 - c0) <= 1e-10 * max(1.0, c0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.floats(-1.0, 1.0),
+        st.floats(0.5, 1.5),
+    )
+    def test_property_over_gue_families_and_ancilla_dimensions(self, seed, dim, ancilla, theta, t):
+        # Criterion 10's bound; the lift keeps np.kron's bits.
+        fam = polynomial_family(np.random.default_rng(seed), dim)
+        lifted = tensor_identity(fam, ancilla)
+        kron = np.kron(fam.value(theta).matrix, np.eye(ancilla))
+        assert lifted.value(theta).matrix.tobytes() == HermitianOperator(kron).matrix.tobytes()
+        c0 = channel_qfi(fam, theta, t).channel_qfi
+        c1 = channel_qfi(lifted, theta, t).channel_qfi
+        assert abs(c1 - c0) <= 1e-10 * max(1.0, c0)
+
 
 class TestSaturationVerdict:
     def test_phase_shift_saturates(self):
         g = gue(4, np.random.default_rng(37))
         verdict = check_saturation(phase_shift(g), 0.4)
+        assert verdict.verdict is SaturationStatus.SATURATES
+
+    @pytest.mark.parametrize("theta", [0.4, 1e100, 1e200])
+    def test_phase_shift_saturates_at_any_scale(self, theta):
+        # Unscaled, the squared residual of H overflowed once ||H|| ~ 1e154.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = check_saturation(phase_shift(random_hermitian(3, 1)), theta)
         assert verdict.verdict is SaturationStatus.SATURATES
 
     def test_nv_small_axial_field_not_saturating(self):
@@ -537,12 +568,6 @@ class TestEnvironmentDefaults:
         assert config.oracle_seed() == 0
         monkeypatch.setenv("QFIEXT_SEED", "17")
         assert config.oracle_seed() == 17
-
-    def test_tolerance_scale_env(self, monkeypatch):
-        monkeypatch.delenv("QFIEXT_TOL", raising=False)
-        assert config.tolerance_scale() == 1.0
-        monkeypatch.setenv("QFIEXT_TOL", "2.5")
-        assert config.tolerance_scale() == 2.5
 
     def test_brute_force_uses_env_seed_by_default(self, monkeypatch):
         rng = np.random.default_rng(45)
