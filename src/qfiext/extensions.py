@@ -113,11 +113,16 @@ def tensor_identity(family: HamiltonianFamily, ancilla_dim: int) -> HamiltonianF
     eye = np.eye(ancilla_dim)[None, :, None, :]
     n = family.dim * ancilla_dim
 
-    def lift(fn):  # the products of np.kron(m, eye), without its Python overhead
-        return lambda th: HermitianOperator((fn(th).matrix[:, None, :, None] * eye).reshape(n, n))
+    def lift(scalar, stack=None):  # np.kron(m, eye)'s products for each (d, d) matrix m
+        def formula(theta):
+            m = stack(theta) if isinstance(theta, np.ndarray) else scalar(theta).matrix
+            return (m[..., :, None, :, None] * eye).reshape(m.shape[:-2] + (n, n))
+        return formula
 
     second = None if family.second_derivative is None else lift(family.second_derivative)
-    return HamiltonianFamily(n, lift(family.value), lift(family.derivative), second)
+    return HamiltonianFamily.from_formulas(
+        n, lift(family.value, family.values), lift(family.derivative, family.derivatives), second
+    )
 
 
 def _scaled(coefficient, matrix: np.ndarray) -> np.ndarray:

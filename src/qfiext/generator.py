@@ -84,7 +84,7 @@ def generator_spectral_stack(
     ``h`` and ``hdot`` are ``HermitianOperator.matrix`` values (not checked
     again): (N, d, d) stacks, or one (d, d) matrix that holds at every point
     and is then decomposed once. ``t`` is (N,). H is decomposed by
-    ``eigh_stack``, which gives each point the bits of ``eig_hermitian``;
+    ``eigh_stack``, whose N = 1 form is ``eig_hermitian``;
     ``generator_in_eigenbasis`` does the rest.
     """
     return generator_in_eigenbasis(*eigh_stack(h if h.ndim == 3 else h[None]), hdot, t)

@@ -7,7 +7,6 @@ hbar = 1; SI conversions happen in :mod:`qfiext.models` only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,18 +70,19 @@ def symmetrized(m: np.ndarray, where=None) -> np.ndarray:
     scale = np.abs(m).max(axis=(-2, -1))
     # Equal to worst <= RTOL * scale on finite values. An entry that is NaN or
     # infinite makes scale and worst NaN or infinite, and the difference NaN.
-    if m.ndim == 2:
-        # A finite scale rules out a non-finite entry for the price of a scalar
-        # test; such an entry is rejected before inf - inf in m - m_dag can warn.
-        if not math.isfinite(scale) and not np.isfinite(m).all():
-            raise _hermiticity_error(m, None, float(scale), "")
+    if m.ndim == 2 and scale <= _HALF_MAX:
+        # The common case. Such a scale rules out a non-finite entry and an
+        # overflow in m - m_dag, so it needs no errstate, which costs more
+        # than the rest of the check.
         asym = np.abs(m - m_dag)
         if not HERMITICITY_RTOL * scale - asym.max() >= 0:
             raise _hermiticity_error(m, asym, float(scale), "")
-        return (m + m_dag) / 2 if scale <= _HALF_MAX else m / 2 + m_dag / 2
-    with np.errstate(invalid="ignore"):  # inf - inf of a non-finite entry
+        return (m + m_dag) / 2
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow, or inf - inf
         asym = np.abs(m - m_dag)
-    ok = HERMITICITY_RTOL * scale - asym.max(axis=(-2, -1)) >= 0
+        ok = HERMITICITY_RTOL * scale - asym.max(axis=(-2, -1)) >= 0
+    if m.ndim == 2 and not ok:
+        raise _hermiticity_error(m, asym, float(scale), "")
     if not ok.all():
         n = int(np.flatnonzero(~ok)[0])
         prefix = f"{where(n) if where else f'matrix {n}'}: "
@@ -91,7 +91,7 @@ def symmetrized(m: np.ndarray, where=None) -> np.ndarray:
     if not big.any():
         return (m + m_dag) / 2
     out = m / 2 + m_dag / 2
-    out[~big] = (m[~big] + m_dag[~big]) / 2
+    out[~big] = (m[~big] + m_dag[~big]) / 2  # for one matrix, ~big selects nothing
     return out
 
 
@@ -223,50 +223,43 @@ def _canonical_block_basis(block_vectors: np.ndarray) -> np.ndarray:
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive.
 
-    Works on one matrix or a stack (..., d, d) of them. The columns are unit
-    eigenvectors, so no pivot is zero. Its magnitude is taken as
-    hypot(re, im), which equals the scalar abs() of a complex entry bit for
+    Works on one matrix or a stack (..., d, d). Each column's pivot, its first
+    entry of largest ``np.abs``, is gathered by one flat index into the
+    columns laid out as rows. No pivot of a unit column is zero. Its magnitude
+    is hypot(re, im), which equals the scalar abs() of a complex entry bit for
     bit; numpy's vectorized complex abs does not.
     """
-    idx = np.argmax(np.abs(vectors), axis=-2, keepdims=True)
-    pivot = np.take_along_axis(vectors, idx, axis=-2)
-    return vectors * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
-
-
-def _canonicalize_blocks(eigenvalues: np.ndarray, vectors: np.ndarray) -> None:
-    """Replace the columns of each degenerate block by its canonical basis, in place."""
-    for block in degenerate_blocks(eigenvalues):
-        if len(block) > 1:
-            sl = slice(block.start, block.stop)
-            vectors[:, sl] = _canonical_block_basis(vectors[:, sl])
+    d = vectors.shape[-1]
+    columns = vectors.swapaxes(-1, -2).reshape(-1, d)
+    pivot = columns.take(np.abs(columns).argmax(axis=1) + np.arange(0, columns.size, d))
+    phase = pivot.conj() / np.hypot(pivot.real, pivot.imag)
+    return vectors * phase.reshape(vectors.shape[:-2] + (1, d))
 
 
 def eig_hermitian(a: HermitianOperator) -> EigenDecomposition:
-    """Eigendecomposition with ascending eigenvalues and a deterministic basis.
-
-    Within degenerate blocks the basis is re-orthonormalized against the
-    canonical basis order; every eigenvector phase is fixed so identical
-    inputs give identical outputs.
-    """
-    w, v = np.linalg.eigh(a.matrix)
-    _canonicalize_blocks(w, v)
-    return EigenDecomposition(_freeze(w), _freeze(_fix_phases(v)))
+    """``eigh_stack`` of the one matrix of ``a``, as a frozen ``EigenDecomposition``."""
+    w, v = eigh_stack(a.matrix[None])
+    return EigenDecomposition(_freeze(w[0]), _freeze(v[0]))
 
 
 def eigh_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``eig_hermitian`` over a stack (N, d, d): eigenvalues (N, d), eigenvectors (N, d, d).
+    """Ascending eigenvalues (N, d) and eigenvectors (N, d, d) of a stack, deterministically.
 
     The matrices are taken as Hermitian without a check (pass
-    ``HermitianOperator.matrix`` values). Each point gets the bits
-    ``eig_hermitian`` gives it: one batched ``eigh``, the canonical block
-    basis only at the points whose spectrum has a degenerate block, and one
-    phase fix for the whole stack.
+    ``HermitianOperator.matrix`` values). One batched ``eigh``; at each point
+    whose spectrum has a degenerate block (as in ``degenerate_blocks``), that
+    block's columns become its ``_canonical_block_basis``; then one phase fix
+    for the whole stack. A point gets the same bits in any stack.
     """
     w, v = np.linalg.eigh(matrices)
-    # "not >" rather than "<=", so that a NaN gap goes to degenerate_blocks too.
-    split = np.diff(w, axis=-1) > degeneracy_tolerance(w)[:, None]
-    for n in np.flatnonzero(~split.all(axis=-1)):
-        _canonicalize_blocks(w[n], v[n])
+    # "not >" rather than "<=", so that a NaN gap counts as degenerate.
+    split = w[:, 1:] - w[:, :-1] > degeneracy_tolerance(w)[:, None]
+    if not split.all():
+        for n in np.flatnonzero(~split.all(axis=1)).tolist():
+            cuts = [0, *(np.flatnonzero(split[n]) + 1).tolist(), w.shape[1]]
+            for lo, hi in zip(cuts, cuts[1:]):
+                if hi - lo > 1:
+                    v[n, :, lo:hi] = _canonical_block_basis(v[n, :, lo:hi])
     return w, _fix_phases(v)
 
 

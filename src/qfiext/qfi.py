@@ -253,8 +253,8 @@ def channel_qfi_and_saturation(
     """``channel_qfi`` and ``check_saturation`` at one point, each thing computed once.
 
     H(theta) and dH/dtheta are evaluated once and H is decomposed once, by
-    ``eigh_stack``, whose bits are ``eig_hermitian``'s; the generator and the
-    saturation check share that decomposition. Equal, bit for bit, to
+    ``eigh_stack``, whose N = 1 form is ``eig_hermitian``; the generator and
+    the saturation check share that decomposition. Equal, bit for bit, to
     ``channel_qfi`` and then ``check_saturation`` at its default tolerance.
     """
     hdot = family.derivative(theta)

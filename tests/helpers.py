@@ -14,6 +14,7 @@ from qfiext import (
     random_hermitian,
     tensor_identity,
 )
+from qfiext.linalg import _canonical_block_basis, degenerate_blocks
 
 
 def gue(dim: int, rng: np.random.Generator) -> HermitianOperator:
@@ -91,6 +92,31 @@ def gauss_legendre_loop(
         u = (eigenvectors * np.exp(-1j * alpha * t * eigenvalues)) @ vdag
         acc += (w / 2.0) * (u @ hdot @ u.conj().T)
     return t * acc
+
+
+def fix_phases_by_column(vectors: np.ndarray) -> np.ndarray:
+    """Reference: the per-column loop that _fix_phases replaces."""
+    out = vectors.copy()
+    idx = np.argmax(np.abs(out), axis=0)
+    for k in range(out.shape[1]):
+        pivot = out[idx[k], k]
+        mag = abs(pivot)
+        if mag > 0.0:
+            out[:, k] *= pivot.conjugate() / mag
+    return out
+
+
+def eig_hermitian_reference(a: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The deterministic eigendecomposition of one matrix, step by step.
+
+    A 2-D ``eigh``, the canonical basis of each degenerate block, then the
+    per-column phase loop: the bits ``linalg.eigh_stack`` must give each point.
+    """
+    w, v = np.linalg.eigh(a.matrix)
+    for block in degenerate_blocks(w):
+        if len(block) > 1:
+            v[:, block.start : block.stop] = _canonical_block_basis(v[:, block.start : block.stop])
+    return w, fix_phases_by_column(v)
 
 
 def taylor_expm(matrix: np.ndarray, terms: int = 30) -> np.ndarray:

@@ -662,6 +662,26 @@ def test_report_evaluates_the_family_once_and_decomposes_h_once(monkeypatch, cap
     assert decomposed.count(True) == 1
 
 
+def test_report_makes_three_decompositions_and_one_eigenvalue_pass(monkeypatch, capsys):
+    # eigh: H and K through eigh_stack, dH/dtheta through eig_hermitian; eigvalsh: the bound.
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name):
+        fn = getattr(np.linalg, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counting
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh"))
+    code, _, _ = run_cli(capsys, "report", "--model", "direction", "--param", "B=1e-9")
+    assert code == 0
+    assert calls == {"eigh": 3, "eigvalsh": 1}
+
+
 class TestNonFiniteFamilyFile:
     def test_validate_exits_two(self, tmp_path, capsys):
         path = tmp_path / "nan.json"

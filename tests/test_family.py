@@ -27,6 +27,7 @@ from qfiext import (
     random_hermitian,
     subtract,
     subtract_perturbed,
+    tensor_identity,
 )
 from qfiext.family import factor
 from qfiext.familyfile import parse_definition, build_family
@@ -122,6 +123,39 @@ class TestStackedEqualsScalar:
         assert family.value_stack is None
         assert_stack_matches_scalar(family, thetas)
         assert family.values(thetas).shape == (len(thetas), 3, 3)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        grids,
+        st.sampled_from(("nv", "direction", "custom", "positional", "positional-first-only")),
+        st.integers(1, 3),
+        family_documents(min_dim=1, max_dim=3, explicit_derivative=True),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_tensor_identity(self, thetas, base, ancilla, doc, seed):
+        if base == "nv":
+            family = nv_family(NvParams(Bx=0.1))
+        elif base == "direction":
+            family = direction_family(direction_params(0.7))
+        elif base == "custom":
+            family = build_family(parse_definition(doc))
+        else:
+            family = polynomial_family(np.random.default_rng(seed), 2)
+            if base == "positional-first-only":
+                family = HamiltonianFamily(family.dim, family.value, family.derivative)
+        lifted = tensor_identity(family, ancilla)
+        assert lifted.value_stack is not None
+        assert_stack_matches_scalar(lifted, thetas)
+        maps = [(lifted.value, family.value), (lifted.derivative, family.derivative)]
+        if family.second_derivative is None:
+            assert lifted.second_derivative is None
+        else:
+            maps.append((lifted.second_derivative, family.second_derivative))
+        for theta in thetas:
+            for lifted_map, base_map in maps:
+                kron = HermitianOperator(np.kron(base_map(theta).matrix, np.eye(ancilla)))
+                assert lifted_map(theta).matrix.tobytes() == kron.matrix.tobytes()
 
 
 class TestGridConstantMatrices:

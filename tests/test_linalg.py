@@ -21,8 +21,8 @@ from qfiext import (
     spin1_matrices,
     variance,
 )
-from qfiext.linalg import _fix_phases, eigh_stack, symmetrized
-from helpers import gue, random_state, taylor_expm
+from qfiext.linalg import DEGENERACY_ATOL, DEGENERACY_RTOL, _fix_phases, eigh_stack, symmetrized
+from helpers import eig_hermitian_reference, fix_phases_by_column, gue, random_state, taylor_expm
 
 SX, SY, SZ = spin1_matrices()
 
@@ -79,6 +79,23 @@ class TestHermitianOperator:
         assert one.tobytes() == big.tobytes()
         assert stack[0].tobytes() == big.tobytes()
         assert stack[1].tobytes() == ((small + small.conj().T) / 2).tobytes()
+
+    def test_far_from_hermitian_near_float_max_rejected_without_warning(self):
+        # m - m^dag overflows to inf; the rejection names that asymmetry.
+        skew = np.array([[0.0, 1e308], [-1e308, 0.0]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonHermitianInput, match=r"^matrix is not Hermitian: .* = inf "):
+                HermitianOperator(skew)
+            with pytest.raises(NonHermitianInput, match=r"^matrix 1: matrix is not Hermitian"):
+                symmetrized(np.stack([np.eye(2, dtype=complex), skew]))
+
+    def test_stacked_infinite_entry_rejected_without_warning(self):
+        infinite = np.array([[1.0, np.inf], [0.0, 1.0]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonHermitianInput, match=r"^matrix 0: matrix has a non-finite entry"):
+                symmetrized(infinite[None])
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
@@ -159,20 +176,25 @@ class TestEig:
         assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
 
 
-def fix_phases_by_column(vectors: np.ndarray) -> np.ndarray:
-    """Reference: the per-column loop that _fix_phases replaces."""
-    out = vectors.copy()
-    idx = np.argmax(np.abs(out), axis=0)
-    for k in range(out.shape[1]):
-        pivot = out[idx[k], k]
-        mag = abs(pivot)
-        if mag > 0.0:
-            out[:, k] *= pivot.conjugate() / mag
-    return out
-
-
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def near_degenerate(rng: np.random.Generator, dim: int, scale: float, factor: float):
+    """A random-basis Hermitian matrix with one gap ``factor`` times the degeneracy tolerance.
+
+    At dim >= 3 the gap is interior and the spread is 2 * scale. At dim 2 the
+    gap is the spread, so it sits at the absolute tolerance.
+    """
+    if dim == 2:
+        w = np.array([0.0, DEGENERACY_ATOL * factor])
+    else:
+        w = np.sort(rng.uniform(-scale, scale, dim))
+        w[0], w[-1] = -scale, scale
+        k = int(rng.integers(1, dim - 1))
+        w[k] = w[k - 1] + max(DEGENERACY_RTOL * 2.0 * scale, DEGENERACY_ATOL) * factor
+    basis = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    return (basis * np.sort(w)) @ basis.conj().T
 
 
 class TestStackedEig:
@@ -213,6 +235,37 @@ class TestStackedEig:
             dec = eig_hermitian(op)
             assert same_bits(w[n], dec.eigenvalues)
             assert same_bits(v[n], dec.eigenvectors)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 6),
+        kinds=st.lists(st.sampled_from(("gue", "gap", "zero", "identity")), min_size=1, max_size=5),
+        ancilla=st.integers(1, 3),
+        exponent=st.integers(-12, 12),
+        offset=st.floats(-1e-2, 1e-2),
+    )
+    def test_eigh_stack_and_eig_hermitian_equal_the_reference(
+        self, seed, dim, kinds, ancilla, exponent, offset
+    ):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**exponent
+        ops = []
+        for kind in kinds:
+            if kind == "gap" and dim > 1:
+                m = near_degenerate(rng, dim, scale, 1.0 + offset)
+            elif kind in ("gue", "gap"):
+                m = gue(dim, rng).matrix * scale
+            else:
+                m = np.zeros((dim, dim)) if kind == "zero" else np.eye(dim)
+            ops.append(HermitianOperator(np.kron(m, np.eye(ancilla))))
+        w, v = eigh_stack(np.stack([op.matrix for op in ops]))
+        for n, op in enumerate(ops):
+            ref_w, ref_v = eig_hermitian_reference(op)
+            dec = eig_hermitian(op)
+            assert same_bits(w[n], ref_w) and same_bits(v[n], ref_v)
+            assert same_bits(dec.eigenvalues, ref_w) and same_bits(dec.eigenvectors, ref_v)
 
 
 class TestExpm:
