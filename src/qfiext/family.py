@@ -3,7 +3,9 @@
 A family bundles a value map with its first (and optionally second)
 parametric derivative. Derivative maps are analytic where the model provides
 them and central finite differences otherwise. All maps must be stateless
-and return identical matrices for identical arguments.
+and return identical matrices for identical arguments. A family relies on
+that: ``value`` and ``derivative`` each remember their latest point
+evaluation and return it, without calling the map, for the same theta.
 
 A family also evaluates a whole grid at once: ``values(thetas)`` and
 ``derivatives(thetas)`` return checked (N, d, d) stacks, or one (d, d)
@@ -12,9 +14,9 @@ matrix when the matrix does not depend on theta. Families built by
 extension) compute a stack in one numpy expression, from the same
 shape-generic formula as their scalar maps, so ``values(thetas)[n]`` has the
 bits of ``value(thetas[n]).matrix``. A family built from scalar maps alone
-evaluates a grid one theta at a time. A sweep evaluates each map once per
-run on its whole grid, or once at a single theta when the swept variable
-does not enter it.
+evaluates a grid one theta at a time, leaving the remembered points as they
+are. A sweep evaluates each map once per run on its whole grid, or once at a
+single theta when the swept variable does not enter it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,12 @@ DERIVATIVE_CHECK_STEP = 1e-5
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianFamily:
+    """H(theta) and its derivatives; ``value`` and ``derivative`` remember their latest point.
+
+    The same theta (the same bits: 0.0 and -0.0 differ) gets the same
+    ``HermitianOperator`` back; a call that raises is not remembered.
+    """
+
     dim: int
     value: MatrixFn
     derivative: MatrixFn
@@ -56,6 +64,9 @@ class HamiltonianFamily:
     def __post_init__(self):
         if self.dim < 1:
             raise DimensionMismatch(f"dimension must be >= 1, got {self.dim}")
+        for name in ("value", "derivative"):
+            object.__setattr__(self, f"_{name}_map", getattr(self, name))
+            object.__setattr__(self, name, _remember_latest(getattr(self, name)))
 
     @classmethod
     def from_formulas(
@@ -77,11 +88,25 @@ class HamiltonianFamily:
 
     def values(self, thetas) -> np.ndarray:
         """Checked H(theta) over a grid: (N, d, d), or (d, d) if H does not depend on theta."""
-        return _evaluate(self.value, self.value_stack, thetas)
+        return _evaluate(self._value_map, self.value_stack, thetas)
 
     def derivatives(self, thetas) -> np.ndarray:
         """Checked dH/dtheta over a grid: (N, d, d), or (d, d) if it does not depend on theta."""
-        return _evaluate(self.derivative, self.derivative_stack, thetas)
+        return _evaluate(self._derivative_map, self.derivative_stack, thetas)
+
+
+def _remember_latest(fn: MatrixFn) -> MatrixFn:
+    """``fn`` returning its latest result again for a theta with the same bits."""
+    latest = (None, None)
+
+    def remembered(theta):
+        nonlocal latest
+        key = float(theta).hex()
+        if latest[0] != key:
+            latest = (key, fn(theta))
+        return latest[1]
+
+    return remembered
 
 
 def _evaluate(scalar: MatrixFn, stack: Optional[StackFn], thetas) -> np.ndarray:

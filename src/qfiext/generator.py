@@ -68,11 +68,11 @@ def _phase_kernel(t: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
 def generator_spectral(family: HamiltonianFamily, theta: float, t: float) -> GeneratorResult:
     """Generator from the eigenbasis of H(theta); exact to eigensolver precision.
 
-    ``generator_spectral_stack`` at one point.
+    ``generator_in_eigenbasis`` at one point, from ``eig_hermitian`` of H(theta).
     """
-    gen, err = generator_spectral_stack(
-        family.value(theta).matrix, family.derivative(theta).matrix, np.array([t], dtype=float)
-    )
+    dec = eig_hermitian(family.value(theta))
+    hdot, ts = family.derivative(theta).matrix, np.array([t], dtype=float)
+    gen, err = generator_in_eigenbasis(dec.eigenvalues[None], dec.eigenvectors[None], hdot, ts)
     return GeneratorResult(HermitianOperator(gen[0]), GeneratorMethod.SPECTRAL, float(err[0]))
 
 

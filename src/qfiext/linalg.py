@@ -237,9 +237,16 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 
 
 def eig_hermitian(a: HermitianOperator) -> EigenDecomposition:
-    """``eigh_stack`` of the one matrix of ``a``, as a frozen ``EigenDecomposition``."""
-    w, v = eigh_stack(a.matrix[None])
-    return EigenDecomposition(_freeze(w[0]), _freeze(v[0]))
+    """``eigh_stack`` of the one matrix of ``a``, as a frozen ``EigenDecomposition``.
+
+    The decomposition is kept on ``a``, so an operator is decomposed at most once.
+    """
+    dec = getattr(a, "_eig", None)
+    if dec is None:
+        w, v = eigh_stack(a.matrix[None])
+        dec = EigenDecomposition(_freeze(w[0]), _freeze(v[0]))
+        object.__setattr__(a, "_eig", dec)
+    return dec
 
 
 def eigh_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -27,7 +27,6 @@ from .generator import (
     generator_spectral_stack,
 )
 from .linalg import (
-    HermitianOperator,
     PureState,
     degenerate_blocks,
     eig_hermitian,
@@ -144,10 +143,21 @@ def _balanced_probe(vectors: np.ndarray) -> np.ndarray:
     return (vectors[:, -1] + vectors[:, 0]) / np.sqrt(2.0)
 
 
-def _channel_qfi_at(w: np.ndarray, v: np.ndarray, hdot: np.ndarray, t: float) -> ChannelQfiReport:
-    """``channel_qfi`` from H's decomposition (``eigh_stack`` of the (1, d, d) stack of H)."""
+def channel_qfi(family: HamiltonianFamily, theta: float, t: float) -> ChannelQfiReport:
+    """Channel QFI = seminorm(K)^2 plus the bound, their ratio and the optimal probe.
+
+    ``channel_qfi_stack`` at one point, from ``eig_hermitian`` of H(theta);
+    the optimal probe, the balanced superposition of K's extremal
+    eigenvectors, comes from ``eigh_stack`` of the same K. When the bound
+    vanishes (dH/dtheta proportional to identity) the channel QFI vanishes
+    too and the ratio is defined as 1 to keep sweep output free of NaNs. A
+    generator or result that is not finite (an overflow at large t) raises
+    ModelError naming it and t.
+    """
+    hdot = family.derivative(theta).matrix
+    dec = eig_hermitian(family.value(theta))
     ts = np.array([t], dtype=float)
-    gen, err = generator_in_eigenbasis(w, v, hdot, ts)
+    gen, err = generator_in_eigenbasis(dec.eigenvalues[None], dec.eigenvectors[None], hdot, ts)
     _check_finite(_GENERATOR, (gen, err), "t", [t])
     kw, kv = eigh_stack(gen)
     columns = _reduce(kw, hdot, ts, err)
@@ -155,21 +165,6 @@ def _channel_qfi_at(w: np.ndarray, v: np.ndarray, hdot: np.ndarray, t: float) ->
     cqfi, bound, ratio, e = (float(column[0]) for column in columns)
     probe = PureState(_balanced_probe(kv[0]))
     return ChannelQfiReport(cqfi, bound, ratio, probe, GeneratorMethod.SPECTRAL, e)
-
-
-def channel_qfi(family: HamiltonianFamily, theta: float, t: float) -> ChannelQfiReport:
-    """Channel QFI = seminorm(K)^2 plus the bound, their ratio and the optimal probe.
-
-    ``channel_qfi_stack`` at one point; the optimal probe, the balanced
-    superposition of K's extremal eigenvectors, comes from ``eigh_stack`` of
-    the same K. When the bound vanishes (dH/dtheta proportional to identity)
-    the channel QFI vanishes too and the ratio is defined as 1 to keep sweep
-    output free of NaNs. A generator or result that is not finite (an
-    overflow at large t) raises ModelError naming it and t.
-    """
-    hdot = family.derivative(theta).matrix
-    w, v = eigh_stack(family.value(theta).matrix[None])
-    return _channel_qfi_at(w, v, hdot, t)
 
 
 def channel_qfi_stack(
@@ -195,11 +190,20 @@ def channel_qfi_stack(
     return columns
 
 
-def _saturation_at(
-    h: np.ndarray, hdot: HermitianOperator, w: np.ndarray, v: np.ndarray, tol: float
+def check_saturation(
+    family: HamiltonianFamily, theta: float, tol: float = SATURATION_RTOL
 ) -> SaturationVerdict:
-    """``check_saturation`` from H's eigenvalues ``w`` and eigenvectors ``v`` (one point)."""
-    ddec = eig_hermitian(hdot)
+    """Decide whether the channel QFI can reach its upper bound at theta.
+
+    Non-degenerate extremal eigenvalues of dH/dtheta: saturation holds iff
+    both extremal eigenvectors are eigenvectors of H(theta) (residual below
+    ``tol * ||H||``). With degenerate extremal eigenvalues only a sufficient
+    condition is checked: some eigenvector of H lies in the maximal
+    eigenspace of dH/dtheta and another in the minimal one.
+    """
+    operator = family.value(theta)
+    hdec, ddec = eig_hermitian(operator), eig_hermitian(family.derivative(theta))
+    h, w, v = operator.matrix, hdec.eigenvalues, hdec.eigenvectors
     blocks = degenerate_blocks(ddec.eigenvalues)
     low, high = blocks[0], blocks[-1]
 
@@ -230,38 +234,16 @@ def _saturation_at(
     return SaturationVerdict(SaturationStatus.DEGENERATE_INCONCLUSIVE)
 
 
-def check_saturation(
-    family: HamiltonianFamily, theta: float, tol: float = SATURATION_RTOL
-) -> SaturationVerdict:
-    """Decide whether the channel QFI can reach its upper bound at theta.
-
-    Non-degenerate extremal eigenvalues of dH/dtheta: saturation holds iff
-    both extremal eigenvectors are eigenvectors of H(theta) (residual below
-    ``tol * ||H||``). With degenerate extremal eigenvalues only a sufficient
-    condition is checked: some eigenvector of H lies in the maximal
-    eigenspace of dH/dtheta and another in the minimal one.
-    """
-    h = family.value(theta)
-    hdot = family.derivative(theta)
-    hdec = eig_hermitian(h)
-    return _saturation_at(h.matrix, hdot, hdec.eigenvalues, hdec.eigenvectors, tol)
-
-
 def channel_qfi_and_saturation(
     family: HamiltonianFamily, theta: float, t: float
 ) -> tuple[ChannelQfiReport, SaturationVerdict]:
-    """``channel_qfi`` and ``check_saturation`` at one point, each thing computed once.
+    """``channel_qfi`` and then ``check_saturation`` at its default tolerance.
 
-    H(theta) and dH/dtheta are evaluated once and H is decomposed once, by
-    ``eigh_stack``, whose N = 1 form is ``eig_hermitian``; the generator and
-    the saturation check share that decomposition. Equal, bit for bit, to
-    ``channel_qfi`` and then ``check_saturation`` at its default tolerance.
+    The family's remembered point evaluations and ``eig_hermitian``'s kept
+    decomposition make the two share one evaluation of H(theta) and of
+    dH/dtheta and one decomposition of H.
     """
-    hdot = family.derivative(theta)
-    h = family.value(theta).matrix
-    w, v = eigh_stack(h[None])
-    report = _channel_qfi_at(w, v, hdot.matrix, t)
-    return report, _saturation_at(h, hdot, w[0], v[0], SATURATION_RTOL)
+    return channel_qfi(family, theta, t), check_saturation(family, theta)
 
 
 def _ascend(gen: np.ndarray, psi: np.ndarray) -> float:

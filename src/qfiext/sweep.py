@@ -55,6 +55,7 @@ from .models import (
     broken_phase_shift_family,
     direction_family,
     direction_sz_operator,
+    gyromagnetic_ratio,
     nv_family,
 )
 from .qfi import channel_qfi_stack
@@ -268,13 +269,17 @@ def build_scenario(scenario: dict, swept: Optional[str] = None, value=None):
     ``beta``, ``kappa`` and ``epsilon`` the (N,) array of all grid values,
     which makes ``offset`` an (N, d, d) stack. A file family or operator file
     is loaded once here. An added term that overflows raises InvalidSpec
-    naming ``extension.beta``, ``extension.epsilon`` or ``extension.kappa``.
+    naming ``extension.beta``, ``extension.epsilon`` or ``extension.kappa``,
+    and a model term that overflows (``_model_terms``) names its field.
     """
     model, params, kind, fields = validate_scenario(scenario, swept)
     if swept in ("B_z", "theta", "t"):
         params["Bz" if swept == "B_z" else swept] = value
     elif swept is not None:
         fields[swept] = value
+    for name, given, term in _model_terms(model, params, kind, fields):
+        if not math.isfinite(term):
+            raise InvalidSpec(f"{name}: the model's term is not finite at {given!r}")
     if model == "nv":
         family, theta = nv_family(NvParams(**params)), params["Bz"]
     elif model == "direction":
@@ -295,6 +300,34 @@ def build_scenario(scenario: dict, swept: Optional[str] = None, value=None):
     except OverflowError as exc:  # raised only by a kind with a scaled term
         raise InvalidSpec(f"extension.{_SCALE_FIELDS[kind]}: {exc}") from exc
     return family, theta, params["t"], offset
+
+
+def _model_terms(model: str, params: dict, kind, fields: dict) -> list:
+    """``(field, value, term)`` for each spin-matrix coefficient that a model field sets.
+
+    A term is gamma (rad/(s T)) or gamma times a field in Tesla; spin-matrix
+    entries are at most 1. A float product cannot warn; a swept ``epsilon``'s
+    anchor terms are formed under errstate, as ``extensions._scaled`` forms
+    its term, and the first that is not finite (else the first) is kept.
+    """
+    if model not in ("nv", "direction"):
+        return []
+    gamma = gyromagnetic_ratio(params["g"])
+    names = ("Bx", "By", "Bz") if model == "nv" else ("B",)
+    terms = [("fixed_params.g", params["g"], gamma)]
+    terms += [(f"fixed_params.{k}", params[k], gamma * params[k]) for k in names]
+    if model == "nv" and kind in ("subtract", "subtract-perturbed"):  # H at the anchor
+        theta0 = fields["theta0"]
+        terms.append(("extension.theta0", theta0, gamma * theta0))
+        if kind == "subtract-perturbed":
+            epsilon = fields["epsilon"]
+            with np.errstate(over="ignore", invalid="ignore"):
+                anchor = gamma * (theta0 + epsilon)
+            if isinstance(anchor, np.ndarray):  # a swept epsilon: its first term that overflows
+                k = int(np.argmin(np.isfinite(anchor)))
+                epsilon, anchor = float(epsilon[k]), float(anchor[k])
+            terms.append(("extension.epsilon", epsilon, anchor))
+    return terms
 
 
 def load_model_family(model: str, family_file):

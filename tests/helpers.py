@@ -7,6 +7,12 @@ from hypothesis import strategies as st
 
 from qfiext import (
     Flood,
+    channel_qfi,
+    channel_qfi_brute,
+    check_saturation,
+    generator_fd,
+    generator_quadrature,
+    generator_spectral,
     HamiltonianFamily,
     HermitianOperator,
     SubtractPerturbed,
@@ -54,6 +60,41 @@ def cross_check_cases(rng: np.random.Generator, dims=(2, 3, 4)) -> list:
                 fam = apply_extension(fam, SubtractPerturbed(theta0=theta, epsilon=epsilon))
             cases += [(fam, theta, t), (tensor_identity(fam, 2), theta, t)]
     return cases
+
+
+def _generator_bytes(result) -> bytes:
+    return b"".join([
+        result.generator.matrix.tobytes(), np.float64(result.estimated_error).tobytes(),
+        result.method.value.encode(), bytes([result.converged]),
+    ])
+
+
+def _report_bytes(report) -> bytes:
+    columns = [report.channel_qfi, report.upper_bound, report.ratio, report.estimated_error]
+    return b"".join([
+        np.array(columns).tobytes(), report.optimal_probe.amplitudes.tobytes(),
+        report.generator_method.value.encode(),
+    ])
+
+
+def _verdict_bytes(verdict) -> bytes:
+    return f"{verdict.verdict.value} {verdict.witness!r}".encode()
+
+
+def verify_calls(fam, theta: float, t: float, index: int) -> list:
+    """The single-point entry points in the order the verify benchmark calls them.
+
+    Each is a call without arguments that returns its result as bytes; the
+    oracle is seeded by the case ``index``.
+    """
+    return [
+        lambda: _generator_bytes(generator_spectral(fam, theta, t)),
+        lambda: _generator_bytes(generator_quadrature(fam, theta, t)),
+        lambda: _generator_bytes(generator_fd(fam, theta, t)),
+        lambda: _report_bytes(channel_qfi(fam, theta, t)),
+        lambda: np.float64(channel_qfi_brute(fam, theta, t, n_starts=8, seed=index)).tobytes(),
+        lambda: _verdict_bytes(check_saturation(fam, theta)),
+    ]
 
 
 def commuting_family(rng: np.random.Generator, dim: int) -> HamiltonianFamily:

@@ -627,6 +627,35 @@ class TestOverflow:
             assert (code, out, err) == (1, "", expected)
 
 
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (("--model", "nv", "--param", "Bz=1e300"), "fixed_params.Bz"),
+        (("--model", "nv", "--param", "Bx=1e300"), "fixed_params.Bx"),
+        (("--model", "nv", "--param", "Bz=0.1",
+          "--extension", "subtract-perturbed:theta0=0.1,eps=1e300"), "extension.epsilon"),
+        (("--model", "nv", "--param", "g=1e300"), "fixed_params.g"),
+        (("--model", "nv", "--extension", "subtract:theta0=1e300"), "extension.theta0"),
+        (("--model", "direction", "--param", "B=1e300"), "fixed_params.B"),
+    ],
+)
+def test_overflowing_model_term_exits_one_naming_the_field(capsys, argv, field):
+    expected = f"error: {field}: the model's term is not finite at 1e+300\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, "report", *argv) == (1, "", expected)
+
+
+def test_overflowing_anchor_over_an_epsilon_grid_names_its_first_value(tmp_path, capsys):
+    run = {"model": "nv", "sweep_variable": "epsilon", "fixed_params": {"Bz": 0.1},
+           "extension": {"kind": "subtract-perturbed", "theta0": 0.1},
+           "grid": {"start": 1e290, "stop": 1e300, "points": 3, "scale": "log"}}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(run), encoding="utf-8")
+    expected = "error: extension.epsilon: the model's term is not finite at 1e+300\n"
+    assert run_cli(capsys, "sweep", "--config", str(path)) == (1, "", expected)
+
+
 def test_report_evaluates_the_family_once_and_decomposes_h_once(monkeypatch, capsys):
     calls = {"value": 0, "derivative": 0}
     build_scenario = qfiext.cli.build_scenario

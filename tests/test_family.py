@@ -6,6 +6,7 @@ evaluation at its grid value.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -203,3 +204,59 @@ class TestStackedHermiticity:
         }
         with pytest.raises(NonHermitianInput, match=r"terms\[0\]: matrix has a non-finite entry"):
             parse_definition(json.loads(json.dumps(doc)))
+
+
+class TestRememberedPoint:
+    """``value`` and ``derivative`` remember their latest point, keyed by theta's bits."""
+
+    @staticmethod
+    def family(calls: list, fails=lambda theta: False) -> HamiltonianFamily:
+        def value(theta):
+            calls.append(theta)
+            if fails(theta):
+                raise ValueError(f"no value at {theta!r}")
+            return HermitianOperator(np.diag([theta, -theta]).astype(complex))
+
+        return HamiltonianFamily(2, value, lambda theta: HermitianOperator(np.diag([1.0, -1.0])))
+
+    def test_same_theta_is_evaluated_once(self):
+        calls = []
+        fam = self.family(calls)
+        first = fam.value(0.3)
+        assert fam.value(0.3) is first
+        assert fam.derivative(0.3) is fam.derivative(0.3)
+        assert calls == [0.3]
+
+    def test_zero_and_negative_zero_are_evaluated_separately(self):
+        calls = []
+        fam = self.family(calls)
+        plus, minus = fam.value(0.0), fam.value(-0.0)
+        assert plus is not minus and fam.value(-0.0) is minus
+        assert [math.copysign(1.0, theta) for theta in calls] == [1.0, -1.0]
+
+    def test_a_map_that_raises_raises_again_and_keeps_the_latest_point(self):
+        calls = []
+        fam = self.family(calls, fails=lambda theta: theta > 0.5)
+        kept = fam.value(0.2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="no value at 1.0"):
+                fam.value(1.0)
+        assert fam.value(0.2) is kept
+        assert calls == [0.2, 1.0, 1.0]
+
+    def test_a_map_that_raised_once_is_called_again(self):
+        calls = []
+        fam = self.family(calls, fails=lambda theta: len(calls) == 1)
+        with pytest.raises(ValueError):
+            fam.value(0.7)
+        assert fam.value(0.7) is fam.value(0.7)
+        assert calls == [0.7, 0.7]
+
+    def test_grid_evaluation_keeps_the_point(self):
+        calls = []
+        fam = self.family(calls)
+        first = fam.value(0.3)
+        grid = fam.values([0.1, 0.3, 0.5])
+        assert fam.value(0.3) is first
+        assert calls == [0.3, 0.1, 0.3, 0.5]
+        assert np.array_equal(grid[1], first.matrix)

@@ -167,6 +167,18 @@ class TestEig:
         dec = eig_hermitian(HermitianOperator(np.eye(4)))
         assert np.allclose(dec.eigenvectors, np.eye(4), atol=1e-14)
 
+    def test_decomposes_an_operator_once_into_read_only_arrays(self, monkeypatch):
+        a = gue(3, np.random.default_rng(6))
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        dec = eig_hermitian(a)
+        assert eig_hermitian(a) is dec
+        assert calls == [(1, 3, 3)]
+        for array in (dec.eigenvalues, dec.eigenvectors):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
     def test_deterministic_for_identical_input(self):
         rng = np.random.default_rng(5)
         m = gue(4, rng)

@@ -1,5 +1,6 @@
 """Tests for pure-state QFI, channel QFI, bound, saturation and the brute-force oracle."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -38,7 +39,7 @@ from qfiext import (
     upper_bound,
 )
 from qfiext.qfi import channel_qfi_and_saturation, channel_qfi_stack
-from helpers import commuting_family, cross_check_cases, gue, polynomial_family
+from helpers import commuting_family, cross_check_cases, gue, polynomial_family, verify_calls
 from qfiext.errors import ModelError
 
 SX, SY, SZ = spin1_matrices()
@@ -397,6 +398,57 @@ class TestSharedPointPass:
         h, hdot = fam.value(0.1).matrix, fam.derivative(0.1).matrix
         with pytest.raises(ModelError, match=r"^at t=1e\+300: generator is not finite$"):
             channel_qfi_stack(h, hdot, t)
+
+
+# sha256 of the bytes of every verify_calls result on the cases of seed 130,
+# recorded before the entry points shared one evaluation and decomposition of H.
+_VERIFY_SEQUENCE_SHA256 = "0b872992783d591140d1427c84020275315b11b11ef0609a14d2a9fb27fb4b49"
+
+
+def _verify_cases() -> list:
+    return cross_check_cases(np.random.default_rng(130))
+
+
+class TestVerifySequence:
+    """The verify benchmark's entry points, called in its order on one family."""
+
+    @pytest.mark.parametrize("index", range(len(_verify_cases())))
+    def test_each_result_has_the_bits_of_a_fresh_family(self, index):
+        shared = [call() for call in verify_calls(*_verify_cases()[index], index)]
+        fresh = [verify_calls(*_verify_cases()[index], index)[k]() for k in range(len(shared))]
+        assert shared == fresh
+
+    def test_bytes_are_pinned(self):
+        digest = hashlib.sha256()
+        for index, case in enumerate(_verify_cases()):
+            for call in verify_calls(*case, index):
+                digest.update(call())
+        assert digest.hexdigest() == _VERIFY_SEQUENCE_SHA256
+
+    @pytest.mark.parametrize("index", range(len(_verify_cases())))
+    def test_evaluates_each_matrix_once_and_makes_five_decompositions(self, index, monkeypatch):
+        fam, theta, t = _verify_cases()[index]
+        calls = []
+
+        def counted(name):
+            def fn(x):
+                calls.append((name, x))
+                return getattr(fam, name)(x)
+            return fn
+
+        counted_family = HamiltonianFamily(
+            fam.dim, counted("value"), counted("derivative"),
+            value_stack=fam.values, derivative_stack=fam.derivatives,
+        )
+        decomposed = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: decomposed.append(len(a)) or eigh(a))
+        for call in verify_calls(counted_family, theta, t, index):
+            call()
+        assert sorted(calls) == [("derivative", theta), ("value", theta)]
+        # H; H at the five finite-difference points; K for channel_qfi and
+        # for the oracle; dH/dtheta for the saturation verdict.
+        assert decomposed == [1, 5, 1, 1, 1]
 
 
 class TestBruteForceOracle:
