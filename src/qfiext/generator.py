@@ -25,13 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import DimensionMismatch, StepTooSmall
 from .family import DEFAULT_FD_STEP, HamiltonianFamily
-from .linalg import HermitianOperator, UnitaryOperator, eig_hermitian, eigh_stack, hermitian_part
+from .linalg import HermitianOperator, UnitaryOperator, _freeze, eig_hermitian, eigh_stack
+from .linalg import hermitian_part
 
 QUADRATURE_TARGET_RTOL = 1e-9
 QUADRATURE_MAX_ORDER = 1024
@@ -65,15 +66,38 @@ def _phase_kernel(t: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
     return t * np.exp(0.5j * t * gaps) * np.sinc(t * gaps / (2.0 * np.pi))
 
 
+class SpectralPoint:
+    """K at one (theta, t): ``generator_in_eigenbasis``'s raw ``gen`` (1, d, d) and
+    ``err`` (1,), then K's ``eigh_stack`` and ``HermitianOperator``, each formed when
+    first asked for (again, if that raised). Every array is read-only."""
+
+    def __init__(self, gen: np.ndarray, err: np.ndarray):
+        self.gen, self.err = _freeze(gen), _freeze(err)
+
+    eigh = cached_property(lambda self: tuple(_freeze(a) for a in eigh_stack(self.gen)))
+    operator = cached_property(lambda self: HermitianOperator(self.gen[0]))
+
+
+def spectral_point(family: HamiltonianFamily, theta: float, t: float) -> SpectralPoint:
+    """The ``SpectralPoint`` at (theta, t), kept on the family for its latest theta and t
+    by their bits (0.0 and -0.0 differ): ``generator_spectral``, ``channel_qfi`` and
+    ``channel_qfi_brute`` share one K and one decomposition of it per point."""
+    key = (float(theta).hex(), float(t).hex())
+    if getattr(family, "_spectral_point", (None,))[0] != key:
+        dec = eig_hermitian(family.value(theta))
+        hdot, ts = family.derivative(theta).matrix, np.array([t], dtype=float)
+        raw = generator_in_eigenbasis(dec.eigenvalues[None], dec.eigenvectors[None], hdot, ts)
+        object.__setattr__(family, "_spectral_point", (key, SpectralPoint(*raw)))
+    return family._spectral_point[1]
+
+
 def generator_spectral(family: HamiltonianFamily, theta: float, t: float) -> GeneratorResult:
     """Generator from the eigenbasis of H(theta); exact to eigensolver precision.
 
-    ``generator_in_eigenbasis`` at one point, from ``eig_hermitian`` of H(theta).
+    The ``operator`` of the family's ``spectral_point``.
     """
-    dec = eig_hermitian(family.value(theta))
-    hdot, ts = family.derivative(theta).matrix, np.array([t], dtype=float)
-    gen, err = generator_in_eigenbasis(dec.eigenvalues[None], dec.eigenvectors[None], hdot, ts)
-    return GeneratorResult(HermitianOperator(gen[0]), GeneratorMethod.SPECTRAL, float(err[0]))
+    point = spectral_point(family, theta, t)
+    return GeneratorResult(point.operator, GeneratorMethod.SPECTRAL, float(point.err[0]))
 
 
 def generator_spectral_stack(

@@ -7,6 +7,7 @@ hbar = 1; SI conversions happen in :mod:`qfiext.models` only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,23 +202,23 @@ def _canonical_block_basis(block_vectors: np.ndarray) -> np.ndarray:
 
     Gram-Schmidt over the canonical basis vectors projected into the block
     subspace, in index order, so degenerate subspaces get a reproducible basis
-    independent of eigensolver arbitrariness.
+    independent of eigensolver arbitrariness; norms have ``np.linalg.norm``'s bits.
     """
     dim, size = block_vectors.shape
     projector = block_vectors @ block_vectors.conj().T
-    basis: list[np.ndarray] = []
+    basis: list[tuple[np.ndarray, np.ndarray]] = []  # each vector with its conjugate
     for idx in range(dim):
         cand = projector[:, idx].copy()
-        for b in basis:
-            cand -= (b.conj() @ cand) * b
-        norm = float(np.linalg.norm(cand))
+        for b, b_conj in basis:
+            cand -= (b_conj @ cand) * b
+        norm = math.sqrt(cand.real.dot(cand.real) + cand.imag.dot(cand.imag))
         if norm > _GS_RANK_TOL:
-            basis.append(cand / norm)
+            basis.append((b := cand / norm, b.conj()))
             if len(basis) == size:
                 break
     if len(basis) < size:  # projected canonical set was rank-deficient; keep solver basis
         return block_vectors
-    return np.column_stack(basis)
+    return np.column_stack([b for b, _ in basis])
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:

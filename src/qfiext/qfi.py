@@ -22,18 +22,11 @@ from .errors import DimensionMismatch, ModelError
 from .family import HamiltonianFamily
 from .generator import (
     GeneratorMethod,
-    generator_in_eigenbasis,
     generator_spectral,
     generator_spectral_stack,
+    spectral_point,
 )
-from .linalg import (
-    PureState,
-    degenerate_blocks,
-    eig_hermitian,
-    eigh_stack,
-    seminorm,
-    variance,
-)
+from .linalg import PureState, degenerate_blocks, eig_hermitian, seminorm, variance
 
 # Residual tolerance (relative to the spectral norm of H) below which an
 # extremal eigenvector of dH/dtheta counts as an eigenvector of H.
@@ -146,21 +139,19 @@ def _balanced_probe(vectors: np.ndarray) -> np.ndarray:
 def channel_qfi(family: HamiltonianFamily, theta: float, t: float) -> ChannelQfiReport:
     """Channel QFI = seminorm(K)^2 plus the bound, their ratio and the optimal probe.
 
-    ``channel_qfi_stack`` at one point, from ``eig_hermitian`` of H(theta);
-    the optimal probe, the balanced superposition of K's extremal
-    eigenvectors, comes from ``eigh_stack`` of the same K. When the bound
-    vanishes (dH/dtheta proportional to identity) the channel QFI vanishes
-    too and the ratio is defined as 1 to keep sweep output free of NaNs. A
-    generator or result that is not finite (an overflow at large t) raises
-    ModelError naming it and t.
+    ``channel_qfi_stack`` at one point, from the family's ``spectral_point``,
+    whose ``eigh`` gives K's spectrum and the optimal probe, the balanced
+    superposition of K's extremal eigenvectors (K gets no ``HermitianOperator``).
+    When the bound vanishes (dH/dtheta proportional to identity) the channel QFI
+    vanishes too and the ratio is defined as 1 to keep sweep output free of
+    NaNs. A generator or result that is not finite (an overflow at large t)
+    raises ModelError naming it and t, on every call.
     """
     hdot = family.derivative(theta).matrix
-    dec = eig_hermitian(family.value(theta))
-    ts = np.array([t], dtype=float)
-    gen, err = generator_in_eigenbasis(dec.eigenvalues[None], dec.eigenvectors[None], hdot, ts)
-    _check_finite(_GENERATOR, (gen, err), "t", [t])
-    kw, kv = eigh_stack(gen)
-    columns = _reduce(kw, hdot, ts, err)
+    point = spectral_point(family, theta, t)
+    _check_finite(_GENERATOR, (point.gen, point.err), "t", [t])
+    kw, kv = point.eigh
+    columns = _reduce(kw, hdot, np.array([t], dtype=float), point.err)
     _check_finite(_COLUMNS, columns, "t", [t])
     cqfi, bound, ratio, e = (float(column[0]) for column in columns)
     probe = PureState(_balanced_probe(kv[0]))
@@ -246,6 +237,14 @@ def channel_qfi_and_saturation(
     return channel_qfi(family, theta, t), check_saturation(family, theta)
 
 
+def _score(stacked: np.ndarray, x: np.ndarray, block: tuple) -> None:
+    """[Kx; K^2 x; mean; Var] of the columns of ``x`` into ``block``, a block and its row views."""
+    _, both, kx, _, mean, var = block
+    np.matmul(stacked, x, out=both)
+    np.vecdot(x, kx, axis=0, out=mean)
+    np.maximum(np.vecdot(kx, kx, axis=0) - mean * mean, 0.0, out=var)
+
+
 def _ascend(gen: np.ndarray, psi: np.ndarray) -> float:
     """Projected gradient ascent of 4 Var(gen) on the unit sphere from every column of ``psi``.
 
@@ -256,33 +255,36 @@ def _ascend(gen: np.ndarray, psi: np.ndarray) -> float:
     In real arithmetic: a + ib is [a; b] and gen = R + iI is [[R, -I], [I, R]].
     One product with [gen; gen^2] serves the gradient and the candidate's
     value. The gradient is taken as an eighth with an eightfold step and Var
-    without its factor 4: exact powers of two.
+    without its factor 4: exact powers of two. A state, and a candidate in the
+    same layout, is F-ordered ``x`` and a C-ordered ``_score`` block; when
+    every column takes its candidate, the two swap instead of being copied.
+    No layout may change: ``vecdot`` gets other bits from another BLAS kernel
+    when both of its operands have unit stride.
     """
     d2 = 2 * psi.shape[0]
     k = np.block([[gen.real, -gen.imag], [gen.imag, gen.real]])
     stacked = np.concatenate([k, k @ k])
     x = np.concatenate([psi.real, psi.imag])
-    kx = stacked @ x
-    mean = np.vecdot(x, kx[:d2], axis=0)
-    best = np.maximum(np.vecdot(kx[:d2], kx[:d2], axis=0) - mean * mean, 0.0)
+    cand, blocks = np.empty_like(x), np.empty((2, 2 * d2 + 2, psi.shape[1]))
+    state, trial = ((b, b[: 2 * d2], b[:d2], b[d2 : 2 * d2], b[-2], b[-1]) for b in blocks)
+    _score(stacked, x, state)
     step = np.full(psi.shape[1], 8.0 * _ASCENT_INITIAL_STEP)
-    cand, kc = np.empty_like(x), np.empty_like(kx)
     for _ in range(_ASCENT_ITERATIONS):
-        grad = kx[d2:] - 2.0 * mean * kx[:d2]
+        _, _, kx, k2x, mean, var = state
+        grad = k2x - 2.0 * mean * kx
         grad -= np.vecdot(x, grad, axis=0) * x  # tangent projection
         np.multiply(step, grad, out=cand)
         cand += x
         cand /= np.sqrt(np.vecdot(cand, cand, axis=0))
-        np.matmul(stacked, cand, out=kc)
-        cand_mean = np.vecdot(cand, kc[:d2], axis=0)
-        val = np.maximum(np.vecdot(kc[:d2], kc[:d2], axis=0) - cand_mean * cand_mean, 0.0)
-        better = val > best
-        np.copyto(best, val, where=better)
-        np.copyto(mean, cand_mean, where=better)
-        np.copyto(x, cand, where=better)
-        np.copyto(kx, kc, where=better)
-        np.copyto(step, step / 2.0, where=~better)
-    return 4.0 * float(best.max())
+        _score(stacked, cand, trial)
+        better = trial[-1] > var
+        if better.all():
+            x, cand, state, trial = cand, x, trial, state
+        else:
+            np.copyto(x, cand, where=better)
+            np.copyto(state[0], trial[0], where=better)
+            np.divide(step, 2.0, out=step, where=~better)
+    return 4.0 * float(state[-1].max())
 
 
 def channel_qfi_brute(
@@ -293,19 +295,19 @@ def channel_qfi_brute(
     Runs ``n_starts`` seeded random restarts of projected gradient ascent as
     one batched ascent and also evaluates the balanced extremal-eigenvector
     candidate; returns the maximum found. A lower bound on the channel QFI by
-    construction. Start k is drawn as ``standard_normal(dim)`` for its real
-    part, then for its imaginary part, in order of k.
+    construction. K and its eigenvectors are the family's ``spectral_point``.
+    Start k is drawn as ``standard_normal(dim)`` for its real part, then for
+    its imaginary part, in order of k.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
     if seed is None:
         seed = config.oracle_seed()
     rng = np.random.default_rng(seed)
-    gen = generator_spectral(family, theta, t).generator
-    dec = eig_hermitian(gen)
-    candidate = 4.0 * variance(gen, PureState(_balanced_probe(dec.eigenvectors)))
+    point = spectral_point(family, theta, t)
+    candidate = 4.0 * variance(point.operator, PureState(_balanced_probe(point.eigh[1][0])))
     # One draw fills (start, real/imaginary, component) in the order of per-start draws.
     z = rng.standard_normal((n_starts, 2, family.dim))
     starts = (z[:, 0] + 1j * z[:, 1]).T
     starts /= np.linalg.norm(starts, axis=0)
-    return max(candidate, _ascend(gen.matrix, starts))
+    return max(candidate, _ascend(point.operator.matrix, starts))

@@ -24,6 +24,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 from importlib import resources
+from contextlib import nullcontext
 from itertools import repeat
 from typing import Optional
 
@@ -267,21 +268,24 @@ def build_scenario(scenario: dict, swept: Optional[str] = None, value=None):
     or None without one. ``swept`` names a ``_SWEEPABLES`` variable that
     takes ``value`` instead of its fixed or default value: a float, or for
     ``beta``, ``kappa`` and ``epsilon`` the (N,) array of all grid values,
-    which makes ``offset`` an (N, d, d) stack. A file family or operator file
-    is loaded once here. An added term that overflows raises InvalidSpec
-    naming ``extension.beta``, ``extension.epsilon`` or ``extension.kappa``,
-    and a model term that overflows (``_model_terms``) names its field.
+    which makes ``offset`` an (N, d, d) stack. For ``B_z`` it may be that
+    array too; the family does not depend on it, and it is returned as
+    ``theta``. A file family or operator file is loaded once here. An added
+    term that overflows raises InvalidSpec naming ``extension.beta``,
+    ``extension.epsilon`` or ``extension.kappa``, and a model term that
+    overflows (``_model_terms``), over the whole grid, names its field.
     """
     model, params, kind, fields = validate_scenario(scenario, swept)
     if swept in ("B_z", "theta", "t"):
         params["Bz" if swept == "B_z" else swept] = value
     elif swept is not None:
         fields[swept] = value
-    for name, given, term in _model_terms(model, params, kind, fields):
+    for name, given, term in _model_terms(model, params, kind, fields, swept):
         if not math.isfinite(term):
             raise InvalidSpec(f"{name}: the model's term is not finite at {given!r}")
-    if model == "nv":
-        family, theta = nv_family(NvParams(**params)), params["Bz"]
+    if model == "nv":  # B_z is the family's theta; nv_family does not read NvParams.Bz
+        theta = params.pop("Bz")
+        family = nv_family(NvParams(**params))
     elif model == "direction":
         model_params = DirectionParams(**params)
         family, theta = direction_family(model_params), params["theta"]
@@ -302,31 +306,42 @@ def build_scenario(scenario: dict, swept: Optional[str] = None, value=None):
     return family, theta, params["t"], offset
 
 
-def _model_terms(model: str, params: dict, kind, fields: dict) -> list:
+def _model_terms(model: str, params: dict, kind, fields: dict, swept=None) -> list:
     """``(field, value, term)`` for each spin-matrix coefficient that a model field sets.
 
     A term is gamma (rad/(s T)) or gamma times a field in Tesla; spin-matrix
-    entries are at most 1. A float product cannot warn; a swept ``epsilon``'s
-    anchor terms are formed under errstate, as ``extensions._scaled`` forms
-    its term, and the first that is not finite (else the first) is kept.
+    entries are at most 1. On ``nv``, H's diagonal adds D to gamma B_z, and
+    to gamma times a subtract anchor, so each of those also gives the term
+    |gamma B| + |D|, named ``<field> + fixed_params.D``. A swept ``B_z`` (named
+    ``B_z``) or ``epsilon`` is its (N,) grid: its terms are formed under
+    errstate, as ``extensions._scaled`` forms its term, and the first grid
+    value whose term is not finite (else the first) is kept.
     """
     if model not in ("nv", "direction"):
         return []
     gamma = gyromagnetic_ratio(params["g"])
     names = ("Bx", "By", "Bz") if model == "nv" else ("B",)
-    terms = [("fixed_params.g", params["g"], gamma)]
-    terms += [(f"fixed_params.{k}", params[k], gamma * params[k]) for k in names]
-    if model == "nv" and kind in ("subtract", "subtract-perturbed"):  # H at the anchor
-        theta0 = fields["theta0"]
-        terms.append(("extension.theta0", theta0, gamma * theta0))
-        if kind == "subtract-perturbed":
-            epsilon = fields["epsilon"]
-            with np.errstate(over="ignore", invalid="ignore"):
-                anchor = gamma * (theta0 + epsilon)
-            if isinstance(anchor, np.ndarray):  # a swept epsilon: its first term that overflows
-                k = int(np.argmin(np.isfinite(anchor)))
-                epsilon, anchor = float(epsilon[k]), float(anchor[k])
-            terms.append(("extension.epsilon", epsilon, anchor))
+    # (field, value, Tesla): gamma times each Tesla value is a term
+    tesla = [(f"fixed_params.{k}", params[k], params[k]) for k in names]
+    if swept == "B_z":
+        tesla[-1] = ("B_z", params["Bz"], params["Bz"])
+    # Float arithmetic cannot warn; a swept grid's can, and errstate costs microseconds.
+    with np.errstate(over="ignore", invalid="ignore") if swept else nullcontext():
+        if model == "nv" and kind in ("subtract", "subtract-perturbed"):  # H at the anchor
+            theta0 = fields["theta0"]
+            tesla.append(("extension.theta0", theta0, theta0))
+            if kind == "subtract-perturbed":
+                epsilon = fields["epsilon"]
+                tesla.append(("extension.epsilon", epsilon, theta0 + epsilon))
+        terms = [("fixed_params.g", params["g"], gamma)]
+        terms += [(name, given, gamma * b) for name, given, b in tesla]
+        if model == "nv":  # the diagonal, +-gamma B + D, at B_z and at the anchors
+            terms += [(f"{name} + fixed_params.D", given, abs(term) + abs(params["D"]))
+                      for name, given, term in terms[3:]]
+    for n, (name, given, term) in enumerate(terms):
+        if isinstance(term, np.ndarray):  # a swept grid: its first term that is not finite
+            k = int(np.argmin(np.isfinite(term)))
+            terms[n] = (name, float(given[k]), float(term[k]))
     return terms
 
 
@@ -370,7 +385,9 @@ def _grid_stacks(spec: SweepSpec, values: list[float]):
         family, theta, t, offsets = build_scenario(_scenario(spec), variable, grid)
         h = checked_stack(family.value(theta).matrix + offsets, grid, variable)
         return h, family.derivative(theta).matrix, np.full(grid.shape, t)
-    family, theta, t, offset = build_scenario(_scenario(spec), variable, values[0])
+    # A B_z grid is checked whole; the family does not depend on it.
+    value = grid if variable == "B_z" else values[0]
+    family, theta, t, offset = build_scenario(_scenario(spec), variable, value)
     if offset is not None:
         family = shifted_family(family, offset)
     if variable == "t":

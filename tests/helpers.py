@@ -20,7 +20,12 @@ from qfiext import (
     random_hermitian,
     tensor_identity,
 )
-from qfiext.linalg import _canonical_block_basis, degenerate_blocks
+from qfiext.linalg import (
+    DEGENERACY_ATOL,
+    DEGENERACY_RTOL,
+    _canonical_block_basis,
+    degenerate_blocks,
+)
 
 
 def gue(dim: int, rng: np.random.Generator) -> HermitianOperator:
@@ -38,6 +43,23 @@ def polynomial_family(rng: np.random.Generator, dim: int) -> HamiltonianFamily:
         lambda th: HermitianOperator(b + 2.0 * th * c),
         lambda th: HermitianOperator(2.0 * c),
     )
+
+
+def near_degenerate(rng: np.random.Generator, dim: int, scale: float, factor: float):
+    """A random-basis Hermitian matrix with one gap ``factor`` times the degeneracy tolerance.
+
+    At dim >= 3 the gap is interior and the spread is 2 * scale. At dim 2 the
+    gap is the spread, so it sits at the absolute tolerance.
+    """
+    if dim == 2:
+        w = np.array([0.0, DEGENERACY_ATOL * factor])
+    else:
+        w = np.sort(rng.uniform(-scale, scale, dim))
+        w[0], w[-1] = -scale, scale
+        k = int(rng.integers(1, dim - 1))
+        w[k] = w[k - 1] + max(DEGENERACY_RTOL * 2.0 * scale, DEGENERACY_ATOL) * factor
+    basis = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    return (basis * np.sort(w)) @ basis.conj().T
 
 
 def cross_check_cases(rng: np.random.Generator, dims=(2, 3, 4)) -> list:

@@ -656,6 +656,45 @@ def test_overflowing_anchor_over_an_epsilon_grid_names_its_first_value(tmp_path,
     assert run_cli(capsys, "sweep", "--config", str(path)) == (1, "", expected)
 
 
+@pytest.mark.parametrize(
+    "params,expected",
+    [
+        ({}, "error: B_z: the model's term is not finite at 1e+300\n"),
+        ({"D": 1e308}, "error: B_z + fixed_params.D: the model's term is not finite at 1e+297\n"),
+    ],
+)
+def test_overflowing_b_z_grid_exits_one_naming_its_value(tmp_path, capsys, params, expected):
+    stop = 1e297 if params else 1e300
+    run = {"model": "nv", "sweep_variable": "B_z", "fixed_params": {"t": 1e-3, **params},
+           "grid": {"start": 1e-3, "stop": stop, "points": 5, "scale": "log"}}
+    path, out = tmp_path / "run.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(run), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(capsys, "sweep", "--config", str(path), "--out", str(out))
+    assert code == (1, "", expected)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (("--param", "Bz=1e297"), "fixed_params.Bz"),
+        (("--param", "Bz=-1e297"), "fixed_params.Bz"),
+        (("--extension", "subtract:theta0=1e297"), "extension.theta0"),
+        (("--extension", "subtract-perturbed:theta0=0.1,eps=1e297"), "extension.epsilon"),
+    ],
+)
+def test_model_terms_that_overflow_when_added_exit_one_naming_the_fields(capsys, argv, field):
+    value = argv[-1].rsplit("=", 1)[1]
+    expected = f"error: {field} + fixed_params.D: the model's term is not finite at {float(value)!r}\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, "report", "--model", "nv", "--param", "D=1e308", *argv) == (
+            1, "", expected
+        )
+
+
 def test_report_evaluates_the_family_once_and_decomposes_h_once(monkeypatch, capsys):
     calls = {"value": 0, "derivative": 0}
     build_scenario = qfiext.cli.build_scenario

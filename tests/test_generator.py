@@ -2,16 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfiext import (
     DimensionMismatch,
     GeneratorMethod,
     HamiltonianFamily,
     HermitianOperator,
+    ModelError,
+    NonHermitianInput,
     NvParams,
     StepTooSmall,
     broken_phase_shift_family,
     broken_phase_shift_generator_at_zero,
+    channel_qfi,
+    channel_qfi_brute,
     generator_fd,
     generator_quadrature,
     generator_spectral,
@@ -19,6 +25,7 @@ from qfiext import (
     gyromagnetic_ratio,
     seminorm,
     spin1_matrices,
+    tensor_identity,
     DirectionParams,
     direction_family,
 )
@@ -30,6 +37,7 @@ from helpers import (
     cross_check_cases,
     gauss_legendre_loop,
     gue,
+    near_degenerate,
     polynomial_family,
 )
 
@@ -294,3 +302,70 @@ class TestMethodAgreement:
             for i in range(3):
                 for j in range(i + 1, 3):
                     assert np.max(np.abs(results[i] - results[j])) < 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 4),
+        lift=st.booleans(),
+        offset=st.floats(-1e-2, 1e-2),
+    )
+    def test_routes_agree_near_degeneracy(self, seed, dim, lift, offset):
+        # H(theta0) has one eigenvalue gap within 1% of the degeneracy tolerance.
+        rng = np.random.default_rng(seed)
+        a = near_degenerate(rng, dim, 1.0, 1.0 + offset)
+        b, c = gue(dim, rng).matrix, gue(dim, rng).matrix
+        theta0, t = float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.5, 1.5))
+        fam = HamiltonianFamily(
+            dim,
+            lambda th: HermitianOperator(a + (th - theta0) * b + (th - theta0) ** 2 * c),
+            lambda th: HermitianOperator(b + 2.0 * (th - theta0) * c),
+        )
+        if lift:
+            fam = tensor_identity(fam, 2)
+        results = [
+            route(fam, theta0, t).generator.matrix
+            for route in (generator_spectral, generator_quadrature, generator_fd)
+        ]
+        for i in range(3):
+            for j in range(i + 1, 3):
+                assert np.max(np.abs(results[i] - results[j])) < 1e-6
+        brute = channel_qfi_brute(fam, theta0, t, n_starts=4, seed=seed)
+        assert brute <= channel_qfi(fam, theta0, t).channel_qfi + 1e-9
+
+
+class TestSpectralPoint:
+    """The K that a family keeps for its latest (theta, t)."""
+
+    def test_same_bits_hit_and_signed_zero_is_another_point(self):
+        fam = polynomial_family(np.random.default_rng(90), 3)
+        point = generator.spectral_point(fam, 0.2, 0.0)
+        assert generator.spectral_point(fam, 0.2, 0.0) is point
+        negative = generator.spectral_point(fam, 0.2, -0.0)
+        assert negative is not point
+        assert generator.spectral_point(fam, 0.2, -0.0) is negative
+
+    def test_another_t_at_the_same_theta_recomputes(self):
+        fam = polynomial_family(np.random.default_rng(91), 3)
+        first = generator.spectral_point(fam, 0.2, 1.0)
+        second = generator.spectral_point(fam, 0.2, 1.5)
+        assert second is not first
+        assert not np.array_equal(second.gen, first.gen)
+        again = generator.spectral_point(fam, 0.2, 1.0)
+        assert again is not first
+        assert np.array_equal(again.gen, first.gen) and np.array_equal(again.err, first.err)
+
+    def test_overflowing_t_raises_on_every_call(self):
+        fam = nv_family(NvParams(Bz=0.1))
+        for _ in range(2):
+            with pytest.raises(ModelError, match=r"^at t=1e\+300: generator is not finite$"):
+                channel_qfi(fam, 0.1, 1e300)
+            with pytest.raises(NonHermitianInput, match="non-finite entry"):
+                generator_spectral(fam, 0.1, 1e300)
+
+    def test_arrays_are_read_only(self):
+        fam = polynomial_family(np.random.default_rng(92), 3)
+        point = generator.spectral_point(fam, 0.2, 1.0)
+        for array in (point.gen, point.err, *point.eigh, point.operator.matrix):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0

@@ -21,8 +21,15 @@ from qfiext import (
     spin1_matrices,
     variance,
 )
-from qfiext.linalg import DEGENERACY_ATOL, DEGENERACY_RTOL, _fix_phases, eigh_stack, symmetrized
-from helpers import eig_hermitian_reference, fix_phases_by_column, gue, random_state, taylor_expm
+from qfiext.linalg import _fix_phases, eigh_stack, symmetrized
+from helpers import (
+    eig_hermitian_reference,
+    fix_phases_by_column,
+    gue,
+    near_degenerate,
+    random_state,
+    taylor_expm,
+)
 
 SX, SY, SZ = spin1_matrices()
 
@@ -190,23 +197,6 @@ class TestEig:
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def near_degenerate(rng: np.random.Generator, dim: int, scale: float, factor: float):
-    """A random-basis Hermitian matrix with one gap ``factor`` times the degeneracy tolerance.
-
-    At dim >= 3 the gap is interior and the spread is 2 * scale. At dim 2 the
-    gap is the spread, so it sits at the absolute tolerance.
-    """
-    if dim == 2:
-        w = np.array([0.0, DEGENERACY_ATOL * factor])
-    else:
-        w = np.sort(rng.uniform(-scale, scale, dim))
-        w[0], w[-1] = -scale, scale
-        k = int(rng.integers(1, dim - 1))
-        w[k] = w[k - 1] + max(DEGENERACY_RTOL * 2.0 * scale, DEGENERACY_ATOL) * factor
-    basis = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
-    return (basis * np.sort(w)) @ basis.conj().T
 
 
 class TestStackedEig:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qfiext.config as config
-from qfiext import qfi
+from qfiext import generator, qfi
 from qfiext import (
     DimensionMismatch,
     DirectionParams,
@@ -440,15 +440,21 @@ class TestVerifySequence:
             fam.dim, counted("value"), counted("derivative"),
             value_stack=fam.values, derivative_stack=fam.derivatives,
         )
-        decomposed = []
+        decomposed, generators = [], []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: decomposed.append(len(a)) or eigh(a))
+        in_eigenbasis = generator.generator_in_eigenbasis
+        monkeypatch.setattr(
+            generator, "generator_in_eigenbasis",
+            lambda *args: generators.append(len(args[0])) or in_eigenbasis(*args),
+        )
         for call in verify_calls(counted_family, theta, t, index):
             call()
         assert sorted(calls) == [("derivative", theta), ("value", theta)]
-        # H; H at the five finite-difference points; K for channel_qfi and
-        # for the oracle; dH/dtheta for the saturation verdict.
-        assert decomposed == [1, 5, 1, 1, 1]
+        # H; H at the five finite-difference points; K, once for channel_qfi
+        # and the oracle; dH/dtheta for the saturation verdict.
+        assert decomposed == [1, 5, 1, 1]
+        assert generators == [1]
 
 
 class TestBruteForceOracle:
