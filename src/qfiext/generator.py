@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, StepTooSmall
 from .family import DEFAULT_FD_STEP, HamiltonianFamily
-from .linalg import HermitianOperator, UnitaryOperator, _freeze, eig_hermitian, eigh_stack
+from .linalg import HermitianOperator, _freeze, check_unitary, eig_hermitian, eigh_stack
 from .linalg import hermitian_part
 
 QUADRATURE_TARGET_RTOL = 1e-9
@@ -81,12 +81,15 @@ class SpectralPoint:
 def spectral_point(family: HamiltonianFamily, theta: float, t: float) -> SpectralPoint:
     """The ``SpectralPoint`` at (theta, t), kept on the family for its latest theta and t
     by their bits (0.0 and -0.0 differ): ``generator_spectral``, ``channel_qfi`` and
-    ``channel_qfi_brute`` share one K and one decomposition of it per point."""
+    ``channel_qfi_brute`` share one K and one decomposition of it per point. H(theta)
+    and dH/dtheta are decomposed in one ``eig_hermitian`` call, which keeps both, so
+    ``check_saturation`` finds dH/dtheta decomposed."""
     key = (float(theta).hex(), float(t).hex())
     if getattr(family, "_spectral_point", (None,))[0] != key:
-        dec = eig_hermitian(family.value(theta))
-        hdot, ts = family.derivative(theta).matrix, np.array([t], dtype=float)
-        raw = generator_in_eigenbasis(dec.eigenvalues[None], dec.eigenvectors[None], hdot, ts)
+        hdot = family.derivative(theta)
+        dec = eig_hermitian(family.value(theta), hdot)
+        w, v, ts = dec.eigenvalues[None], dec.eigenvectors[None], np.array([t], dtype=float)
+        raw = generator_in_eigenbasis(w, v, hdot.matrix, ts)
         object.__setattr__(family, "_spectral_point", (key, SpectralPoint(*raw)))
     return family._spectral_point[1]
 
@@ -193,9 +196,11 @@ def generator_fd(
     """Generator by central differences of the evolution operator.
 
     Error is estimated by Richardson comparison with step h/2: for a
-    second-order scheme err(h) ~ (4/3) |K(h) - K(h/2)|. H at the five points
-    is decomposed in one ``eigh_stack`` call; each unitary keeps the bits of
-    ``expm_unitary`` and its ``UnitaryOperator`` check.
+    second-order scheme err(h) ~ (4/3) |K(h) - K(h/2)|. H(theta)'s
+    decomposition is ``eig_hermitian``'s, which the spectral route keeps; H
+    at the four shifted points is decomposed in one ``eigh_stack`` call. The
+    five unitaries are formed as one stack, with the bits of
+    ``expm_unitary``, and pass ``check_unitary`` as one stack.
     """
     if h is None:
         h = DEFAULT_FD_STEP * max(1.0, abs(theta))
@@ -204,10 +209,12 @@ def generator_fd(
             f"step {h!r} below safe floor {FD_MIN_STEP_FACTOR * max(1.0, abs(theta)):.3e}"
         )
     half = h / 2.0
-    hs = family.values([theta, theta + h, theta - h, theta + half, theta - half])
-    w, v = eigh_stack(np.broadcast_to(hs, (5, family.dim, family.dim)))
+    dec = eig_hermitian(family.value(theta))
+    hs = family.values([theta + h, theta - h, theta + half, theta - half])
+    w, v = eigh_stack(np.broadcast_to(hs, (4, family.dim, family.dim)))
+    w, v = np.concatenate([dec.eigenvalues[None], w]), np.concatenate([dec.eigenvectors[None], v])
     stack = (v * np.exp(-1j * t * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    u0, up, um, uph, umh = (UnitaryOperator(u).matrix for u in stack)
+    u0, up, um, uph, umh = check_unitary(stack)
 
     def central(plus: np.ndarray, minus: np.ndarray, step: float) -> np.ndarray:
         return 1j * u0.conj().T @ (plus - minus) / (2.0 * step)

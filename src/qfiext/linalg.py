@@ -115,18 +115,27 @@ class HermitianOperator:
         return self.matrix.shape[0]
 
 
+def check_unitary(m: np.ndarray) -> np.ndarray:
+    """``m``, one matrix (d, d) or a stack (N, d, d), if each is unitary within 1e-10.
+
+    Raises DimensionMismatch giving max |U^dag U - 1| of the first matrix that is not.
+    """
+    defects = np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1))
+    bad = np.flatnonzero(defects > 1e-10)
+    if bad.size:
+        defect = float(defects.flat[bad[0]])
+        raise DimensionMismatch(f"matrix is not unitary: max |U^dag U - 1| = {defect:.3e}")
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class UnitaryOperator:
-    """Immutable unitary matrix (U^dag U = 1 within 1e-10)."""
+    """Immutable unitary matrix (U^dag U = 1 within 1e-10, ``check_unitary``)."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _square_complex(self.matrix)
-        defect = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
-        if defect > 1e-10:
-            raise DimensionMismatch(f"matrix is not unitary: max |U^dag U - 1| = {defect:.3e}")
-        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "matrix", _freeze(check_unitary(_square_complex(self.matrix))))
 
     @property
     def dim(self) -> int:
@@ -237,17 +246,20 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * phase.reshape(vectors.shape[:-2] + (1, d))
 
 
-def eig_hermitian(a: HermitianOperator) -> EigenDecomposition:
+def eig_hermitian(a: HermitianOperator, *others: HermitianOperator) -> EigenDecomposition:
     """``eigh_stack`` of the one matrix of ``a``, as a frozen ``EigenDecomposition``.
 
-    The decomposition is kept on ``a``, so an operator is decomposed at most once.
+    The decomposition is kept on ``a``, so an operator is decomposed at most
+    once. ``others``, operators of ``a``'s dimension, are decomposed in the
+    same ``eigh_stack`` call where they have no kept decomposition, and keep
+    theirs too.
     """
-    dec = getattr(a, "_eig", None)
-    if dec is None:
-        w, v = eigh_stack(a.matrix[None])
-        dec = EigenDecomposition(_freeze(w[0]), _freeze(v[0]))
-        object.__setattr__(a, "_eig", dec)
-    return dec
+    todo = [op for op in (a, *others) if getattr(op, "_eig", None) is None]
+    if todo:
+        w, v = eigh_stack(np.array([op.matrix for op in todo]))
+        for op, wn, vn in zip(todo, w, v):
+            object.__setattr__(op, "_eig", EigenDecomposition(_freeze(wn), _freeze(vn)))
+    return a._eig
 
 
 def eigh_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -190,10 +190,13 @@ def check_saturation(
     both extremal eigenvectors are eigenvectors of H(theta) (residual below
     ``tol * ||H||``). With degenerate extremal eigenvalues only a sufficient
     condition is checked: some eigenvector of H lies in the maximal
-    eigenspace of dH/dtheta and another in the minimal one.
+    eigenspace of dH/dtheta and another in the minimal one; all of H's
+    eigenvectors are projected onto each eigenspace with one product and
+    one column norm. H and dH/dtheta are decomposed in one ``eig_hermitian``
+    call unless ``spectral_point`` has decomposed them at theta already.
     """
-    operator = family.value(theta)
-    hdec, ddec = eig_hermitian(operator), eig_hermitian(family.derivative(theta))
+    operator, hdot = family.value(theta), family.derivative(theta)
+    hdec, ddec = eig_hermitian(operator, hdot), eig_hermitian(hdot)
     h, w, v = operator.matrix, hdec.eigenvalues, hdec.eigenvectors
     blocks = degenerate_blocks(ddec.eigenvalues)
     low, high = blocks[0], blocks[-1]
@@ -210,18 +213,15 @@ def check_saturation(
         status = SaturationStatus.SATURATES if ok else SaturationStatus.NOT_SATURATING
         return SaturationVerdict(status, (low[0], high[0]))
 
-    # Degenerate extremal eigenvalues (or dH/dtheta proportional to identity).
-    max_span = ddec.eigenvectors[:, high.start : high.stop]
-    min_span = ddec.eigenvectors[:, low.start : low.stop]
-    in_max = in_min = None
-    for k in range(w.shape[0]):
-        u = v[:, k]
-        if in_max is None and float(np.linalg.norm(max_span.conj().T @ u)) > 1.0 - tol:
-            in_max = k
-        if in_min is None and float(np.linalg.norm(min_span.conj().T @ u)) > 1.0 - tol:
-            in_min = k
-    if in_max is not None and in_min is not None and (len(blocks) == 1 or in_max != in_min):
-        return SaturationVerdict(SaturationStatus.DEGENERATE_SUFFICIENT_HOLDS, (in_max, in_min))
+    # Degenerate extremal eigenvalues (or dH/dtheta proportional to identity):
+    # [k] for the first eigenvector of H within the block's eigenspace, or [].
+    def first_inside(block: range) -> list:
+        span = ddec.eigenvectors[:, block.start : block.stop]
+        return np.flatnonzero(np.linalg.norm(span.conj().T @ v, axis=0) > 1.0 - tol)[:1].tolist()
+
+    in_max, in_min = first_inside(high), first_inside(low)
+    if in_max and in_min and (len(blocks) == 1 or in_max != in_min):
+        return SaturationVerdict(SaturationStatus.DEGENERATE_SUFFICIENT_HOLDS, (*in_max, *in_min))
     return SaturationVerdict(SaturationStatus.DEGENERATE_INCONCLUSIVE)
 
 
@@ -237,14 +237,6 @@ def channel_qfi_and_saturation(
     return channel_qfi(family, theta, t), check_saturation(family, theta)
 
 
-def _score(stacked: np.ndarray, x: np.ndarray, block: tuple) -> None:
-    """[Kx; K^2 x; mean; Var] of the columns of ``x`` into ``block``, a block and its row views."""
-    _, both, kx, _, mean, var = block
-    np.matmul(stacked, x, out=both)
-    np.vecdot(x, kx, axis=0, out=mean)
-    np.maximum(np.vecdot(kx, kx, axis=0) - mean * mean, 0.0, out=var)
-
-
 def _ascend(gen: np.ndarray, psi: np.ndarray) -> float:
     """Projected gradient ascent of 4 Var(gen) on the unit sphere from every column of ``psi``.
 
@@ -255,35 +247,49 @@ def _ascend(gen: np.ndarray, psi: np.ndarray) -> float:
     In real arithmetic: a + ib is [a; b] and gen = R + iI is [[R, -I], [I, R]].
     One product with [gen; gen^2] serves the gradient and the candidate's
     value. The gradient is taken as an eighth with an eightfold step and Var
-    without its factor 4: exact powers of two. A state, and a candidate in the
-    same layout, is F-ordered ``x`` and a C-ordered ``_score`` block; when
-    every column takes its candidate, the two swap instead of being copied.
-    No layout may change: ``vecdot`` gets other bits from another BLAS kernel
-    when both of its operands have unit stride.
+    without its factor 4: exact powers of two, as are 2 mean = mean + mean
+    and a step divided by 1 or 2. Every temporary of a step is a buffer
+    allocated before the loop and written with ``out=``. A state, and a
+    candidate in the same layout, is F-ordered ``x`` and a C-ordered block
+    [Kx; K^2 x; mean; Var] with its row views; the start is scored as the
+    first candidate and taken. When every column takes its candidate, the
+    two swap instead of being copied. No layout may change: ``grad`` is
+    C-ordered, and ``vecdot`` gets other bits from another BLAS kernel when
+    both of its operands have unit stride.
     """
-    d2 = 2 * psi.shape[0]
+    d2, n = 2 * psi.shape[0], psi.shape[1]
     k = np.block([[gen.real, -gen.imag], [gen.imag, gen.real]])
     stacked = np.concatenate([k, k @ k])
-    x = np.concatenate([psi.real, psi.imag])
-    cand, blocks = np.empty_like(x), np.empty((2, 2 * d2 + 2, psi.shape[1]))
+    cand = np.concatenate([psi.real, psi.imag])
+    x, proj, grad = np.empty_like(cand), np.empty_like(cand), np.empty((d2, n))
+    blocks = np.empty((2, 2 * d2 + 2, n))
+    coef, norm, kxkx, mean2, divisor = np.empty((5, n))
     state, trial = ((b, b[: 2 * d2], b[:d2], b[d2 : 2 * d2], b[-2], b[-1]) for b in blocks)
-    _score(stacked, x, state)
-    step = np.full(psi.shape[1], 8.0 * _ASCENT_INITIAL_STEP)
-    for _ in range(_ASCENT_ITERATIONS):
-        _, _, kx, k2x, mean, var = state
-        grad = k2x - 2.0 * mean * kx
-        grad -= np.vecdot(x, grad, axis=0) * x  # tangent projection
-        np.multiply(step, grad, out=cand)
-        cand += x
-        cand /= np.sqrt(np.vecdot(cand, cand, axis=0))
-        _score(stacked, cand, trial)
-        better = trial[-1] > var
-        if better.all():
+    better = np.empty(n, dtype=bool)
+    step = np.full(n, 8.0 * _ASCENT_INITIAL_STEP)
+    for iteration in range(_ASCENT_ITERATIONS + 1):
+        if iteration:
+            _, _, kx, k2x, mean, _ = state
+            np.add(mean, mean, out=coef)
+            np.multiply(coef, kx, out=grad)
+            np.subtract(k2x, grad, out=grad)
+            np.multiply(np.vecdot(x, grad, axis=0, out=coef), x, out=proj)
+            grad -= proj  # tangent projection
+            np.multiply(step, grad, out=cand)
+            cand += x
+            cand /= np.sqrt(np.vecdot(cand, cand, axis=0, out=norm), out=norm)
+        block, both, kx, _, mean, var = trial
+        np.matmul(stacked, cand, out=both)
+        np.vecdot(cand, kx, axis=0, out=mean)
+        np.vecdot(kx, kx, axis=0, out=kxkx)
+        np.subtract(kxkx, np.multiply(mean, mean, out=mean2), out=kxkx)
+        np.maximum(kxkx, 0.0, out=var)
+        if not iteration or np.count_nonzero(np.greater(var, state[-1], out=better)) == n:
             x, cand, state, trial = cand, x, trial, state
         else:
             np.copyto(x, cand, where=better)
-            np.copyto(state[0], trial[0], where=better)
-            np.divide(step, 2.0, out=step, where=~better)
+            np.copyto(state[0], block, where=better)
+            np.divide(step, np.subtract(2.0, better, out=divisor), out=step)
     return 4.0 * float(state[-1].max())
 
 

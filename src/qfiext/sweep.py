@@ -90,8 +90,10 @@ _EXTENSION_FIELDS = {
     "sz": {"kappa": None},
 }
 _EXTENSION_TYPES = {"flood": Flood, "subtract": Subtract, "subtract-perturbed": SubtractPerturbed}
-# The field that scales each kind's added term, named when that term overflows.
-_SCALE_FIELDS = {"flood": "beta", "add-operator": "epsilon", "sz": "kappa"}
+# The field that sets each kind's added term, named when that term, or its sum
+# with the model's H, overflows.
+_SCALE_FIELDS = {"flood": "beta", "add-operator": "epsilon", "sz": "kappa",
+                 "subtract": "theta0", "subtract-perturbed": "epsilon"}
 _SWEEPABLES = {
     "nv": ("B_z", "t", "beta", "epsilon"),
     "direction": ("theta", "t", "beta", "kappa", "epsilon"),
@@ -273,14 +275,18 @@ def build_scenario(scenario: dict, swept: Optional[str] = None, value=None):
     ``theta``. A file family or operator file is loaded once here. An added
     term that overflows raises InvalidSpec naming ``extension.beta``,
     ``extension.epsilon`` or ``extension.kappa``, and a model term that
-    overflows (``_model_terms``), over the whole grid, names its field.
+    overflows (``_model_terms``), over the whole grid, names its field. So
+    does an offset that can overflow H(theta) when added: a model term of H
+    plus the offset's largest real or imaginary part that is not finite
+    names ``extension.<field> + <term>``.
     """
     model, params, kind, fields = validate_scenario(scenario, swept)
     if swept in ("B_z", "theta", "t"):
         params["Bz" if swept == "B_z" else swept] = value
     elif swept is not None:
         fields[swept] = value
-    for name, given, term in _model_terms(model, params, kind, fields, swept):
+    terms = _model_terms(model, params, kind, fields, swept)
+    for name, given, term in terms:
         if not math.isfinite(term):
             raise InvalidSpec(f"{name}: the model's term is not finite at {given!r}")
     if model == "nv":  # B_z is the family's theta; nv_family does not read NvParams.Bz
@@ -303,6 +309,13 @@ def build_scenario(scenario: dict, swept: Optional[str] = None, value=None):
         offset = extension_offset(family, spec)
     except OverflowError as exc:  # raised only by a kind with a scaled term
         raise InvalidSpec(f"extension.{_SCALE_FIELDS[kind]}: {exc}") from exc
+    # A real or imaginary part of an entry of H(theta) is at most one of its terms
+    # (an anchor's terms bound the offset instead), and of the offset at most its largest.
+    largest = float(max(np.abs(offset.real).max(), np.abs(offset.imag).max())) if terms else 0.0
+    for name, _, term in terms:
+        if not name.startswith("extension.") and not math.isfinite(abs(term) + largest):
+            raise InvalidSpec(f"extension.{_SCALE_FIELDS[kind]} + {name}: "
+                              "the added term plus the model's term is not finite")
     return family, theta, params["t"], offset
 
 
@@ -312,10 +325,12 @@ def _model_terms(model: str, params: dict, kind, fields: dict, swept=None) -> li
     A term is gamma (rad/(s T)) or gamma times a field in Tesla; spin-matrix
     entries are at most 1. On ``nv``, H's diagonal adds D to gamma B_z, and
     to gamma times a subtract anchor, so each of those also gives the term
-    |gamma B| + |D|, named ``<field> + fixed_params.D``. A swept ``B_z`` (named
-    ``B_z``) or ``epsilon`` is its (N,) grid: its terms are formed under
-    errstate, as ``extensions._scaled`` forms its term, and the first grid
-    value whose term is not finite (else the first) is kept.
+    |gamma B| + |D|, named ``<field> + fixed_params.D``, and E sets the last
+    term; the real and imaginary parts of H's entries are at most its terms
+    that are not an anchor's. A swept ``B_z`` (named ``B_z``) or ``epsilon``
+    is its (N,) grid: its terms are formed under errstate, as
+    ``extensions._scaled`` forms its term, and the first grid value whose
+    term is not finite (else the largest term's) is kept.
     """
     if model not in ("nv", "direction"):
         return []
@@ -338,9 +353,10 @@ def _model_terms(model: str, params: dict, kind, fields: dict, swept=None) -> li
         if model == "nv":  # the diagonal, +-gamma B + D, at B_z and at the anchors
             terms += [(f"{name} + fixed_params.D", given, abs(term) + abs(params["D"]))
                       for name, given, term in terms[3:]]
+            terms.append(("fixed_params.E", params["E"], params["E"]))
     for n, (name, given, term) in enumerate(terms):
-        if isinstance(term, np.ndarray):  # a swept grid: its first term that is not finite
-            k = int(np.argmin(np.isfinite(term)))
+        if isinstance(term, np.ndarray):  # a swept grid: the first term that is not finite
+            k = int(np.argmax(np.where(np.isfinite(term), np.abs(term), np.inf)))
             terms[n] = (name, float(given[k]), float(term[k]))
     return terms
 

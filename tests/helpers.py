@@ -20,6 +20,7 @@ from qfiext import (
     random_hermitian,
     tensor_identity,
 )
+from qfiext import qfi
 from qfiext.linalg import (
     DEGENERACY_ATOL,
     DEGENERACY_RTOL,
@@ -117,6 +118,58 @@ def verify_calls(fam, theta: float, t: float, index: int) -> list:
         lambda: np.float64(channel_qfi_brute(fam, theta, t, n_starts=8, seed=index)).tobytes(),
         lambda: _verdict_bytes(check_saturation(fam, theta)),
     ]
+
+
+# The oracle's ascent as it was before its temporaries moved into buffers:
+# the reference whose float bytes ``qfi._ascend`` must keep.
+def reference_score(stacked: np.ndarray, x: np.ndarray, block: tuple) -> None:
+    """[Kx; K^2 x; mean; Var] of the columns of ``x`` into ``block``, a block and its row views."""
+    _, both, kx, _, mean, var = block
+    np.matmul(stacked, x, out=both)
+    np.vecdot(x, kx, axis=0, out=mean)
+    np.maximum(np.vecdot(kx, kx, axis=0) - mean * mean, 0.0, out=var)
+
+
+def reference_ascend(gen: np.ndarray, psi: np.ndarray) -> float:
+    """Projected gradient ascent of 4 Var(gen) on the unit sphere from every column of ``psi``.
+
+    The (d, n) block's columns are independent starts that step together.
+    Each keeps its own step: a column takes its candidate where that raises
+    its value and halves its step elsewhere. Returns the best value found.
+
+    In real arithmetic: a + ib is [a; b] and gen = R + iI is [[R, -I], [I, R]].
+    One product with [gen; gen^2] serves the gradient and the candidate's
+    value. The gradient is taken as an eighth with an eightfold step and Var
+    without its factor 4: exact powers of two. A state, and a candidate in the
+    same layout, is F-ordered ``x`` and a C-ordered ``reference_score`` block; when
+    every column takes its candidate, the two swap instead of being copied.
+    No layout may change: ``vecdot`` gets other bits from another BLAS kernel
+    when both of its operands have unit stride.
+    """
+    d2 = 2 * psi.shape[0]
+    k = np.block([[gen.real, -gen.imag], [gen.imag, gen.real]])
+    stacked = np.concatenate([k, k @ k])
+    x = np.concatenate([psi.real, psi.imag])
+    cand, blocks = np.empty_like(x), np.empty((2, 2 * d2 + 2, psi.shape[1]))
+    state, trial = ((b, b[: 2 * d2], b[:d2], b[d2 : 2 * d2], b[-2], b[-1]) for b in blocks)
+    reference_score(stacked, x, state)
+    step = np.full(psi.shape[1], 8.0 * qfi._ASCENT_INITIAL_STEP)
+    for _ in range(qfi._ASCENT_ITERATIONS):
+        _, _, kx, k2x, mean, var = state
+        grad = k2x - 2.0 * mean * kx
+        grad -= np.vecdot(x, grad, axis=0) * x  # tangent projection
+        np.multiply(step, grad, out=cand)
+        cand += x
+        cand /= np.sqrt(np.vecdot(cand, cand, axis=0))
+        reference_score(stacked, cand, trial)
+        better = trial[-1] > var
+        if better.all():
+            x, cand, state, trial = cand, x, trial, state
+        else:
+            np.copyto(x, cand, where=better)
+            np.copyto(state[0], trial[0], where=better)
+            np.divide(step, 2.0, out=step, where=~better)
+    return 4.0 * float(state[-1].max())
 
 
 def commuting_family(rng: np.random.Generator, dim: int) -> HamiltonianFamily:

@@ -695,6 +695,40 @@ def test_model_terms_that_overflow_when_added_exit_one_naming_the_fields(capsys,
         )
 
 
+_OFFSET_OVERFLOW = "the added term plus the model's term is not finite"
+
+
+@pytest.mark.parametrize(
+    "argv,fields",
+    [
+        (("--param", "D=1e308", "--extension", "flood:beta=1e297"),
+         "extension.beta + fixed_params.Bz + fixed_params.D"),
+        (("--param", "Bz=1e297", "--extension", "subtract:theta0=-1e297"),
+         "extension.theta0 + fixed_params.Bz"),
+    ],
+)
+def test_extension_offset_that_overflows_h_exits_one_naming_the_fields(capsys, argv, fields):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, "report", "--model", "nv", *argv) == (
+            1, "", f"error: {fields}: {_OFFSET_OVERFLOW}\n"
+        )
+
+
+def test_extension_offset_that_overflows_h_over_a_b_z_grid_exits_one(tmp_path, capsys):
+    run = {"model": "nv", "sweep_variable": "B_z", "fixed_params": {"t": 1e-3, "D": 1e308},
+           "extension": {"kind": "flood", "beta": 1e297},
+           "grid": {"start": 1e-3, "stop": 1.0, "points": 3, "scale": "log"}}
+    path, out = tmp_path / "run.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(run), encoding="utf-8")
+    expected = f"error: extension.beta + B_z + fixed_params.D: {_OFFSET_OVERFLOW}\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(capsys, "sweep", "--config", str(path), "--out", str(out))
+    assert code == (1, "", expected)
+    assert not out.exists()
+
+
 def test_report_evaluates_the_family_once_and_decomposes_h_once(monkeypatch, capsys):
     calls = {"value": 0, "derivative": 0}
     build_scenario = qfiext.cli.build_scenario
@@ -731,7 +765,7 @@ def test_report_evaluates_the_family_once_and_decomposes_h_once(monkeypatch, cap
 
 
 def test_report_makes_three_decompositions_and_one_eigenvalue_pass(monkeypatch, capsys):
-    # eigh: H and K through eigh_stack, dH/dtheta through eig_hermitian; eigvalsh: the bound.
+    # eigh: H with dH/dtheta through eig_hermitian, then K; eigvalsh: the bound.
     calls = {"eigh": 0, "eigvalsh": 0}
 
     def counted(name):
@@ -747,7 +781,7 @@ def test_report_makes_three_decompositions_and_one_eigenvalue_pass(monkeypatch, 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh"))
     code, _, _ = run_cli(capsys, "report", "--model", "direction", "--param", "B=1e-9")
     assert code == 0
-    assert calls == {"eigh": 3, "eigvalsh": 1}
+    assert calls == {"eigh": 2, "eigvalsh": 1}
 
 
 class TestNonFiniteFamilyFile:

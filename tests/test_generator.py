@@ -14,6 +14,7 @@ from qfiext import (
     NonHermitianInput,
     NvParams,
     StepTooSmall,
+    UnitaryOperator,
     broken_phase_shift_family,
     broken_phase_shift_generator_at_zero,
     channel_qfi,
@@ -243,6 +244,23 @@ class TestFiniteDifference:
             reference = HermitianOperator(hermitian_part(full)).matrix
             assert res.generator.matrix.tobytes() == reference.tobytes()
             assert res.estimated_error == err
+
+
+    def test_rejects_a_non_unitary_evolution(self, monkeypatch):
+        # Eigenvectors scaled by 1.001 at the four shifted points: the first
+        # unitary that fails is U(theta + h), with UnitaryOperator's message.
+        fam = polynomial_family(np.random.default_rng(25), 3)
+        theta, t = 0.3, 1.2
+        w, v = eigh_stack(fam.value(theta + DEFAULT_FD_STEP).matrix[None])
+        u = (1.001 * v[0] * np.exp(-1j * t * w[0])) @ (1.001 * v[0]).conj().T
+        with pytest.raises(DimensionMismatch) as expected:
+            UnitaryOperator(u)
+        monkeypatch.setattr(
+            generator, "eigh_stack", lambda m: (lambda w, v: (w, 1.001 * v))(*eigh_stack(m))
+        )
+        with pytest.raises(DimensionMismatch) as raised:
+            generator_fd(fam, theta, t)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestBrokenPhaseShiftGenerator:

@@ -39,7 +39,9 @@ from qfiext import (
     upper_bound,
 )
 from qfiext.qfi import channel_qfi_and_saturation, channel_qfi_stack
-from helpers import commuting_family, cross_check_cases, gue, polynomial_family, verify_calls
+from helpers import (
+    commuting_family, cross_check_cases, gue, polynomial_family, reference_ascend, verify_calls,
+)
 from qfiext.errors import ModelError
 
 SX, SY, SZ = spin1_matrices()
@@ -381,9 +383,8 @@ class TestSharedPointPass:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         channel_qfi_and_saturation(fam, 0.3, 1.1)
         assert calls == {"value": 1, "derivative": 1}
-        # H once; K, and dH/dtheta for the verdict's eigenvectors, once each.
-        assert decomposed.count(True) == 1
-        assert len(decomposed) == 3
+        # H with dH/dtheta (the verdict's eigenvectors) in one stack, then K.
+        assert decomposed == [True, False]
 
     def test_overflowing_generator_names_t_before_eigh(self):
         fam = nv_family(NvParams(Bz=0.1))
@@ -451,9 +452,9 @@ class TestVerifySequence:
         for call in verify_calls(counted_family, theta, t, index):
             call()
         assert sorted(calls) == [("derivative", theta), ("value", theta)]
-        # H; H at the five finite-difference points; K, once for channel_qfi
-        # and the oracle; dH/dtheta for the saturation verdict.
-        assert decomposed == [1, 5, 1, 1]
+        # H with dH/dtheta (kept for the saturation verdict); H at the four
+        # shifted finite-difference points; K, once for channel_qfi and the oracle.
+        assert decomposed == [2, 4, 1]
         assert generators == [1]
 
 
@@ -594,6 +595,27 @@ class TestBatchedOracleMatchesPerStartLoop:
             expected = psi / np.linalg.norm(psi)
             np.testing.assert_allclose(blocks[0][:, k], expected, rtol=0, atol=1e-15)
 
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 8),
+    n_starts=st.integers(1, 8),
+    lifted=st.booleans(),
+)
+def test_ascent_has_the_bytes_of_the_reference(seed, dim, n_starts, lifted):
+    # GUE generators, lifted onto a 2-dim ancilla (dimension 2-8) as
+    # tensor_identity lifts them, and starts drawn as channel_qfi_brute draws them.
+    rng = np.random.default_rng(seed)
+    gen = random_hermitian((dim + 1) // 2 if lifted else dim, rng)
+    if lifted:
+        constant = HamiltonianFamily.from_formulas(gen.dim, gen, gen)
+        gen = tensor_identity(constant, 2).value(0.0)
+    z = rng.standard_normal((n_starts, 2, gen.dim))
+    starts = (z[:, 0] + 1j * z[:, 1]).T
+    starts /= np.linalg.norm(starts, axis=0)
+    found = np.float64(qfi._ascend(gen.matrix, starts)).tobytes()
+    assert found == np.float64(reference_ascend(gen.matrix, starts)).tobytes()
 
 def test_ascent_alone_reaches_the_seminorm_on_criterion_7_cases(monkeypatch):
     # channel_qfi_brute seeds its maximum with the exact maximiser, so only
