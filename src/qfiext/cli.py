@@ -22,7 +22,7 @@ from pathlib import Path
 from .errors import InvalidSpec, ModelError, QfiextError
 from .extensions import shifted_family
 from .familyfile import validate_file
-from .qfi import channel_qfi_and_saturation
+from .qfi import channel_qfi, check_saturation
 from .sweep import (
     MODELS,
     Preset,
@@ -142,7 +142,7 @@ def _cmd_report(args) -> int:
     if offset is not None:
         family = shifted_family(family, offset)
 
-    report, verdict = channel_qfi_and_saturation(family, theta, t)
+    report, verdict = channel_qfi(family, theta, t), check_saturation(family, theta)
     probe = [[float(a.real), float(a.imag)] for a in report.optimal_probe.amplitudes]
     doc = {
         "model": args.model,

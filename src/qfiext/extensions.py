@@ -22,8 +22,8 @@ from typing import Union
 import numpy as np
 
 from .errors import DegenerateExtremalEigenvalues, DimensionMismatch
-from .family import HamiltonianFamily, checked_stack, factor
-from .linalg import HermitianOperator, commutator, degenerate_blocks, eig_hermitian
+from .family import HamiltonianFamily, _formula_family, factor, hermitian_stack
+from .linalg import HermitianOperator, as_hermitian, commutator, degenerate_blocks, eig_hermitian
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,17 @@ def _require_finite(**values):
 
 
 def shifted_family(family: HamiltonianFamily, offset: np.ndarray) -> HamiltonianFamily:
-    """``family`` with the fixed (d, d) matrix ``offset`` added to its value."""
+    """``family`` with the fixed (d, d) matrix ``offset`` added to its value.
+
+    ``offset`` is Hermitian (``extension_offset`` forms it from checked
+    operators), so the sum is not tested for asymmetry (``hermitized``).
+    """
 
     def value(theta: float) -> HermitianOperator:
-        return HermitianOperator(family.value(theta).matrix + offset)
+        return as_hermitian(family.value(theta).matrix + offset)
 
     def values(thetas: np.ndarray) -> np.ndarray:
-        return checked_stack(family.values(thetas) + offset, thetas)
+        return hermitian_stack(family.values(thetas) + offset, thetas)
 
     return HamiltonianFamily(
         family.dim,
@@ -120,7 +124,7 @@ def tensor_identity(family: HamiltonianFamily, ancilla_dim: int) -> HamiltonianF
         return formula
 
     second = None if family.second_derivative is None else lift(family.second_derivative)
-    return HamiltonianFamily.from_formulas(
+    return _formula_family(
         n, lift(family.value, family.values), lift(family.derivative, family.derivatives), second
     )
 

@@ -1,22 +1,23 @@
 """Differentiable Hamiltonian families theta -> HermitianOperator.
 
 A family bundles a value map with its first (and optionally second)
-parametric derivative. Derivative maps are analytic where the model provides
-them and central finite differences otherwise. All maps must be stateless
-and return identical matrices for identical arguments. A family relies on
-that: ``value`` and ``derivative`` each remember their latest point
-evaluation and return it, without calling the map, for the same theta.
+parametric derivative; each call of a map evaluates it. Derivative maps are
+analytic where the model provides them and central finite differences
+otherwise. The single-point routes (the three generators, ``channel_qfi``,
+the oracle and ``check_saturation``) share the family's ``point(theta)``:
+H(theta) and dH/dtheta evaluated once, with their decomposition.
 
-A family also evaluates a whole grid at once: ``values(thetas)`` and
-``derivatives(thetas)`` return checked (N, d, d) stacks, or one (d, d)
-matrix when the matrix does not depend on theta. Families built by
-``HamiltonianFamily.from_formulas`` (every model, file family and
-extension) compute a stack in one numpy expression, from the same
-shape-generic formula as their scalar maps, so ``values(thetas)[n]`` has the
-bits of ``value(thetas[n]).matrix``. A family built from scalar maps alone
-evaluates a grid one theta at a time, leaving the remembered points as they
-are. A sweep evaluates each map once per run on its whole grid, or once at a
-single theta when the swept variable does not enter it.
+``values(thetas)`` and ``derivatives(thetas)`` evaluate a whole grid: (N, d,
+d) stacks, or one (d, d) matrix when the matrix does not depend on theta.
+Formula families (every model, file family and extension) compute a stack
+in one numpy expression from the same formula as their scalar maps, so
+``values(thetas)[n]`` has the bits of ``value(thetas[n]).matrix``; a family
+built from scalar maps alone evaluates a grid one theta at a time.
+
+Hermiticity is checked where matrices enter: by ``HermitianOperator`` in
+user-built maps and for every matrix of ``from_formulas``. The toolkit's own
+formulas combine checked operators with real coefficients, so they are
+Hermitian by construction and skip the asymmetry test (``hermitized``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import HermitianOperator, symmetrized
+from .linalg import HermitianOperator, _freeze, as_hermitian, eigh_stack, hermitized, symmetrized
 
 MatrixFn = Callable[[float], HermitianOperator]
 StackFn = Callable[[np.ndarray], np.ndarray]
@@ -45,13 +46,24 @@ DERIVATIVE_CHECK_TOL = 1e-6
 DERIVATIVE_CHECK_STEP = 1e-5
 
 
+class Point:
+    """H(theta) and dH/dtheta at one theta, and their decomposition from one ``eigh_stack``.
+
+    ``eigenvalues`` (2, d) and ``eigenvectors`` (2, d, d), read-only, hold
+    H's at index 0 and dH/dtheta's at index 1. ``at_t`` is
+    ``generator.spectral_point``'s ``(t's bits, K)`` for the latest t.
+    """
+
+    def __init__(self, key: str, value: HermitianOperator, derivative: HermitianOperator):
+        self.key, self.value, self.derivative = key, value, derivative
+        w, v = eigh_stack(np.array([value.matrix, derivative.matrix]))
+        self.eigenvalues, self.eigenvectors = _freeze(w), _freeze(v)
+        self.at_t = (None, None)
+
+
 @dataclass(frozen=True, eq=False)
 class HamiltonianFamily:
-    """H(theta) and its derivatives; ``value`` and ``derivative`` remember their latest point.
-
-    The same theta (the same bits: 0.0 and -0.0 differ) gets the same
-    ``HermitianOperator`` back; a call that raises is not remembered.
-    """
+    """H(theta) and its derivatives, with the ``point`` of its latest theta."""
 
     dim: int
     value: MatrixFn
@@ -60,13 +72,11 @@ class HamiltonianFamily:
     # Grid evaluators behind values()/derivatives(); None evaluates point by point.
     value_stack: Optional[StackFn] = field(default=None, kw_only=True, repr=False)
     derivative_stack: Optional[StackFn] = field(default=None, kw_only=True, repr=False)
+    _latest: Optional[Point] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise DimensionMismatch(f"dimension must be >= 1, got {self.dim}")
-        for name in ("value", "derivative"):
-            object.__setattr__(self, f"_{name}_map", getattr(self, name))
-            object.__setattr__(self, name, _remember_latest(getattr(self, name)))
 
     @classmethod
     def from_formulas(
@@ -76,37 +86,32 @@ class HamiltonianFamily:
         derivative: Formula,
         second_derivative: Optional[Formula] = None,
     ) -> "HamiltonianFamily":
-        """Family whose scalar maps and grid evaluators share shape-generic formulas."""
-        return cls(
-            dim,
-            _scalar_map(value),
-            _scalar_map(derivative),
-            None if second_derivative is None else _scalar_map(second_derivative),
-            value_stack=_stack_map(value),
-            derivative_stack=_stack_map(derivative),
-        )
+        """Family whose scalar maps and grid evaluators share shape-generic formulas.
+
+        Every matrix is checked as ``HermitianOperator`` checks it; a grid's
+        failure names its first offending theta.
+        """
+        return _formula_family(dim, value, derivative, second_derivative, checked=True)
+
+    def point(self, theta: float) -> Point:
+        """The ``Point`` at theta, kept for the latest theta by its bits (0.0 and -0.0 differ).
+
+        A map or decomposition that raises leaves the kept point as it is.
+        """
+        key = float(theta).hex()
+        point = self._latest
+        if point is None or point.key != key:
+            point = Point(key, self.value(theta), self.derivative(theta))
+            object.__setattr__(self, "_latest", point)
+        return point
 
     def values(self, thetas) -> np.ndarray:
-        """Checked H(theta) over a grid: (N, d, d), or (d, d) if H does not depend on theta."""
-        return _evaluate(self._value_map, self.value_stack, thetas)
+        """H(theta) over a grid: (N, d, d), or (d, d) if H does not depend on theta."""
+        return _evaluate(self.value, self.value_stack, thetas)
 
     def derivatives(self, thetas) -> np.ndarray:
-        """Checked dH/dtheta over a grid: (N, d, d), or (d, d) if it does not depend on theta."""
-        return _evaluate(self._derivative_map, self.derivative_stack, thetas)
-
-
-def _remember_latest(fn: MatrixFn) -> MatrixFn:
-    """``fn`` returning its latest result again for a theta with the same bits."""
-    latest = (None, None)
-
-    def remembered(theta):
-        nonlocal latest
-        key = float(theta).hex()
-        if latest[0] != key:
-            latest = (key, fn(theta))
-        return latest[1]
-
-    return remembered
+        """dH/dtheta over a grid: (N, d, d), or (d, d) if it does not depend on theta."""
+        return _evaluate(self.derivative, self.derivative_stack, thetas)
 
 
 def _evaluate(scalar: MatrixFn, stack: Optional[StackFn], thetas) -> np.ndarray:
@@ -118,21 +123,34 @@ def _evaluate(scalar: MatrixFn, stack: Optional[StackFn], thetas) -> np.ndarray:
     return np.stack([scalar(x).matrix for x in thetas.tolist()])
 
 
-def _scalar_map(formula: Formula) -> MatrixFn:
-    if isinstance(formula, HermitianOperator):
-        return lambda theta: formula
-    return lambda theta: HermitianOperator(formula(theta))
+def _formula_family(dim, value, derivative, second_derivative=None, checked=False):
+    """``from_formulas``; unless ``checked``, for the toolkit's formulas (``hermitized``)."""
+    operator, stacked = (HermitianOperator, symmetrized) if checked else (as_hermitian, hermitized)
+
+    def scalar_map(formula: Formula) -> MatrixFn:
+        if isinstance(formula, HermitianOperator):
+            return lambda theta: formula
+        return lambda theta: operator(formula(theta))
+
+    def stack_map(formula: Formula) -> StackFn:
+        if isinstance(formula, HermitianOperator):
+            return lambda thetas: formula.matrix
+        return lambda thetas: stacked(np.asarray(formula(thetas), dtype=complex), _at(thetas))
+
+    second = None if second_derivative is None else scalar_map(second_derivative)
+    return HamiltonianFamily(
+        dim, scalar_map(value), scalar_map(derivative), second,
+        value_stack=stack_map(value), derivative_stack=stack_map(derivative),
+    )
 
 
-def _stack_map(formula: Formula) -> StackFn:
-    if isinstance(formula, HermitianOperator):
-        return lambda thetas: formula.matrix
-    return lambda thetas: checked_stack(np.asarray(formula(thetas), dtype=complex), thetas)
+def _at(thetas: np.ndarray, name: str = "theta"):
+    return lambda n: f"at {name}={float(thetas[n])!r}"
 
 
-def checked_stack(matrices: np.ndarray, thetas: np.ndarray, name: str = "theta") -> np.ndarray:
-    """``symmetrized`` over a grid; a failure names its first offending grid value."""
-    return symmetrized(matrices, lambda n: f"at {name}={float(thetas[n])!r}")
+def hermitian_stack(matrices: np.ndarray, thetas: np.ndarray, name: str = "theta") -> np.ndarray:
+    """``hermitized`` over a grid; a non-finite matrix is named by its first grid value."""
+    return hermitized(matrices, _at(thetas, name))
 
 
 def factor(theta):

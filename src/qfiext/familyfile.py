@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FamilyFileError, NonHermitianInput
-from .family import HamiltonianFamily, FamilyValidation, factor, validate_family
+from .family import HamiltonianFamily, FamilyValidation, _formula_family, factor, validate_family
 from .linalg import HermitianOperator, degenerate_blocks, eig_hermitian
 
 COEFFICIENT_KINDS = ("const", "linear", "sin", "cos")
@@ -243,7 +243,7 @@ def build_family(definition: FamilyDefinition) -> HamiltonianFamily:
     def second_derivative(theta):
         return _sum_terms(terms, dim, Coefficient.second_derivative, theta)
 
-    return HamiltonianFamily.from_formulas(dim, value, derivative, second_derivative)
+    return _formula_family(dim, value, derivative, second_derivative)
 
 
 @dataclass

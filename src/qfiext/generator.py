@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, StepTooSmall
 from .family import DEFAULT_FD_STEP, HamiltonianFamily
-from .linalg import HermitianOperator, _freeze, check_unitary, eig_hermitian, eigh_stack
+from .linalg import HermitianOperator, _freeze, as_hermitian, check_unitary, eigh_stack
 from .linalg import hermitian_part
 
 QUADRATURE_TARGET_RTOL = 1e-9
@@ -53,10 +53,6 @@ class GeneratorResult:
     converged: bool = True
 
 
-def _hermitized(m: np.ndarray) -> HermitianOperator:
-    return HermitianOperator(hermitian_part(m))
-
-
 def _phase_kernel(t: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
     """t * exp(i t d/2) * sin(t d/2)/(t d/2) over all eigenvalue gaps d.
 
@@ -75,23 +71,24 @@ class SpectralPoint:
         self.gen, self.err = _freeze(gen), _freeze(err)
 
     eigh = cached_property(lambda self: tuple(_freeze(a) for a in eigh_stack(self.gen)))
-    operator = cached_property(lambda self: HermitianOperator(self.gen[0]))
+    operator = cached_property(lambda self: as_hermitian(self.gen[0]))
 
 
 def spectral_point(family: HamiltonianFamily, theta: float, t: float) -> SpectralPoint:
-    """The ``SpectralPoint`` at (theta, t), kept on the family for its latest theta and t
-    by their bits (0.0 and -0.0 differ): ``generator_spectral``, ``channel_qfi`` and
-    ``channel_qfi_brute`` share one K and one decomposition of it per point. H(theta)
-    and dH/dtheta are decomposed in one ``eig_hermitian`` call, which keeps both, so
-    ``check_saturation`` finds dH/dtheta decomposed."""
-    key = (float(theta).hex(), float(t).hex())
-    if getattr(family, "_spectral_point", (None,))[0] != key:
-        hdot = family.derivative(theta)
-        dec = eig_hermitian(family.value(theta), hdot)
-        w, v, ts = dec.eigenvalues[None], dec.eigenvectors[None], np.array([t], dtype=float)
-        raw = generator_in_eigenbasis(w, v, hdot.matrix, ts)
-        object.__setattr__(family, "_spectral_point", (key, SpectralPoint(*raw)))
-    return family._spectral_point[1]
+    """The ``SpectralPoint`` at (theta, t), from the family's ``point(theta)``.
+
+    The point keeps the one for its latest t, by t's bits (0.0 and -0.0
+    differ), so ``generator_spectral``, ``channel_qfi`` and
+    ``channel_qfi_brute`` at one (theta, t) share one K and one
+    decomposition of it.
+    """
+    point = family.point(theta)
+    key = float(t).hex()
+    if point.at_t[0] != key:
+        w, v, ts = point.eigenvalues[:1], point.eigenvectors[:1], np.array([t], dtype=float)
+        raw = generator_in_eigenbasis(w, v, point.derivative.matrix, ts)
+        point.at_t = (key, SpectralPoint(*raw))
+    return point.at_t[1]
 
 
 def generator_spectral(family: HamiltonianFamily, theta: float, t: float) -> GeneratorResult:
@@ -103,27 +100,14 @@ def generator_spectral(family: HamiltonianFamily, theta: float, t: float) -> Gen
     return GeneratorResult(point.operator, GeneratorMethod.SPECTRAL, float(point.err[0]))
 
 
-def generator_spectral_stack(
-    h: np.ndarray, hdot: np.ndarray, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The spectral generator at N points at once: generators (N, d, d) and errors (N,).
-
-    ``h`` and ``hdot`` are ``HermitianOperator.matrix`` values (not checked
-    again): (N, d, d) stacks, or one (d, d) matrix that holds at every point
-    and is then decomposed once. ``t`` is (N,). H is decomposed by
-    ``eigh_stack``, whose N = 1 form is ``eig_hermitian``;
-    ``generator_in_eigenbasis`` does the rest.
-    """
-    return generator_in_eigenbasis(*eigh_stack(h if h.ndim == 3 else h[None]), hdot, t)
-
-
 def generator_in_eigenbasis(
     w: np.ndarray, v: np.ndarray, hdot: np.ndarray, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``generator_spectral_stack`` from H's decomposition ``eigh_stack`` has already made.
+    """The spectral generators (N, d, d) and their errors (N,) from H's ``eigh_stack``.
 
     ``w`` (N, d) or (1, d) and ``v`` (N, d, d) or (1, d, d) are H's
-    eigenvalues and eigenvectors. Each generator is hermitized once, which
+    eigenvalues and eigenvectors, ``hdot`` is dH/dtheta as an (N, d, d)
+    stack or one (d, d) matrix, and ``t`` is (N,). Each generator is hermitized once, which
     makes it exactly Hermitian, so wrapping it in a ``HermitianOperator``
     leaves its bits unchanged. An overflow at large t gives a generator or
     error that is not finite, without a numpy warning; the caller checks.
@@ -163,15 +147,15 @@ def generator_quadrature(
     The order doubles until successive results differ by less than
     ``QUADRATURE_TARGET_RTOL * (1 + max|result|)`` or the cap is reached, in
     which case the best estimate is returned flagged ``converged=False``.
+    H(theta)'s decomposition and dH/dtheta are the family's ``point(theta)``.
     """
     if order < 2:
         raise ValueError(f"quadrature order must be >= 2, got {order}")
-    h = family.value(theta)
-    hdot = family.derivative(theta).matrix
-    dec = eig_hermitian(h)
+    point = family.point(theta)
+    w, v, hdot = point.eigenvalues[0], point.eigenvectors[0], point.derivative.matrix
 
     def evaluate(n: int) -> np.ndarray:
-        return _gauss_legendre_generator(t, dec.eigenvalues, dec.eigenvectors, hdot, n)
+        return _gauss_legendre_generator(t, w, v, hdot, n)
 
     cur = evaluate(order)
     err = None
@@ -187,7 +171,7 @@ def generator_quadrature(
     if err is None:  # started at/above the cap: estimate against the halved order
         err = float(np.max(np.abs(cur - evaluate(max(order // 2, 2)))))
         converged = err <= QUADRATURE_TARGET_RTOL * (1.0 + float(np.max(np.abs(cur))))
-    return GeneratorResult(_hermitized(cur), GeneratorMethod.QUADRATURE, err, converged)
+    return GeneratorResult(as_hermitian(cur), GeneratorMethod.QUADRATURE, err, converged)
 
 
 def generator_fd(
@@ -197,8 +181,8 @@ def generator_fd(
 
     Error is estimated by Richardson comparison with step h/2: for a
     second-order scheme err(h) ~ (4/3) |K(h) - K(h/2)|. H(theta)'s
-    decomposition is ``eig_hermitian``'s, which the spectral route keeps; H
-    at the four shifted points is decomposed in one ``eigh_stack`` call. The
+    decomposition is the family's ``point(theta)``, which the other routes
+    share; H at the four shifted points is decomposed in one ``eigh_stack`` call. The
     five unitaries are formed as one stack, with the bits of
     ``expm_unitary``, and pass ``check_unitary`` as one stack.
     """
@@ -209,10 +193,10 @@ def generator_fd(
             f"step {h!r} below safe floor {FD_MIN_STEP_FACTOR * max(1.0, abs(theta)):.3e}"
         )
     half = h / 2.0
-    dec = eig_hermitian(family.value(theta))
+    point = family.point(theta)
     hs = family.values([theta + h, theta - h, theta + half, theta - half])
     w, v = eigh_stack(np.broadcast_to(hs, (4, family.dim, family.dim)))
-    w, v = np.concatenate([dec.eigenvalues[None], w]), np.concatenate([dec.eigenvectors[None], v])
+    w, v = np.concatenate([point.eigenvalues[:1], w]), np.concatenate([point.eigenvectors[:1], v])
     stack = (v * np.exp(-1j * t * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
     u0, up, um, uph, umh = check_unitary(stack)
 
@@ -221,7 +205,7 @@ def generator_fd(
 
     full = central(up, um, h)
     err = (4.0 / 3.0) * float(np.max(np.abs(full - central(uph, umh, half))))
-    return GeneratorResult(_hermitized(full), GeneratorMethod.FINITE_DIFFERENCE, err)
+    return GeneratorResult(as_hermitian(full), GeneratorMethod.FINITE_DIFFERENCE, err)
 
 
 def broken_phase_shift_generator_at_zero(
@@ -236,5 +220,5 @@ def broken_phase_shift_generator_at_zero(
     """
     if g.dim != f.dim:
         raise DimensionMismatch(f"dimensions differ: {g.dim} vs {f.dim}")
-    gen, _ = generator_spectral_stack(f.matrix, g.matrix, np.array([t], dtype=float))
-    return HermitianOperator(gen[0])
+    gen, _ = generator_in_eigenbasis(*eigh_stack(f.matrix[None]), g.matrix, np.array([t], float))
+    return as_hermitian(gen[0])

@@ -67,6 +67,15 @@ def symmetrized(m: np.ndarray, where=None) -> np.ndarray:
     stack the message names the first offending matrix by ``where(n)``
     (default ``"matrix n"``).
     """
+    return _hermitian_part(m, where, True)
+
+
+def hermitized(m: np.ndarray, where=None) -> np.ndarray:
+    """``symmetrized`` without the asymmetry test, for matrices Hermitian by construction."""
+    return _hermitian_part(m, where, False)
+
+
+def _hermitian_part(m: np.ndarray, where, checked: bool) -> np.ndarray:
     m_dag = m.conj().swapaxes(-1, -2)
     scale = np.abs(m).max(axis=(-2, -1))
     # Equal to worst <= RTOL * scale on finite values. An entry that is NaN or
@@ -75,19 +84,23 @@ def symmetrized(m: np.ndarray, where=None) -> np.ndarray:
         # The common case. Such a scale rules out a non-finite entry and an
         # overflow in m - m_dag, so it needs no errstate, which costs more
         # than the rest of the check.
-        asym = np.abs(m - m_dag)
-        if not HERMITICITY_RTOL * scale - asym.max() >= 0:
-            raise _hermiticity_error(m, asym, float(scale), "")
+        if checked:
+            asym = np.abs(m - m_dag)
+            if not HERMITICITY_RTOL * scale - asym.max() >= 0:
+                raise _hermiticity_error(m, asym, float(scale), "")
         return (m + m_dag) / 2
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow, or inf - inf
-        asym = np.abs(m - m_dag)
-        ok = HERMITICITY_RTOL * scale - asym.max(axis=(-2, -1)) >= 0
+    if checked:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow, or inf - inf
+            asym = np.abs(m - m_dag)
+            ok = HERMITICITY_RTOL * scale - asym.max(axis=(-2, -1)) >= 0
+    else:  # a finite matrix passes the test above (its modulus may overflow)
+        asym, ok = None, np.isfinite(m).all(axis=(-2, -1))
     if m.ndim == 2 and not ok:
         raise _hermiticity_error(m, asym, float(scale), "")
     if not ok.all():
         n = int(np.flatnonzero(~ok)[0])
         prefix = f"{where(n) if where else f'matrix {n}'}: "
-        raise _hermiticity_error(m[n], asym[n], float(scale[n]), prefix)
+        raise _hermiticity_error(m[n], asym if asym is None else asym[n], float(scale[n]), prefix)
     big = scale > _HALF_MAX
     if not big.any():
         return (m + m_dag) / 2
@@ -115,13 +128,20 @@ class HermitianOperator:
         return self.matrix.shape[0]
 
 
+def as_hermitian(m: np.ndarray) -> HermitianOperator:
+    """``HermitianOperator(m)``, through ``hermitized``, for a matrix Hermitian by construction."""
+    op = object.__new__(HermitianOperator)
+    object.__setattr__(op, "matrix", _freeze(hermitized(np.asarray(m, dtype=np.complex128))))
+    return op
+
+
 def check_unitary(m: np.ndarray) -> np.ndarray:
     """``m``, one matrix (d, d) or a stack (N, d, d), if each is unitary within 1e-10.
 
     Raises DimensionMismatch giving max |U^dag U - 1| of the first matrix that is not.
     """
     defects = np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1))
-    bad = np.flatnonzero(defects > 1e-10)
+    bad = np.flatnonzero(~(defects <= 1e-10))  # a NaN defect fails too
     if bad.size:
         defect = float(defects.flat[bad[0]])
         raise DimensionMismatch(f"matrix is not unitary: max |U^dag U - 1| = {defect:.3e}")
@@ -136,10 +156,6 @@ class UnitaryOperator:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _freeze(check_unitary(_square_complex(self.matrix))))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,10 +193,6 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 def degeneracy_tolerance(eigenvalues: np.ndarray):
@@ -246,20 +258,10 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * phase.reshape(vectors.shape[:-2] + (1, d))
 
 
-def eig_hermitian(a: HermitianOperator, *others: HermitianOperator) -> EigenDecomposition:
-    """``eigh_stack`` of the one matrix of ``a``, as a frozen ``EigenDecomposition``.
-
-    The decomposition is kept on ``a``, so an operator is decomposed at most
-    once. ``others``, operators of ``a``'s dimension, are decomposed in the
-    same ``eigh_stack`` call where they have no kept decomposition, and keep
-    theirs too.
-    """
-    todo = [op for op in (a, *others) if getattr(op, "_eig", None) is None]
-    if todo:
-        w, v = eigh_stack(np.array([op.matrix for op in todo]))
-        for op, wn, vn in zip(todo, w, v):
-            object.__setattr__(op, "_eig", EigenDecomposition(_freeze(wn), _freeze(vn)))
-    return a._eig
+def eig_hermitian(a: HermitianOperator) -> EigenDecomposition:
+    """``eigh_stack`` of the one matrix of ``a``, as a frozen ``EigenDecomposition``."""
+    w, v = eigh_stack(a.matrix[None])
+    return EigenDecomposition(_freeze(w[0]), _freeze(v[0]))
 
 
 def eigh_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

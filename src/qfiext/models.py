@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .family import HamiltonianFamily, factor
-from .linalg import HermitianOperator
+from .family import HamiltonianFamily, _formula_family, factor
+from .linalg import HermitianOperator, as_hermitian
 
 MU_B = 9.2740100783e-24  # Bohr magneton, J/T
 HBAR = 1.054571817e-34  # reduced Planck constant, J*s
@@ -38,9 +38,9 @@ def spin1_matrices() -> tuple[HermitianOperator, HermitianOperator, HermitianOpe
     Built once per process: the operators are immutable and their arrays read-only.
     """
     s = 1.0 / math.sqrt(2.0)
-    sx = HermitianOperator(np.array([[0, s, 0], [s, 0, s], [0, s, 0]], dtype=complex))
-    sy = HermitianOperator(np.array([[0, -1j * s, 0], [1j * s, 0, -1j * s], [0, 1j * s, 0]]))
-    sz = HermitianOperator(np.diag([1.0, 0.0, -1.0]).astype(complex))
+    sx = as_hermitian(np.array([[0, s, 0], [s, 0, s], [0, s, 0]], dtype=complex))
+    sy = as_hermitian(np.array([[0, -1j * s, 0], [1j * s, 0, -1j * s], [0, 1j * s, 0]]))
+    sz = as_hermitian(np.diag([1.0, 0.0, -1.0]).astype(complex))
     return sx, sy, sz
 
 
@@ -94,12 +94,12 @@ def nv_family(params: NvParams) -> HamiltonianFamily:
         + params.D * (sz.matrix @ sz.matrix)
         + params.E * (sx.matrix @ sx.matrix - sy.matrix @ sy.matrix)
     )
-    slope = HermitianOperator(gamma * sz.matrix)
-    return HamiltonianFamily.from_formulas(
+    slope = as_hermitian(gamma * sz.matrix)
+    return _formula_family(
         3,
         lambda bz: factor(bz) * slope.matrix + static,
         slope,
-        HermitianOperator(np.zeros((3, 3), dtype=complex)),
+        as_hermitian(np.zeros((3, 3), dtype=complex)),
     )
 
 
@@ -135,7 +135,7 @@ def direction_family(params: DirectionParams) -> HamiltonianFamily:
         cos = np.cos(theta)
         return along(np.array([cos * math.cos(phi), cos * math.sin(phi), -np.sin(theta)]))
 
-    return HamiltonianFamily.from_formulas(
+    return _formula_family(
         3,
         lambda theta: along(_direction_axis(theta, phi)),
         derivative,
@@ -146,7 +146,7 @@ def direction_family(params: DirectionParams) -> HamiltonianFamily:
 def direction_sz_operator(params: DirectionParams) -> HermitianOperator:
     """The z-field term B * g mu_B S_z / hbar, added kappa times by direction_sz_family."""
     _, _, sz = spin1_matrices()
-    return HermitianOperator(params.B * gyromagnetic_ratio(params.g) * sz.matrix)
+    return as_hermitian(params.B * gyromagnetic_ratio(params.g) * sz.matrix)
 
 
 def direction_sz_family(params: DirectionParams, kappa: float) -> HamiltonianFamily:
@@ -187,9 +187,9 @@ def broken_phase_shift_family(g: HermitianOperator, f: HermitianOperator) -> Ham
     """K(theta) = theta*G + F with exact derivative G and vanishing second derivative."""
     if g.dim != f.dim:
         raise DimensionMismatch(f"dimensions differ: {g.dim} vs {f.dim}")
-    return HamiltonianFamily.from_formulas(
+    return _formula_family(
         g.dim,
         lambda theta: factor(theta) * g.matrix + f.matrix,
         g,
-        HermitianOperator(np.zeros((g.dim, g.dim), dtype=complex)),
+        as_hermitian(np.zeros((g.dim, g.dim), dtype=complex)),
     )

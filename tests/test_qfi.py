@@ -1,6 +1,7 @@
 """Tests for pure-state QFI, channel QFI, bound, saturation and the brute-force oracle."""
 
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -38,7 +39,7 @@ from qfiext import (
     tensor_identity,
     upper_bound,
 )
-from qfiext.qfi import channel_qfi_and_saturation, channel_qfi_stack
+from qfiext.qfi import channel_qfi_stack
 from helpers import (
     commuting_family, cross_check_cases, gue, polynomial_family, reference_ascend, verify_calls,
 )
@@ -352,9 +353,13 @@ def _bits(report, verdict) -> tuple:
 class TestSharedPointPass:
     @pytest.mark.parametrize("case", range(len(_shared_pass_cases())))
     def test_equals_channel_qfi_then_check_saturation(self, case):
+        # On one family the two share its point; each on a fresh family has its own.
         fam, theta, t = _shared_pass_cases()[case]
-        shared = channel_qfi_and_saturation(fam, theta, t)
-        separate = (channel_qfi(fam, theta, t), check_saturation(fam, theta))
+        shared = (channel_qfi(fam, theta, t), check_saturation(fam, theta))
+        separate = (
+            channel_qfi(_shared_pass_cases()[case][0], theta, t),
+            check_saturation(_shared_pass_cases()[case][0], theta),
+        )
         assert _bits(*shared) == _bits(*separate)
 
     def test_cases_reach_every_verdict(self):
@@ -381,7 +386,8 @@ class TestSharedPointPass:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        channel_qfi_and_saturation(fam, 0.3, 1.1)
+        channel_qfi(fam, 0.3, 1.1)
+        check_saturation(fam, 0.3)
         assert calls == {"value": 1, "derivative": 1}
         # H with dH/dtheta (the verdict's eigenvectors) in one stack, then K.
         assert decomposed == [True, False]
@@ -389,7 +395,7 @@ class TestSharedPointPass:
     def test_overflowing_generator_names_t_before_eigh(self):
         fam = nv_family(NvParams(Bz=0.1))
         for call in (lambda: channel_qfi(fam, 0.1, 1e300),
-                     lambda: channel_qfi_and_saturation(fam, 0.1, 1e300)):
+                     lambda: channel_qfi_brute(fam, 0.1, 1e300)):
             with pytest.raises(ModelError, match=r"^at t=1e\+300: generator is not finite$"):
                 call()
 
@@ -488,6 +494,19 @@ class TestBruteForceOracle:
         a = channel_qfi_brute(fam, 0.1, 1.0, n_starts=5, seed=11)
         b = channel_qfi_brute(fam, 0.1, 1.0, n_starts=5, seed=11)
         assert a == b
+
+    def test_a_generator_too_large_for_the_ascent_raises_naming_t_without_a_warning(self):
+        fam = polynomial_family(np.random.default_rng(46), 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # 8 |K|^4 is finite below about |K| = 1e76 and the ascent runs there.
+            brute = channel_qfi_brute(fam, 0.3, 1e75, n_starts=4, seed=5)
+            assert brute == pytest.approx(channel_qfi(fam, 0.3, 1e75).channel_qfi, rel=1e-4)
+            for t in (1e77, 1e160):
+                with pytest.raises(ModelError, match="^" + re.escape(f"at t={t!r}: 8 |K|^4 is not")):
+                    channel_qfi_brute(fam, 0.3, t)
+            with pytest.raises(ModelError, match=r"^at t=inf: generator is not finite$"):
+                channel_qfi_brute(fam, 0.3, float("inf"))
 
     def test_rejects_zero_starts(self):
         rng = np.random.default_rng(44)
