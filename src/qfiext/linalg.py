@@ -44,7 +44,7 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
-def _hermiticity_error(m: np.ndarray, asym: np.ndarray, scale: float, prefix: str):
+def _hermiticity_error(m: np.ndarray, asym: np.ndarray, tol: float, prefix: str):
     finite = np.isfinite(m)
     if not finite.all():
         i, j = np.unravel_index(int(np.argmin(finite)), finite.shape)
@@ -52,15 +52,15 @@ def _hermiticity_error(m: np.ndarray, asym: np.ndarray, scale: float, prefix: st
     i, j = np.unravel_index(int(asym.argmax()), asym.shape)
     return NonHermitianInput(
         f"{prefix}matrix is not Hermitian: |A[{i}][{j}] - conj(A[{j}][{i}])| = {asym[i, j]:.3e} "
-        f"exceeds {HERMITICITY_RTOL:.0e} * max|entry| = {HERMITICITY_RTOL * scale:.3e}"
+        f"exceeds {HERMITICITY_RTOL:.0e} * max|entry| = {tol:.3e}"
     )
 
 
 def symmetrized(m: np.ndarray, where=None) -> np.ndarray:
     """``hermitian_part`` of one complex matrix (d, d) or of a stack (N, d, d), checked.
 
-    A matrix whose max|entry| exceeds half the largest float is averaged as
-    m/2 + m^dag/2, which cannot overflow.
+    A matrix whose max|entry| exceeds half the largest float is tested and
+    averaged as m/2 and m^dag/2, which cannot overflow.
 
     Raises NonHermitianInput when a matrix is further from Hermitian than
     ``HERMITICITY_RTOL * max|entry|`` or holds a NaN or infinite entry. Over a
@@ -87,20 +87,25 @@ def _hermitian_part(m: np.ndarray, where, checked: bool) -> np.ndarray:
         if checked:
             asym = np.abs(m - m_dag)
             if not HERMITICITY_RTOL * scale - asym.max() >= 0:
-                raise _hermiticity_error(m, asym, float(scale), "")
+                raise _hermiticity_error(m, asym, float(HERMITICITY_RTOL * scale), "")
         return (m + m_dag) / 2
     if checked:
+        # Above _HALF_MAX, tested on m/2 and m^dag/2 and doubled: exact, and
+        # the halves' moduli cannot overflow, as |m| can (scale is then inf).
+        two = np.where(scale > _HALF_MAX, 2.0, 1.0)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow, or inf - inf
-            asym = np.abs(m - m_dag)
-            ok = HERMITICITY_RTOL * scale - asym.max(axis=(-2, -1)) >= 0
+            half = m / two[..., None, None]
+            asym = np.abs(half - half.conj().swapaxes(-1, -2)) * two[..., None, None]
+            tol = HERMITICITY_RTOL * np.abs(half).max(axis=(-2, -1)) * two
+            ok = tol - asym.max(axis=(-2, -1)) >= 0
     else:  # a finite matrix passes the test above (its modulus may overflow)
-        asym, ok = None, np.isfinite(m).all(axis=(-2, -1))
+        asym, tol, ok = None, scale, np.isfinite(m).all(axis=(-2, -1))
     if m.ndim == 2 and not ok:
-        raise _hermiticity_error(m, asym, float(scale), "")
+        raise _hermiticity_error(m, asym, float(tol), "")
     if not ok.all():
         n = int(np.flatnonzero(~ok)[0])
         prefix = f"{where(n) if where else f'matrix {n}'}: "
-        raise _hermiticity_error(m[n], asym if asym is None else asym[n], float(scale[n]), prefix)
+        raise _hermiticity_error(m[n], asym if asym is None else asym[n], float(tol[n]), prefix)
     big = scale > _HALF_MAX
     if not big.any():
         return (m + m_dag) / 2

@@ -18,7 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import config
 from .errors import DimensionMismatch, ModelError
 from .family import HamiltonianFamily
 from .generator import GeneratorMethod, generator_in_eigenbasis, generator_spectral, spectral_point
@@ -70,8 +69,18 @@ def qfi_pure(family: HamiltonianFamily, theta: float, t: float, psi0: PureState)
 
 
 def upper_bound(family: HamiltonianFamily, theta: float, t: float) -> float:
-    """t^2 * seminorm(dH/dtheta)^2, the ceiling for the channel QFI."""
-    return t * t * seminorm(family.derivative(theta)) ** 2
+    """t^2 * seminorm(dH/dtheta)^2, the ceiling for the channel QFI (see ``_bound``)."""
+    with np.errstate(all="ignore"):
+        return float(_bound(np.float64(t), np.float64(seminorm(family.derivative(theta)))))
+
+
+def _bound(t, spread):
+    """t * t * spread**2, or (|t| spread)**2 where that is not finite (inf * 0, say).
+
+    For numpy values under ``np.errstate(all="ignore")``.
+    """
+    bound = t * t * spread**2
+    return np.where(np.isfinite(bound), bound, (np.abs(t) * spread) ** 2)
 
 
 def _reduce(
@@ -95,7 +104,7 @@ def _reduce(
     # there is left to _check_finite, not reported by numpy.
     with np.errstate(all="ignore"):
         cqfi = k_spread * k_spread
-        bound = t * t * d_spread**2
+        bound = _bound(t, d_spread)
         from_spreads = np.where(bound_spread > 0.0, (k_spread / bound_spread) ** 2, 1.0)
         ratio = np.where(bound >= _SMALLEST_NORMAL, cqfi / bound, from_spreads)
     return cqfi, bound, ratio, err
@@ -233,70 +242,60 @@ def _ascend(gen: np.ndarray, psi: np.ndarray) -> float:
     One product with [gen; gen^2] serves the gradient and the candidate's
     value. The gradient is taken as an eighth with an eightfold step and Var
     without its factor 4: exact powers of two, as are 2 mean = mean + mean
-    and a step divided by 1 or 2. Every temporary of a step is a buffer
-    allocated before the loop and written with ``out=``. A state, and a
-    candidate in the same layout, is F-ordered ``x`` and a C-ordered block
-    [Kx; K^2 x; mean; Var] with its row views; the start is scored as the
-    first candidate and taken. When every column takes its candidate, the
-    two swap instead of being copied. No layout may change: ``grad`` is
-    C-ordered, and ``vecdot`` gets other bits from another BLAS kernel when
-    both of its operands have unit stride.
+    and a step divided by 1 or 2. A state, and a candidate in the same
+    layout, is F-ordered ``x`` and a C-ordered block [Kx; K^2 x; mean; Var]
+    with its row views; the start is scored as the first candidate and
+    taken. When every column takes its candidate, the two swap instead of
+    being copied. No layout may change: ``vecdot`` gets other bits from
+    another BLAS kernel when both of its operands have unit stride.
     """
     d2, n = 2 * psi.shape[0], psi.shape[1]
     k = np.block([[gen.real, -gen.imag], [gen.imag, gen.real]])
     stacked = np.concatenate([k, k @ k])
     cand = np.concatenate([psi.real, psi.imag])
-    x, proj, grad = np.empty_like(cand), np.empty_like(cand), np.empty((d2, n))
-    blocks = np.empty((2, 2 * d2 + 2, n))
-    coef, norm, kxkx, mean2, divisor = np.empty((5, n))
+    x, blocks = np.empty_like(cand), np.empty((2, 2 * d2 + 2, n))
     state, trial = ((b, b[: 2 * d2], b[:d2], b[d2 : 2 * d2], b[-2], b[-1]) for b in blocks)
-    better = np.empty(n, dtype=bool)
     step = np.full(n, 8.0 * _ASCENT_INITIAL_STEP)
     for iteration in range(_ASCENT_ITERATIONS + 1):
         if iteration:
             _, _, kx, k2x, mean, _ = state
-            np.add(mean, mean, out=coef)
-            np.multiply(coef, kx, out=grad)
-            np.subtract(k2x, grad, out=grad)
-            np.multiply(np.vecdot(x, grad, axis=0, out=coef), x, out=proj)
-            grad -= proj  # tangent projection
+            grad = k2x - (mean + mean) * kx
+            grad -= np.vecdot(x, grad, axis=0) * x  # tangent projection
             np.multiply(step, grad, out=cand)
             cand += x
-            cand /= np.sqrt(np.vecdot(cand, cand, axis=0, out=norm), out=norm)
+            cand /= np.sqrt(np.vecdot(cand, cand, axis=0))
         block, both, kx, _, mean, var = trial
         np.matmul(stacked, cand, out=both)
         np.vecdot(cand, kx, axis=0, out=mean)
-        np.vecdot(kx, kx, axis=0, out=kxkx)
-        np.subtract(kxkx, np.multiply(mean, mean, out=mean2), out=kxkx)
-        np.maximum(kxkx, 0.0, out=var)
-        if not iteration or np.count_nonzero(np.greater(var, state[-1], out=better)) == n:
+        np.maximum(np.vecdot(kx, kx, axis=0) - mean * mean, 0.0, out=var)
+        better = var > state[-1]
+        if not iteration or np.count_nonzero(better) == n:
             x, cand, state, trial = cand, x, trial, state
         else:
             np.copyto(x, cand, where=better)
             np.copyto(state[0], block, where=better)
-            np.divide(step, np.subtract(2.0, better, out=divisor), out=step)
+            step /= 2.0 - better
     return 4.0 * float(state[-1].max())
 
 
 def channel_qfi_brute(
-    family: HamiltonianFamily, theta: float, t: float, n_starts: int = 8, seed: Optional[int] = None
+    family: HamiltonianFamily, theta: float, t: float, n_starts: int = 8, seed: int = 0
 ) -> float:
     """Best-effort maximization of 4 Var(K) over pure probes.
 
-    Runs ``n_starts`` seeded random restarts of projected gradient ascent as
-    one batched ascent and also evaluates the balanced extremal-eigenvector
-    candidate; returns the maximum found. A lower bound on the channel QFI by
-    construction. K and its eigenvectors are the family's ``spectral_point``.
-    Start k is drawn as ``standard_normal(dim)`` for its real part, then for
-    its imaginary part, in order of k.
+    Runs ``n_starts`` random restarts of projected gradient ascent as one
+    batched ascent (``_ascend``) and also evaluates the balanced
+    extremal-eigenvector candidate; returns the maximum found. A lower bound
+    on the channel QFI by construction. K and its eigenvectors are the
+    family's ``spectral_point``. The restarts come from
+    ``np.random.default_rng(seed)``: start k is drawn as
+    ``standard_normal(dim)`` for its real part, then for its imaginary part,
+    in order of k.
     A K that is not finite, or whose 8 |K|^4 is not (the ascent squares the
     length of a step along K^2 psi), raises ModelError naming t.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
-    if seed is None:
-        seed = config.oracle_seed()
-    rng = np.random.default_rng(seed)
     point = spectral_point(family, theta, t)
     _check_finite(_GENERATOR, (point.gen, point.err), "t", [t])
     k = float(max(-point.eigh[0][0, 0], point.eigh[0][0, -1]))  # |K|
@@ -304,7 +303,7 @@ def channel_qfi_brute(
         raise ModelError(f"at t={t!r}: 8 |K|^4 is not finite, which the oracle's ascent needs")
     candidate = 4.0 * variance(point.operator, PureState(_balanced_probe(point.eigh[1][0])))
     # One draw fills (start, real/imaginary, component) in the order of per-start draws.
-    z = rng.standard_normal((n_starts, 2, family.dim))
+    z = np.random.default_rng(seed).standard_normal((n_starts, 2, family.dim))
     starts = (z[:, 0] + 1j * z[:, 1]).T
     starts /= np.linalg.norm(starts, axis=0)
     return max(candidate, _ascend(point.operator.matrix, starts))

@@ -578,6 +578,19 @@ class TestOverflow:
         assert (code, out) == (4, "")
         assert err == "error: at t=1e+300: generator is not finite\n"
 
+    def test_report_bound_whose_t_squared_overflows_exits_zero(self, capsys):
+        # t * t overflows and spread(dH/dtheta)^2 underflows: the bound is (|t| spread)^2.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "report", "--model", "direction", "--param", "B=1e-250", "--param", "t=1e200"
+            )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["upper_bound"] == pytest.approx(1.2410940551206827e-77, rel=1e-12)
+        assert doc["channel_qfi"] == pytest.approx(doc["upper_bound"], rel=1e-12)
+        assert doc["ratio"] <= 1.0 + 1e-9
+
     def test_sweep_generator_overflow_names_first_grid_value(self, tmp_path, capsys):
         run = {"model": "nv", "sweep_variable": "t", "fixed_params": {"Bz": 0.1},
                "grid": {"start": 1e-3, "stop": 1e300, "points": 2, "scale": "log"}}

@@ -105,6 +105,24 @@ class TestHermitianOperator:
             with pytest.raises(NonHermitianInput, match=r"^matrix 0: matrix has a non-finite entry"):
                 symmetrized(infinite[None])
 
+    def test_entry_whose_modulus_overflows_does_not_hide_an_asymmetry(self):
+        # |a| is beyond the largest float, so max|entry| was inf and any asymmetry passed.
+        a = 1.5e308 + 1.5e308j
+        skew = np.array([[0, a, 1e300], [np.conj(a), 0, 0], [0, 0, 0]])
+        fine = np.array([[0, a, 0], [np.conj(a), 0, 0], [0, 0, 0]])
+        message = (
+            r"matrix is not Hermitian: \|A\[0\]\[2\] - conj\(A\[2\]\[0\]\)\| = 1\.000e\+300 "
+            r"exceeds 1e-12 \* max\|entry\| = 2\.121e\+296$"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonHermitianInput, match="^" + message):
+                HermitianOperator(skew)
+            with pytest.raises(NonHermitianInput, match="^matrix 0: " + message):
+                symmetrized(skew[None])
+            assert HermitianOperator(fine).matrix.tobytes() == fine.tobytes()
+            assert symmetrized(fine[None]).tobytes() == fine.tobytes()
+
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             HermitianOperator(np.zeros((2, 3)))

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qfiext.config as config
 from qfiext import generator, qfi
 from qfiext import (
     DimensionMismatch,
@@ -211,6 +210,13 @@ class TestChannelQfi:
         nv = nv_family(NvParams(Bx=0.1, t=1e-3))
         gamma = gyromagnetic_ratio()
         assert upper_bound(nv, 0.0, 1e-3) == pytest.approx(4.0 * (1e-3 * gamma) ** 2, rel=1e-12)
+
+    def test_upper_bound_whose_t_squared_overflows_is_finite(self):
+        # t * t overflows and seminorm(dH/dtheta)^2 underflows; (|t| seminorm)^2 is a float.
+        fam = direction_family(DirectionParams(B=1e-250, t=1e200))
+        root = 1e200 * seminorm(fam.derivative(0.0))
+        assert upper_bound(fam, 0.0, 1e200) == root * root > 0.0
+        assert upper_bound(fam, 0.0, 1e200) == channel_qfi(fam, 0.0, 1e200).upper_bound
 
 
 class TestAncillaNoOp:
@@ -662,16 +668,21 @@ def test_ascent_alone_reaches_the_seminorm_on_criterion_7_cases(monkeypatch):
 
 
 class TestEnvironmentDefaults:
-    def test_oracle_seed_env(self, monkeypatch):
-        monkeypatch.delenv("QFIEXT_SEED", raising=False)
-        assert config.oracle_seed() == 0
-        monkeypatch.setenv("QFIEXT_SEED", "17")
-        assert config.oracle_seed() == 17
+    def test_default_seed_is_0(self, monkeypatch):
+        blocks = []
+        monkeypatch.setattr(qfi, "_ascend", lambda gen, psi: blocks.append(psi) or 0.0)
+        fam = polynomial_family(np.random.default_rng(45), 3)
+        channel_qfi_brute(fam, 0.2, 1.0, n_starts=3)
+        channel_qfi_brute(fam, 0.2, 1.0, n_starts=3, seed=0)
+        channel_qfi_brute(fam, 0.2, 1.0, n_starts=3, seed=1)
+        assert np.array_equal(blocks[0], blocks[1])
+        assert not np.array_equal(blocks[0], blocks[2])
 
-    def test_brute_force_uses_env_seed_by_default(self, monkeypatch):
-        rng = np.random.default_rng(45)
-        fam = polynomial_family(rng, 3)
+    def test_default_ignores_the_qfiext_seed_variable(self, monkeypatch):
+        blocks = []
+        monkeypatch.setattr(qfi, "_ascend", lambda gen, psi: blocks.append(psi) or 0.0)
+        fam = polynomial_family(np.random.default_rng(45), 3)
         monkeypatch.setenv("QFIEXT_SEED", "5")
-        a = channel_qfi_brute(fam, 0.2, 1.0, n_starts=3)
-        b = channel_qfi_brute(fam, 0.2, 1.0, n_starts=3, seed=5)
-        assert a == b
+        channel_qfi_brute(fam, 0.2, 1.0, n_starts=3)
+        channel_qfi_brute(fam, 0.2, 1.0, n_starts=3, seed=0)
+        assert np.array_equal(blocks[0], blocks[1])

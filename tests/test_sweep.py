@@ -37,7 +37,8 @@ from qfiext import (
 )
 from qfiext.cli import main
 from qfiext.familyfile import build_family, load_definition
-from qfiext.sweep import CSV_HEADER, load_model_family
+from qfiext.extensions import shifted_family
+from qfiext.sweep import CSV_HEADER, build_scenario, load_model_family
 from helpers import family_documents
 
 DIRECTION_FIXED = {"B": 1e-9, "phi": 0.7853981633974483, "theta": 1.0471975511965976}
@@ -396,6 +397,32 @@ def test_preset_csv_bytes_pinned(tmp_path):
         for path in tmp_path.rglob("*.csv")
     }
     assert digests == PRESET_CSV_SHA256
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    family_documents(min_dim=2, max_dim=5, kinds=("const", "linear")),
+    st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.0),
+    st.floats(0.5, 1.5),
+)
+def test_flooding_a_broken_phase_shift_file_family_shifts_theta(doc, theta0, beta, t):
+    # Criterion 5's identity: flooded with beta at theta0, theta G + F is H(theta0 + beta) at theta0.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "family.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        run = {"model": "broken-phase-shift", "family_file": str(path)}
+        family, theta, _, offset = build_scenario({
+            **run, "fixed_params": {"theta": theta0, "t": t},
+            "extension": {"kind": "flood", "beta": beta, "theta0": theta0},
+        })
+        flooded = channel_qfi(shifted_family(family, offset), theta, t).channel_qfi
+        family, theta, _, offset = build_scenario(
+            {**run, "fixed_params": {"theta": theta0 + beta, "t": t}, "extension": None}
+        )
+    assert offset is None
+    shifted = channel_qfi(family, theta, t).channel_qfi
+    assert abs(flooded - shifted) <= 1e-10 * max(1.0, abs(shifted))
 
 
 @settings(max_examples=30, deadline=None)
