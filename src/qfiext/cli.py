@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 
 from .errors import InvalidSpec, ModelError, QfiextError
-from .extensions import shifted_family
 from .familyfile import validate_file
 from .qfi import channel_qfi, check_saturation
 from .sweep import (
@@ -138,10 +137,7 @@ def _cmd_report(args) -> int:
         "extension": extension,
         "family_file": args.family_file,
     }
-    family, theta, t, offset = build_scenario(scenario)
-    if offset is not None:
-        family = shifted_family(family, offset)
-
+    family, theta, t, _ = build_scenario(scenario)
     report, verdict = channel_qfi(family, theta, t), check_saturation(family, theta)
     probe = [[float(a.real), float(a.imag)] for a in report.optimal_probe.amplitudes]
     doc = {

@@ -200,19 +200,11 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def degeneracy_tolerance(eigenvalues: np.ndarray):
-    """max(DEGENERACY_RTOL * spread, DEGENERACY_ATOL) of ascending eigenvalues.
-
-    Over a stack (..., d) of spectra it gives one tolerance per spectrum.
-    """
-    spread = eigenvalues[..., -1] - eigenvalues[..., 0]
-    return np.maximum(DEGENERACY_RTOL * spread, DEGENERACY_ATOL)
-
-
 def degenerate_blocks(eigenvalues: np.ndarray) -> list[range]:
-    """Group ascending eigenvalues into blocks chained by the degeneracy tolerance."""
-    tol = degeneracy_tolerance(eigenvalues)
+    """Group ascending eigenvalues into blocks chained by the degeneracy tolerance (its
+    spread formed from halves, as in ``eigh_stack``; a Python float gap overflows quietly)."""
     w = eigenvalues.tolist()
+    tol = max(DEGENERACY_RTOL * (w[-1] * 0.5 - w[0] * 0.5) * 2.0, DEGENERACY_ATOL)
     blocks = []
     start = 0
     for k in range(1, len(w)):
@@ -279,8 +271,12 @@ def eigh_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for the whole stack. A point gets the same bits in any stack.
     """
     w, v = np.linalg.eigh(matrices)
+    # Halves cannot overflow, and halving is exact above the subnormal range, where no
+    # tolerance lies: gaps of halves split against half the tolerance as the gaps would.
+    half = w * 0.5
+    tol = np.maximum(DEGENERACY_RTOL * (half[:, -1] - half[:, 0]), DEGENERACY_ATOL / 2)
     # "not >" rather than "<=", so that a NaN gap counts as degenerate.
-    split = w[:, 1:] - w[:, :-1] > degeneracy_tolerance(w)[:, None]
+    split = half[:, 1:] - half[:, :-1] > tol[:, None]
     if not split.all():
         for n in np.flatnonzero(~split.all(axis=1)).tolist():
             cuts = [0, *(np.flatnonzero(split[n]) + 1).tolist(), w.shape[1]]

@@ -80,20 +80,17 @@ _MODEL_DEFAULTS = {
 }
 MODELS = tuple(_MODEL_DEFAULTS)
 _FILE_MODELS = ("broken-phase-shift", "custom")
-# Each extension kind's fields with their defaults; None marks a required field.
-# ``file`` is a path, every other field a number.
-_EXTENSION_FIELDS = {
-    "flood": {"beta": None, "theta0": 0.0},
-    "subtract": {"theta0": None},
-    "subtract-perturbed": {"theta0": None, "epsilon": None},
-    "add-operator": {"file": None, "epsilon": None},
-    "sz": {"kappa": None},
+# Each extension kind's fields with their defaults (None marks a required field;
+# ``file`` is a path, every other field a number); the field that sets the kind's
+# added term, named when that term, or its sum with the model's H, overflows; and
+# the spec type built from the fields, where the kind has its own.
+_EXTENSIONS = {
+    "flood": ({"beta": None, "theta0": 0.0}, "beta", Flood),
+    "subtract": ({"theta0": None}, "theta0", Subtract),
+    "subtract-perturbed": ({"theta0": None, "epsilon": None}, "epsilon", SubtractPerturbed),
+    "add-operator": ({"file": None, "epsilon": None}, "epsilon", None),
+    "sz": ({"kappa": None}, "kappa", None),
 }
-_EXTENSION_TYPES = {"flood": Flood, "subtract": Subtract, "subtract-perturbed": SubtractPerturbed}
-# The field that sets each kind's added term, named when that term, or its sum
-# with the model's H, overflows.
-_SCALE_FIELDS = {"flood": "beta", "add-operator": "epsilon", "sz": "kappa",
-                 "subtract": "theta0", "subtract-perturbed": "epsilon"}
 _SWEEPABLES = {
     "nv": ("B_z", "t", "beta", "epsilon"),
     "direction": ("theta", "t", "beta", "kappa", "epsilon"),
@@ -162,13 +159,8 @@ class SweepResult:
         )
 
 
-def _scenario(spec: SweepSpec) -> dict:
-    return {key: getattr(spec, key) for key in ("model", "fixed_params", "extension", "family_file")}
-
-
 def validate_spec(spec: SweepSpec) -> None:
-    """Raise InvalidSpec (message carries the offending field path) on any problem."""
-    validate_scenario(_scenario(spec), spec.sweep_variable)
+    """Raise InvalidSpec naming ``grid.<field>`` on a bad grid."""
     grid = spec.grid
     if grid.points < 1:
         raise InvalidSpec(f"grid.points: must be >= 1, got {grid.points}")
@@ -180,18 +172,6 @@ def validate_spec(spec: SweepSpec) -> None:
         raise InvalidSpec(f"grid.start: must be < grid.stop, got {grid.start} >= {grid.stop}")
     if grid.scale == "log" and grid.start <= 0:
         raise InvalidSpec(f"grid.start: log scale requires start > 0, got {grid.start}")
-    if spec.sweep_variable not in _SWEEPABLES[spec.model]:
-        raise InvalidSpec(
-            f"sweep_variable: {spec.sweep_variable!r} not valid for model {spec.model!r}; "
-            f"expected one of {', '.join(_SWEEPABLES[spec.model])}"
-        )
-    if spec.sweep_variable in ("beta", "kappa", "epsilon"):
-        kinds = [kind for kind, fields in _EXTENSION_FIELDS.items() if spec.sweep_variable in fields]
-        if spec.extension is None or spec.extension["kind"] not in kinds:
-            raise InvalidSpec(
-                f"sweep_variable: {spec.sweep_variable!r} requires extension.kind = "
-                + " or ".join(map(repr, kinds))
-            )
 
 
 def _walk(given: dict, table: dict, where: str, owner: str, swept: Optional[str]) -> dict:
@@ -229,10 +209,11 @@ def validate_scenario(scenario: dict, swept: Optional[str] = None):
 
     A scenario is a run document without its grid: ``model``,
     ``fixed_params``, ``extension`` (None, or a dict whose ``kind`` names the
-    extension) and ``family_file``. The extension field named ``swept``
-    comes from a sweep's grid and may be left out. ``params`` and ``fields``
-    map every name to its float (or default); without an extension ``kind``
-    is None and ``fields`` empty.
+    extension) and ``family_file``. ``swept`` names a sweep's variable, which
+    must be one of the model's ``_SWEEPABLES``; a swept extension field must
+    belong to the extension's kind, and comes from the grid, so it may be
+    left out. ``params`` and ``fields`` map every name to its float (or
+    default); without an extension ``kind`` is None and ``fields`` empty.
     """
     model = scenario["model"]
     if model not in _MODEL_DEFAULTS:
@@ -246,39 +227,49 @@ def validate_scenario(scenario: dict, swept: Optional[str] = None):
         raise InvalidSpec(f"family_file: required for model {model!r}")
     if model not in _FILE_MODELS and scenario["family_file"]:
         raise InvalidSpec(f"family_file: not used by model {model!r}")
-    ext = scenario["extension"]
-    if ext is None:
-        return model, params, None, {}
-    kind = ext.get("kind") if isinstance(ext, dict) else None
-    if kind not in _EXTENSION_FIELDS:
+    ext, kind, fields = scenario["extension"], None, {}
+    if ext is not None:
+        kind = ext.get("kind") if isinstance(ext, dict) else None
+        if not isinstance(kind, str) or kind not in _EXTENSIONS:
+            raise InvalidSpec(
+                f"extension.kind: must be one of {', '.join(_EXTENSIONS)}, got {kind!r}"
+            )
+        if kind == "sz" and model != "direction":
+            raise InvalidSpec("extension.kind: 'sz' applies to the direction model only")
+        given = {key: value for key, value in ext.items() if key != "kind"}
+        fields = _walk(given, _EXTENSIONS[kind][0], "extension", f"kind {kind!r}", swept)
+    if swept is not None and swept not in _SWEEPABLES[model]:
         raise InvalidSpec(
-            f"extension.kind: must be one of {', '.join(_EXTENSION_FIELDS)}, got {kind!r}"
+            f"sweep_variable: {swept!r} not valid for model {model!r}; "
+            f"expected one of {', '.join(_SWEEPABLES[model])}"
         )
-    if kind == "sz" and model != "direction":
-        raise InvalidSpec("extension.kind: 'sz' applies to the direction model only")
-    given = {key: value for key, value in ext.items() if key != "kind"}
-    fields = _walk(given, _EXTENSION_FIELDS[kind], "extension", f"kind {kind!r}", swept)
+    if swept in ("beta", "kappa", "epsilon") and swept not in fields:
+        kinds = [k for k, (table, *_) in _EXTENSIONS.items() if swept in table]
+        raise InvalidSpec(
+            f"sweep_variable: {swept!r} requires extension.kind = " + " or ".join(map(repr, kinds))
+        )
     return model, params, kind, fields
 
 
 def build_scenario(scenario: dict, swept: Optional[str] = None, value=None):
-    """The model family, evaluation point, time and extension of a scenario.
+    """The family that a scenario describes, with its evaluation point and time.
 
     The scenario is checked by ``validate_scenario`` before any file is read.
-    Returns ``(family, theta, t, offset)``; ``offset`` is the matrix that the
-    extension adds to ``family``'s value (``extensions.extension_offset``),
-    or None without one. ``swept`` names a ``_SWEEPABLES`` variable that
+    Returns ``(family, theta, t, offsets)``: ``family`` is the model's family
+    with the extension's offset (``extensions.extension_offset``) added, and
+    ``offsets`` is None. ``swept`` names a ``_SWEEPABLES`` variable that
     takes ``value`` instead of its fixed or default value: a float, or for
-    ``beta``, ``kappa`` and ``epsilon`` the (N,) array of all grid values,
-    which makes ``offset`` an (N, d, d) stack. For ``B_z`` it may be that
-    array too; the family does not depend on it, and it is returned as
-    ``theta``. A file family or operator file is loaded once here. An added
-    term that overflows raises InvalidSpec naming ``extension.beta``,
-    ``extension.epsilon`` or ``extension.kappa``, and a model term that
-    overflows (``_model_terms``), over the whole grid, names its field. So
-    does an offset that can overflow H(theta) when added: a model term of H
-    plus the offset's largest real or imaginary part that is not finite
-    names ``extension.<field> + <term>``.
+    ``beta``, ``kappa`` and ``epsilon`` the (N,) array of all grid values;
+    then ``family`` is the model's own and ``offsets`` the (N, d, d) stack
+    of the offsets at each. For ``B_z`` it may be that array too; the family
+    does not depend on it, and it is returned as ``theta``. A file family or
+    operator file is loaded once here. An added term that overflows raises
+    InvalidSpec naming ``extension.beta``, ``extension.epsilon`` or
+    ``extension.kappa``, and a model term that overflows (``_model_terms``),
+    over the whole grid, names its field, as does an anchor theta0 + epsilon
+    that is not finite. So does an offset that can overflow H(theta) when
+    added: a model term of H plus the offset's largest real or imaginary
+    part that is not finite names ``extension.<field> + <term>``.
     """
     model, params, kind, fields = validate_scenario(scenario, swept)
     if swept in ("B_z", "theta", "t"):
@@ -289,6 +280,12 @@ def build_scenario(scenario: dict, swept: Optional[str] = None, value=None):
     for name, given, term in terms:
         if not math.isfinite(term):
             raise InvalidSpec(f"{name}: the model's term is not finite at {given!r}")
+    if kind == "subtract-perturbed":  # H(theta0 + epsilon) is evaluated
+        with np.errstate(over="ignore") if swept else nullcontext():
+            finite = np.isfinite(fields["theta0"] + fields["epsilon"])
+        if not finite.all():
+            epsilon = float(np.atleast_1d(fields["epsilon"])[np.argmin(finite)])
+            raise InvalidSpec(f"extension.epsilon: theta0 + epsilon is not finite at {epsilon!r}")
     if model == "nv":  # B_z is the family's theta; nv_family does not read NvParams.Bz
         theta = params.pop("Bz")
         family = nv_family(NvParams(**params))
@@ -299,24 +296,27 @@ def build_scenario(scenario: dict, swept: Optional[str] = None, value=None):
         family, theta = load_model_family(model, scenario["family_file"]), params["theta"]
     if kind is None:
         return family, theta, params["t"], None
+    _, scale_field, spec_type = _EXTENSIONS[kind]
     if kind == "add-operator":
         spec = AddOperator(operator=load_operator(fields["file"]), epsilon=fields["epsilon"])
     elif kind == "sz":  # kappa * B g mu_B S_z
         spec = AddOperator(operator=direction_sz_operator(model_params), epsilon=fields["kappa"])
     else:
-        spec = _EXTENSION_TYPES[kind](**fields)
+        spec = spec_type(**fields)
     try:
         offset = extension_offset(family, spec)
     except OverflowError as exc:  # raised only by a kind with a scaled term
-        raise InvalidSpec(f"extension.{_SCALE_FIELDS[kind]}: {exc}") from exc
+        raise InvalidSpec(f"extension.{scale_field}: {exc}") from exc
     # A real or imaginary part of an entry of H(theta) is at most one of its terms
     # (an anchor's terms bound the offset instead), and of the offset at most its largest.
     largest = float(max(np.abs(offset.real).max(), np.abs(offset.imag).max())) if terms else 0.0
     for name, _, term in terms:
         if not name.startswith("extension.") and not math.isfinite(abs(term) + largest):
-            raise InvalidSpec(f"extension.{_SCALE_FIELDS[kind]} + {name}: "
+            raise InvalidSpec(f"extension.{scale_field} + {name}: "
                               "the added term plus the model's term is not finite")
-    return family, theta, params["t"], offset
+    if swept in ("beta", "kappa", "epsilon"):
+        return family, theta, params["t"], offset
+    return shifted_family(family, offset), theta, params["t"], None
 
 
 def _model_terms(model: str, params: dict, kind, fields: dict, swept=None) -> list:
@@ -397,15 +397,12 @@ def _grid_stacks(spec: SweepSpec, values: list[float]):
     """
     grid = np.array(values)
     variable = spec.sweep_variable
-    if variable in ("beta", "kappa", "epsilon"):
-        family, theta, t, offsets = build_scenario(_scenario(spec), variable, grid)
+    # B_z (checked whole; the family does not depend on it) or an extension field is the grid.
+    value = values[0] if variable in ("theta", "t") else grid
+    family, theta, t, offsets = build_scenario(vars(spec), variable, value)
+    if offsets is not None:
         h = hermitian_stack(family.value(theta).matrix + offsets, grid, variable)
         return h, family.derivative(theta).matrix, np.full(grid.shape, t)
-    # A B_z grid is checked whole; the family does not depend on it.
-    value = grid if variable == "B_z" else values[0]
-    family, theta, t, offset = build_scenario(_scenario(spec), variable, value)
-    if offset is not None:
-        family = shifted_family(family, offset)
     if variable == "t":
         return family.value(theta).matrix, family.derivative(theta).matrix, grid
     return family.values(grid), family.derivatives(grid), np.full(grid.shape, t)
@@ -414,12 +411,12 @@ def _grid_stacks(spec: SweepSpec, values: list[float]):
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate all grid points in one stacked pass, columns in grid order.
 
-    The spec is checked here by ``validate_spec``, which also covers specs
-    built by hand. A non-Hermitian or non-finite matrix names its first
-    offending grid value. A failure other than a bad input file or matrix is
-    raised as ModelError naming the first grid point, where the run is built,
-    and a generator or result that is not finite as ModelError naming the
-    first such point.
+    The spec is checked here, its grid by ``validate_spec`` and then its
+    scenario by ``build_scenario``, which also covers specs built by hand. A
+    non-Hermitian or non-finite matrix names its first offending grid value.
+    A failure other than a bad input file or matrix is raised as ModelError
+    naming the first grid point, where the run is built, and a generator or
+    result that is not finite as ModelError naming the first such point.
     """
     validate_spec(spec)
     values = spec.grid.values()

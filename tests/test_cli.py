@@ -12,6 +12,7 @@ from importlib import resources
 
 import qfiext.cli
 from qfiext import HamiltonianFamily
+from qfiext import load_preset
 from qfiext.cli import main
 from qfiext.models import gyromagnetic_ratio
 from qfiext.sweep import CSV_HEADER
@@ -63,6 +64,16 @@ class TestSweepCommand:
         ]
         for p in out_dir.iterdir():
             assert p.read_text().startswith(CSV_HEADER)
+
+    def test_multi_run_preset_to_stdout_equals_its_files_under_run_headers(
+        self, tmp_path, capsys
+    ):
+        code, out, _ = run_cli(capsys, "sweep", "--preset", "fig2")
+        assert code == 0
+        assert run_cli(capsys, "sweep", "--preset", "fig2", "--out", str(tmp_path)) == (0, "", "")
+        labels = [spec.label for spec in load_preset("fig2").runs]
+        files = [(tmp_path / f"{label}.csv").read_text(encoding="utf-8") for label in labels]
+        assert out == "".join(f"# run: {label}\n{text}" for label, text in zip(labels, files))
 
     def test_json_format_matches_csv_values(self, capsys):
         code, csv_out, _ = run_cli(capsys, "sweep", "--preset", "fig3")
@@ -284,6 +295,27 @@ def report_argv(model, params, extension, family_file) -> list:
     if family_file is not None:
         argv += ["--family-file", family_file]
     return argv
+
+
+@pytest.mark.parametrize("kind", [["flood"], {"name": "flood"}])
+def test_extension_kind_that_is_not_a_string_exits_one(tmp_path, capsys, kind):
+    run = {**DIRECTION_RUN, "extension": {"kind": kind, "beta": 1.0}}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(run), encoding="utf-8")
+    expected = ("error: extension.kind: must be one of flood, subtract, subtract-perturbed, "
+                f"add-operator, sz, got {kind!r}\n")
+    assert run_cli(capsys, "sweep", "--config", str(path)) == (1, "", expected)
+
+
+def test_sz_on_a_model_other_than_direction_exits_one(tmp_path, capsys):
+    expected = "error: extension.kind: 'sz' applies to the direction model only\n"
+    assert run_cli(capsys, "report", "--model", "nv", "--extension", "sz:kappa=1") == (
+        1, "", expected)
+    run = {**DIRECTION_RUN, "model": "nv", "fixed_params": {},
+           "extension": {"kind": "sz", "kappa": 1}}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(run), encoding="utf-8")
+    assert run_cli(capsys, "sweep", "--config", str(path)) == (1, "", expected)
 
 
 @pytest.mark.parametrize("field,model,params,extension,family_file", SCENARIO_MISTAKES)
@@ -600,6 +632,17 @@ class TestOverflow:
         assert (code, out) == (4, "")
         assert err == "error: at t=1e+300: generator is not finite\n"
 
+    def test_report_whose_spectral_spread_overflows_is_quiet(self, capsys):
+        # H's eigenvalue spread is beyond the float maximum; its decomposition stays exact
+        # and quiet. The generator's phase kernel still forms that spread as a gap, so the
+        # run exits 4 although K (about t dH/dtheta) is finite.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "report", "--model", "nv", "--param", "Bz=5.6e296", "--param", "t=1e-320"
+            )
+        assert (code, out, err) == (4, "", "error: at t=1e-320: generator is not finite\n")
+
     def test_report_saturation_of_a_large_hamiltonian_is_quiet(self, capsys):
         # kappa = 1e300 makes ||H|| far beyond 1e154, where the unscaled residual overflowed.
         with warnings.catch_warnings():
@@ -667,6 +710,34 @@ def test_overflowing_anchor_over_an_epsilon_grid_names_its_first_value(tmp_path,
     path.write_text(json.dumps(run), encoding="utf-8")
     expected = "error: extension.epsilon: the model's term is not finite at 1e+300\n"
     assert run_cli(capsys, "sweep", "--config", str(path)) == (1, "", expected)
+
+
+ANCHOR_OVERFLOW = "error: extension.epsilon: theta0 + epsilon is not finite at 1e+308\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--model", "direction", "--param", "B=1e-9"),
+        ("--model", "custom", "--family-file", VALID_FAMILY),
+    ],
+)
+def test_anchor_that_overflows_exits_one_naming_epsilon(capsys, argv):
+    extension = ("--extension", "subtract-perturbed:theta0=1e308,eps=1e308")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, "report", *argv, *extension) == (1, "", ANCHOR_OVERFLOW)
+
+
+def test_anchor_that_overflows_over_an_epsilon_grid_exits_one(tmp_path, capsys):
+    run = {"model": "direction", "sweep_variable": "epsilon", "fixed_params": {"B": 1e-9},
+           "extension": {"kind": "subtract-perturbed", "theta0": 1e308},
+           "grid": {"start": 1e307, "stop": 1e308, "points": 3}}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(run), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, "sweep", "--config", str(path)) == (1, "", ANCHOR_OVERFLOW)
 
 
 @pytest.mark.parametrize(

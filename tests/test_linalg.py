@@ -204,6 +204,16 @@ class TestEig:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
+    def test_spread_beyond_the_float_maximum_keeps_the_eigenvectors(self):
+        # max - min overflows; that made every gap degenerate and the basis canonical.
+        a = HermitianOperator(np.diag([1.7e308, -1.7e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = eig_hermitian(a)
+        residual = np.abs(a.matrix @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues)
+        assert dec.eigenvalues.tolist() == [-1.7e308, 1.7e308]
+        assert residual.max() <= 1e-15 * 1.7e308
+
     def test_deterministic_for_identical_input(self):
         rng = np.random.default_rng(5)
         m = gue(4, rng)
@@ -310,6 +320,14 @@ class TestExpm:
         u2 = expm_unitary(a, 1.9).matrix
         u12 = expm_unitary(a, 2.6).matrix
         assert np.max(np.abs(u1 @ u2 - u12)) < 1e-9
+
+
+    def test_spread_beyond_the_float_maximum(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = expm_unitary(HermitianOperator(np.diag([1.7e308, -1.7e308])), 1e-310)
+        expected = np.diag(np.exp(-1j * 1e-310 * np.array([1.7e308, -1.7e308])))
+        assert np.max(np.abs(u.matrix - expected)) < 1e-15
 
 
 class TestCheckUnitary:

@@ -35,9 +35,9 @@ from qfiext import (
     subtract,
     subtract_perturbed,
 )
+from qfiext import sweep
 from qfiext.cli import main
 from qfiext.familyfile import build_family, load_definition
-from qfiext.extensions import shifted_family
 from qfiext.sweep import CSV_HEADER, build_scenario, load_model_family
 from helpers import family_documents
 
@@ -85,6 +85,17 @@ class TestSpecValidation:
     def test_start_below_stop(self):
         spec = SweepSpec("direction", "t", Grid(2.0, 1.0, 4), dict(DIRECTION_FIXED))
         with pytest.raises(InvalidSpec, match=r"grid\.start"):
+            run_sweep(spec)
+
+    def test_unknown_scale(self):
+        spec = SweepSpec("direction", "t", Grid(0.1, 1.0, 3, "cubic"), dict(DIRECTION_FIXED))
+        with pytest.raises(InvalidSpec, match=r"^grid\.scale: must be 'linear' or 'log'"):
+            run_sweep(spec)
+
+    @pytest.mark.parametrize("start,stop", [(0.1, float("inf")), (float("nan"), 1.0)])
+    def test_non_finite_bound(self, start, stop):
+        spec = SweepSpec("direction", "t", Grid(start, stop, 3), dict(DIRECTION_FIXED))
+        with pytest.raises(InvalidSpec, match=r"^grid\.start/grid\.stop: must be finite"):
             run_sweep(spec)
 
     def test_sweep_variable_for_model(self):
@@ -399,6 +410,22 @@ def test_preset_csv_bytes_pinned(tmp_path):
     assert digests == PRESET_CSV_SHA256
 
 
+def test_each_preset_run_walks_its_scenario_once(monkeypatch):
+    walked = []
+    validate = sweep.validate_scenario
+
+    def counted(scenario, swept=None):
+        walked.append(swept)
+        return validate(scenario, swept)
+
+    monkeypatch.setattr(sweep, "validate_scenario", counted)
+    specs = [spec for name in ("fig1", "fig2", "fig3") for spec in load_preset(name).runs]
+    for spec in specs:
+        run_sweep(spec)
+    assert len(specs) == 12
+    assert walked == [spec.sweep_variable for spec in specs]
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(
     family_documents(min_dim=2, max_dim=5, kinds=("const", "linear")),
@@ -416,7 +443,7 @@ def test_flooding_a_broken_phase_shift_file_family_shifts_theta(doc, theta0, bet
             **run, "fixed_params": {"theta": theta0, "t": t},
             "extension": {"kind": "flood", "beta": beta, "theta0": theta0},
         })
-        flooded = channel_qfi(shifted_family(family, offset), theta, t).channel_qfi
+        flooded = channel_qfi(family, theta, t).channel_qfi
         family, theta, _, offset = build_scenario(
             {**run, "fixed_params": {"theta": theta0 + beta, "t": t}, "extension": None}
         )
