@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from .sweep import (
     Preset,
     SweepResult,
     build_scenario,
+    json_text,
     load_config,
     load_preset,
     preset_names,
@@ -49,8 +49,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The parser, built on the first ``main`` call and reused by later ones in the process."""
+def _build_parser() -> tuple[_Parser, dict]:
+    """The parser and each command's own parser (which sets ``command``), built once."""
     parser = _Parser(prog="qfiext", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -79,7 +79,9 @@ def _build_parser() -> _Parser:
     p_val.add_argument("file")
 
     sub.add_parser("presets", help="list embedded presets")
-    return parser
+    for name, command in sub.choices.items():
+        command.set_defaults(command=name)
+    return parser, sub.choices
 
 
 def _emit(text: str, path: Path | None):
@@ -155,15 +157,13 @@ def _cmd_report(args) -> int:
         },
         "optimal_probe": probe,
     }
-    sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    sys.stdout.write(json_text(doc) + "\n")
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
     diagnostics = validate_file(args.file)
-    for line in diagnostics.messages:
-        print(line)
-    for line in diagnostics.extremal_degeneracy:
+    for line in (*diagnostics.messages, *diagnostics.extremal_degeneracy):
         print(line)
     if diagnostics.status == "ok":
         print(f"{args.file}: OK")
@@ -195,24 +195,26 @@ def _cmd_presets(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handlers = {
-        "sweep": _cmd_sweep,
-        "report": _cmd_report,
-        "validate": _cmd_validate,
-        "presets": _cmd_presets,
-    }
+    """Run one command. A leading command name is parsed by its own parser alone
+    (what it leaves over is the top-level parser's error); other argv by the top level."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    handlers = {"sweep": _cmd_sweep, "report": _cmd_report, "validate": _cmd_validate,
+                "presets": _cmd_presets}
     try:
         return handlers[args.command](args)
-    except InvalidSpec as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGED
     except (QfiextError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        if isinstance(exc, InvalidSpec):
+            return EXIT_USAGE
+        return EXIT_NONCONVERGED if isinstance(exc, ModelError) else EXIT_INVARIANT
 
 
 if __name__ == "__main__":

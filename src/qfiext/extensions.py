@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DegenerateExtremalEigenvalues, DimensionMismatch
+from .errors import DegenerateExtremalEigenvalues, DimensionMismatch, InvalidSpec
 from .family import HamiltonianFamily, _formula_family, factor, hermitian_stack
 from .linalg import HermitianOperator, as_hermitian, commutator, degenerate_blocks, eig_hermitian
 
@@ -63,18 +63,33 @@ def _require_finite(**values):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def shifted_family(family: HamiltonianFamily, offset: np.ndarray) -> HamiltonianFamily:
+def add_offset(h: np.ndarray, offset: np.ndarray, field=None, at=None, name: str = "theta"):
+    """``h + offset``; with ``field``, the extension field that sets the offset, a sum that
+    is not finite raises InvalidSpec naming it and ``name``'s first such value in ``at``."""
+    if field is None:
+        return h + offset
+    with np.errstate(over="ignore"):
+        total = h + offset
+    finite = np.isfinite(total).all(axis=(-2, -1))
+    if not finite.all():
+        value = float(np.atleast_1d(at)[np.argmin(finite)])
+        raise InvalidSpec(f"{field}: the added term plus H is not finite at {name}={value!r}")
+    return total
+
+
+def shifted_family(family: HamiltonianFamily, offset: np.ndarray, field=None) -> HamiltonianFamily:
     """``family`` with the fixed (d, d) matrix ``offset`` added to its value.
 
     ``offset`` is Hermitian (``extension_offset`` forms it from checked
     operators), so the sum is not tested for asymmetry (``hermitized``).
+    ``field`` names the sum's overflow as ``add_offset`` does.
     """
 
     def value(theta: float) -> HermitianOperator:
-        return as_hermitian(family.value(theta).matrix + offset)
+        return as_hermitian(add_offset(family.value(theta).matrix, offset, field, theta))
 
     def values(thetas: np.ndarray) -> np.ndarray:
-        return hermitian_stack(family.values(thetas) + offset, thetas)
+        return hermitian_stack(add_offset(family.values(thetas), offset, field, thetas), thetas)
 
     return HamiltonianFamily(
         family.dim,

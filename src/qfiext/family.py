@@ -80,10 +80,7 @@ class HamiltonianFamily:
 
     @classmethod
     def from_formulas(
-        cls,
-        dim: int,
-        value: Formula,
-        derivative: Formula,
+        cls, dim: int, value: Formula, derivative: Formula,
         second_derivative: Optional[Formula] = None,
     ) -> "HamiltonianFamily":
         """Family whose scalar maps and grid evaluators share shape-generic formulas.

@@ -169,12 +169,8 @@ def _parse_terms(obj, dim: int, key: str) -> tuple[Term, ...]:
         where = f"{key}[{k}]"
         if not isinstance(raw, dict) or "coefficient" not in raw or "matrix" not in raw:
             raise FamilyFileError(f"{where}: term needs 'coefficient' and 'matrix'")
-        terms.append(
-            Term(
-                _parse_coefficient(raw["coefficient"], where),
-                parse_matrix(raw["matrix"], where, dim),
-            )
-        )
+        coefficient = _parse_coefficient(raw["coefficient"], where)
+        terms.append(Term(coefficient, parse_matrix(raw["matrix"], where, dim)))
     return tuple(terms)
 
 

@@ -56,10 +56,12 @@ class GeneratorResult:
 def _phase_kernel(t: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
     """t * exp(i t d/2) * sin(t d/2)/(t d/2) over all eigenvalue gaps d.
 
-    ``eigenvalues`` is a stack (N, d) of spectra and ``t`` is (N, 1, 1).
+    ``eigenvalues`` is a stack (N, d) of spectra and ``t`` is (N, 1, 1). d/2 is formed
+    from halves, which cannot overflow, and has the bits of d's half where t d/2 is normal.
     """
-    gaps = eigenvalues[..., :, None] - eigenvalues[..., None, :]
-    return t * np.exp(0.5j * t * gaps) * np.sinc(t * gaps / (2.0 * np.pi))
+    half = eigenvalues * 0.5
+    half_gaps = half[..., :, None] - half[..., None, :]
+    return t * np.exp(1j * t * half_gaps) * np.sinc(t * half_gaps / np.pi)
 
 
 class SpectralPoint:
@@ -157,9 +159,7 @@ def generator_quadrature(
     def evaluate(n: int) -> np.ndarray:
         return _gauss_legendre_generator(t, w, v, hdot, n)
 
-    cur = evaluate(order)
-    err = None
-    converged = False
+    cur, err, converged = evaluate(order), None, False
     while 2 * order <= QUADRATURE_MAX_ORDER:
         order *= 2
         nxt = evaluate(order)

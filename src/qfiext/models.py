@@ -94,13 +94,8 @@ def nv_family(params: NvParams) -> HamiltonianFamily:
         + params.D * (sz.matrix @ sz.matrix)
         + params.E * (sx.matrix @ sx.matrix - sy.matrix @ sy.matrix)
     )
-    slope = as_hermitian(gamma * sz.matrix)
-    return _formula_family(
-        3,
-        lambda bz: factor(bz) * slope.matrix + static,
-        slope,
-        as_hermitian(np.zeros((3, 3), dtype=complex)),
-    )
+    slope, zero = as_hermitian(gamma * sz.matrix), as_hermitian(np.zeros((3, 3), dtype=complex))
+    return _formula_family(3, lambda bz: factor(bz) * slope.matrix + static, slope, zero)
 
 
 def nv_flooded_family(params: NvParams, beta: float) -> HamiltonianFamily:

@@ -26,6 +26,7 @@ from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 from importlib import resources
 from contextlib import nullcontext
 from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 import numpy as np
@@ -42,6 +43,7 @@ from .extensions import (
     Flood,
     Subtract,
     SubtractPerturbed,
+    add_offset,
     extension_offset,
     shifted_family,
 )
@@ -316,7 +318,9 @@ def build_scenario(scenario: dict, swept: Optional[str] = None, value=None):
                               "the added term plus the model's term is not finite")
     if swept in ("beta", "kappa", "epsilon"):
         return family, theta, params["t"], offset
-    return shifted_family(family, offset), theta, params["t"], None
+    # A file family has no model terms to bound its sum with the offset: checked when evaluated.
+    field = None if terms else f"extension.{scale_field}"
+    return shifted_family(family, offset, field), theta, params["t"], None
 
 
 def _model_terms(model: str, params: dict, kind, fields: dict, swept=None) -> list:
@@ -401,7 +405,8 @@ def _grid_stacks(spec: SweepSpec, values: list[float]):
     value = values[0] if variable in ("theta", "t") else grid
     family, theta, t, offsets = build_scenario(vars(spec), variable, value)
     if offsets is not None:
-        h = hermitian_stack(family.value(theta).matrix + offsets, grid, variable)
+        h = add_offset(family.value(theta).matrix, offsets, f"extension.{variable}", grid, variable)
+        h = hermitian_stack(h, grid, variable)
         return h, family.derivative(theta).matrix, np.full(grid.shape, t)
     if variable == "t":
         return family.value(theta).matrix, family.derivative(theta).matrix, grid
@@ -441,7 +446,34 @@ def rows_to_csv(result: SweepResult) -> str:
 def rows_to_json(result: SweepResult) -> str:
     keys = CSV_HEADER.split(",")
     rows = [dict(zip(keys, record)) for record in result._records()]
-    return json.dumps({"label": result.label, "rows": rows}, indent=2, allow_nan=False) + "\n"
+    return json_text({"label": result.label, "rows": rows}) + "\n"
+
+
+def json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)`` (dict keys are strings),
+    without the pure-Python encoder that ``indent`` makes ``json`` use. ``indent``
+    is the line break before ``value``'s level."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items, brackets = [json_text(item, inner) for item in value], "[]"
+    elif isinstance(value, dict):
+        items = [f"{_quote(key)}: {json_text(item, inner)}" for key, item in value.items()]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
 def _grid_points(value, prefix: str) -> int:

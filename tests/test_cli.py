@@ -1,5 +1,6 @@
 """Tests for the command-line interface (in-process via main())."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -600,6 +601,49 @@ NAN_FAMILY = (
 OPERATOR = {"re": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3e10]]}
 
 
+class TestArgumentParsing:
+    """A leading command is parsed by its own parser alone, with the two-level parse's output."""
+
+    ARGVS = [
+        [], ["bogus"], ["rep"], ["--help"], ["-x", "report"], ["report", "-h"], ["report"],
+        ["report", "--model", "nv", "--bogus", "1"], ["report", "--model", "nv", "--", "x"],
+        ["report", "--model", "nv", "--he"], ["sweep", "--preset", "fig1", "--jobs", "x"],
+        ["presets", "x"], ["validate"],
+    ]
+
+    @staticmethod
+    def exit_of(capsys, parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_exits_as_the_two_level_parse(self, capsys, argv):
+        parser, _ = qfiext.cli._build_parser()  # its parse_args parses the command's arguments
+        assert self.exit_of(capsys, main, argv) == self.exit_of(capsys, parser.parse_args, argv)
+
+    def test_leftover_arguments_are_the_top_level_error(self, capsys):
+        argv = ["report", "--model", "nv", "--bogus", "1"]
+        assert self.exit_of(capsys, main, argv) == (1, "", (
+            "usage: qfiext [-h] {sweep,report,validate,presets} ...\n"
+            "qfiext: error: unrecognized arguments: --bogus 1\n"
+        ))
+
+    def test_a_report_parses_its_arguments_once(self, capsys, monkeypatch):
+        calls = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        code, out, _ = run_cli(capsys, "report", "--model", "nv", "--param", "Bz=0.1")
+        assert (code, calls) == (0, ["qfiext report"])
+        assert json.loads(out)["model"] == "nv"
+
+
 class TestOverflow:
     """Inputs whose evaluation overflows: an error naming the input, no warning, no output."""
 
@@ -633,15 +677,50 @@ class TestOverflow:
         assert err == "error: at t=1e+300: generator is not finite\n"
 
     def test_report_whose_spectral_spread_overflows_is_quiet(self, capsys):
-        # H's eigenvalue spread is beyond the float maximum; its decomposition stays exact
-        # and quiet. The generator's phase kernel still forms that spread as a gap, so the
-        # run exits 4 although K (about t dH/dtheta) is finite.
+        # H's eigenvalue spread is beyond the float maximum; its decomposition and the
+        # generator's phase kernel form gaps from halves, so K (about t dH/dtheta) is finite.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(
                 capsys, "report", "--model", "nv", "--param", "Bz=5.6e296", "--param", "t=1e-320"
             )
-        assert (code, out, err) == (4, "", "error: at t=1e-320: generator is not finite\n")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert all(np.isfinite([doc["channel_qfi"], doc["upper_bound"], doc["ratio"]]))
+
+    @pytest.mark.parametrize("model", ["custom", "broken-phase-shift"])
+    def test_report_file_family_whose_flood_overflows_exits_one_naming_beta(self, capsys, model):
+        # H(theta) and the flood term are finite; their sum overflows where it is evaluated.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "report", "--model", model, "--family-file", VALID_FAMILY,
+                "--param", "theta=1e308", "--extension", "flood:beta=1e308",
+            )
+        expected = "error: extension.beta: the added term plus H is not finite at theta=1e+308\n"
+        assert (code, out, err) == (1, "", expected)
+
+    @pytest.mark.parametrize(
+        "variable,fixed,extension,grid,at",
+        [
+            ("theta", {}, {"beta": 1e308}, (1e307, 1e308), "theta=1e+308"),
+            ("t", {"theta": 1e308}, {"beta": 1e308}, (1.0, 2.0), "theta=1e+308"),
+            ("beta", {"theta": 1e308}, {}, (1e306, 1e308), "beta=1e+308"),
+        ],
+    )
+    def test_sweep_file_family_whose_flood_overflows_exits_one(
+        self, tmp_path, capsys, variable, fixed, extension, grid, at
+    ):
+        run = {"model": "custom", "family_file": VALID_FAMILY, "sweep_variable": variable,
+               "fixed_params": fixed, "extension": {"kind": "flood", **extension},
+               "grid": {"start": grid[0], "stop": grid[1], "points": 3}}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(run), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        expected = f"error: extension.beta: the added term plus H is not finite at {at}\n"
+        assert (code, out, err) == (1, "", expected)
 
     def test_report_saturation_of_a_large_hamiltonian_is_quiet(self, capsys):
         # kappa = 1e300 makes ||H|| far beyond 1e154, where the unscaled residual overflowed.

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfiext import (
@@ -387,3 +387,33 @@ class TestSpectralPoint:
         for array in (point.gen, point.err, *point.eigh, point.operator.matrix):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
+
+
+class TestPhaseKernel:
+    @staticmethod
+    def plain_gaps_kernel(t, w):
+        """The kernel from the plain gaps of w, which overflow beyond the largest float."""
+        gaps = w[..., :, None] - w[..., None, :]
+        return t * np.exp(0.5j * t * gaps) * np.sinc(t * gaps / (2.0 * np.pi))
+
+    def test_spread_beyond_the_largest_float_gives_t_quietly(self):
+        w = np.array([[-1.7e308, 0.0, 1.7e308]])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            kernel = generator._phase_kernel(np.array([1e-320])[:, None, None], w)
+        assert kernel[0, 0, 2] == kernel[0, 2, 0] == 1e-320
+        assert np.isfinite(kernel).all()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=5),
+        st.floats(1e-100, 1e100) | st.floats(-1e100, -1e-100),
+    )
+    def test_bits_of_the_plain_gaps_where_t_times_the_gaps_is_normal(self, values, t):
+        # Below the normal range, halving and the gaps' products may round otherwise.
+        w = np.sort(np.array(values))[None]
+        gaps = np.abs(w[0, :, None] - w[0, None, :])
+        assume(not (0 < np.abs(w)).any() or np.abs(w[w != 0]).min() > 1e-290)
+        assume(not (0 < gaps).any() or abs(t) * gaps[gaps > 0].min() > 1e-290)
+        t = np.array([t])[:, None, None]
+        new, old = generator._phase_kernel(t, w), self.plain_gaps_kernel(t, w)
+        assert new.tobytes() == old.tobytes()

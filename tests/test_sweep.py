@@ -471,3 +471,48 @@ def test_ratio_never_exceeds_one_on_random_file_families(doc, start, width, poin
     assert len(rows) == points
     for row in rows:
         assert 0.0 <= row.ratio <= 1.0 + 1e-9
+
+
+json_leaves = (
+    st.text(alphabet=st.characters(codec="utf-8"))
+    | st.sampled_from(["", "\x00\x1f\"\\/\n\t", "é \U0001f600", "\ud800"])
+    | st.integers(-(2**70), 2**70)
+    | st.booleans()
+    | st.none()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 0.1, 1e16])
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=5), children, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(json_values)
+def test_json_text_is_the_indented_json_dumps_text(value):
+    assert sweep.json_text(value) == json.dumps(value, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_json_text_rejects_a_float_that_is_not_finite(bad):
+    for value in (bad, [1.0, bad], {"a": {"b": (bad,)}}):
+        with pytest.raises(ValueError):
+            sweep.json_text(value)
+
+
+@pytest.mark.parametrize("value", [[b"bytes"], {"a": {1.5}}, np.float32(1.0), {1: 2.0}])
+def test_json_text_rejects_other_types_and_keys_that_are_not_strings(value):
+    with pytest.raises(TypeError):
+        sweep.json_text(value)
+
+
+def test_rows_to_json_of_fig3_is_the_json_dumps_text():
+    (spec,) = load_preset("fig3").runs
+    result = run_sweep(spec)
+    keys = CSV_HEADER.split(",")
+    doc = {"label": result.label, "rows": [dict(zip(keys, r)) for r in result._records()]}
+    assert rows_to_json(result) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
