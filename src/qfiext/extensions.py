@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import DegenerateExtremalEigenvalues, DimensionMismatch, InvalidSpec
 from .family import HamiltonianFamily, _formula_family, factor, hermitian_stack
-from .linalg import HermitianOperator, as_hermitian, commutator, degenerate_blocks, eig_hermitian
+from .linalg import HermitianOperator, _HALF_MAX, as_hermitian, commutator, degenerate_blocks
+from .linalg import eig_hermitian
 
 
 @dataclass(frozen=True)
@@ -55,25 +56,27 @@ ExtensionSpec = Union[Flood, Subtract, SubtractPerturbed, AddOperator]
 def _require_finite(**values):
     """Each value is a float, or an (N,) array of grid values."""
     for name, value in values.items():
-        if isinstance(value, np.ndarray):
-            finite = bool(np.isfinite(value).all())
-        else:
-            finite = math.isfinite(value)
+        finite = np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value)
         if not finite:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _first_not_finite(finite: np.ndarray, values, message: str, error=OverflowError):
+    """Raise ``error(message + the first value of values where finite is False)``, if any."""
+    if not finite.all():
+        raise error(message + repr(float(np.atleast_1d(values)[np.argmin(finite)])))
+
+
 def add_offset(h: np.ndarray, offset: np.ndarray, field=None, at=None, name: str = "theta"):
     """``h + offset``; with ``field``, the extension field that sets the offset, a sum that
-    is not finite raises InvalidSpec naming it and ``name``'s first such value in ``at``."""
-    if field is None:
+    is not finite raises InvalidSpec naming it and ``name``'s first such value in ``at``. A sum
+    of parts at most half the largest float cannot overflow: it is not checked (no errstate)."""
+    if field is None or max(np.abs(h).max(), np.abs(offset).max()) <= _HALF_MAX:
         return h + offset
     with np.errstate(over="ignore"):
         total = h + offset
-    finite = np.isfinite(total).all(axis=(-2, -1))
-    if not finite.all():
-        value = float(np.atleast_1d(at)[np.argmin(finite)])
-        raise InvalidSpec(f"{field}: the added term plus H is not finite at {name}={value!r}")
+    message = f"{field}: the added term plus H is not finite at {name}="
+    _first_not_finite(np.isfinite(total).all(axis=(-2, -1)), at, message, InvalidSpec)
     return total
 
 
@@ -153,9 +156,7 @@ def _scaled(coefficient, matrix: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         offset = factor(coefficient) * matrix
     finite = np.isfinite(offset).all(axis=(-2, -1))
-    if not finite.all():
-        value = float(coefficient if finite.ndim == 0 else coefficient[np.argmin(finite)])
-        raise OverflowError(f"the added term is not finite at coefficient {value!r}")
+    _first_not_finite(finite, coefficient, "the added term is not finite at coefficient ")
     return offset
 
 
@@ -164,8 +165,9 @@ def extension_offset(family: HamiltonianFamily, spec: ExtensionSpec) -> np.ndarr
 
     ``beta`` or ``epsilon`` may be an (N,) array of grid values instead of a
     float; the offset is then the (N, d, d) stack of the offsets at each. A
-    ``beta * dH/dtheta(theta0)`` or ``epsilon * V`` that overflows raises
-    OverflowError naming the first such ``beta`` or ``epsilon``.
+    ``beta * dH/dtheta(theta0)`` or ``epsilon * V`` that overflows, or an
+    anchor ``theta0 + epsilon`` that is not finite, raises OverflowError
+    naming the first such ``beta`` or ``epsilon``.
     """
     if isinstance(spec, Flood):
         _require_finite(theta0=spec.theta0, beta=spec.beta)
@@ -175,10 +177,10 @@ def extension_offset(family: HamiltonianFamily, spec: ExtensionSpec) -> np.ndarr
         return -family.value(spec.theta0).matrix
     if isinstance(spec, SubtractPerturbed):
         _require_finite(theta0=spec.theta0, epsilon=spec.epsilon)
+        half = np.abs(spec.theta0 * 0.5 + spec.epsilon * 0.5)  # overflows as the sum would
+        _first_not_finite(half <= _HALF_MAX, spec.epsilon, "theta0 + epsilon is not finite at ")
         anchor = spec.theta0 + spec.epsilon
-        if isinstance(anchor, np.ndarray):
-            return -family.values(anchor)
-        return -family.value(anchor).matrix
+        return -family.values(anchor) if half.ndim else -family.value(anchor).matrix
     if isinstance(spec, AddOperator):
         _require_finite(epsilon=spec.epsilon)
         v = spec.operator

@@ -32,14 +32,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .errors import FamilyFileError, NonHermitianInput
+from .errors import FamilyFileError, InvalidSpec, NonHermitianInput
 from .family import HamiltonianFamily, FamilyValidation, _formula_family, factor, validate_family
-from .linalg import HermitianOperator, degenerate_blocks, eig_hermitian
+from .linalg import HermitianOperator, _HALF_MAX, degenerate_blocks, eig_hermitian
 
 COEFFICIENT_KINDS = ("const", "linear", "sin", "cos")
 # theta samples used for derivative validation and degeneracy reporting
@@ -86,6 +87,11 @@ class Coefficient:
 class Term:
     coefficient: Coefficient
     matrix: HermitianOperator
+
+    @cached_property
+    def size(self) -> float:  # max(1, |scale|, |frequency|, |phase|, max|entry|)
+        c, m = self.coefficient, self.matrix.matrix
+        return max(1.0, abs(c.scale), abs(c.frequency), abs(c.phase), float(np.abs(m).max()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,32 +220,44 @@ def load_operator(path) -> HermitianOperator:
     return parse_matrix(read_json(path, "operator"), str(path))
 
 
-def _sum_terms(terms: tuple[Term, ...], dim: int, coefficient, theta) -> np.ndarray:
-    """sum_k coefficient(c_k, theta) * M_k at a float theta, or over an (N,) array of them."""
-    acc = np.zeros(np.shape(theta) + (dim, dim), dtype=complex)
-    for term in terms:
-        acc += factor(coefficient(term.coefficient, theta)) * term.matrix.matrix
-    return acc
+def checked_sum(terms: tuple[Term, ...], coefficient, key: str = "terms", formula=None):
+    """theta -> sum_k coefficient(c_k, theta) M_k over ``terms`` (``formula`` may form the
+    sum otherwise), at a float theta or an (N,) array of them. A sum that is not finite
+    raises InvalidSpec naming ``family_file: <key>[k]``, the first term in file order whose
+    term or running sum is not finite, at the first such theta. With the n terms' scales,
+    frequencies, phases and entries at most s >= 1, each angle, coefficient and partial sum
+    is at most 2 n s^4 max(1, |theta|): within ``limit`` a float theta needs no check."""
+    dim = terms[0].matrix.dim
+    formula = formula or (lambda theta: sum(
+        (factor(coefficient(term.coefficient, theta)) * term.matrix.matrix for term in terms),
+        np.zeros(np.shape(theta) + (dim, dim), dtype=complex)))
+    s = max(term.size for term in terms)
+    limit = _HALF_MAX / (len(terms) * s * s * s * s)
+
+    def checked(theta):
+        if not isinstance(theta, np.ndarray) and max(1.0, abs(theta)) <= limit:
+            return formula(theta)
+        with np.errstate(all="ignore"):
+            total = formula(theta)
+            finite = np.isfinite(total).all(axis=(-2, -1))
+            if finite.all():
+                return total
+            at = float(np.atleast_1d(theta)[np.argmin(finite)])
+            terms_at = [coefficient(term.coefficient, at) * term.matrix.matrix for term in terms]
+            k = int(np.argmin(np.isfinite(np.cumsum(terms_at, axis=0)).all(axis=(-2, -1))))
+        raise InvalidSpec(f"family_file: {key}[{k}]: the term or the sum up to it "
+                          f"is not finite at theta={at!r}")
+
+    return checked
 
 
 def build_family(definition: FamilyDefinition) -> HamiltonianFamily:
     """Family with analytic coefficient derivatives (or the explicit override)."""
-    dim = definition.dim
-    terms = definition.terms
-    explicit = definition.derivative_terms
-
-    def value(theta):
-        return _sum_terms(terms, dim, Coefficient.value, theta)
-
-    def derivative(theta):
-        if explicit is not None:
-            return _sum_terms(explicit, dim, Coefficient.value, theta)
-        return _sum_terms(terms, dim, Coefficient.derivative, theta)
-
-    def second_derivative(theta):
-        return _sum_terms(terms, dim, Coefficient.second_derivative, theta)
-
-    return _formula_family(dim, value, derivative, second_derivative)
+    terms, explicit, c = definition.terms, definition.derivative_terms, Coefficient
+    derivative = (checked_sum(terms, c.derivative) if explicit is None
+                  else checked_sum(explicit, c.value, "derivative_terms"))
+    value, second = checked_sum(terms, c.value), checked_sum(terms, c.second_derivative)
+    return _formula_family(definition.dim, value, derivative, second)
 
 
 @dataclass
@@ -258,14 +276,13 @@ class FileDiagnostics:
 
 def validate_file(path) -> FileDiagnostics:
     """Full validation: schema, Hermiticity, derivative consistency, degeneracy report."""
-    try:
-        definition = load_definition(path)
-    except (FamilyFileError, NonHermitianInput) as exc:
+    try:  # a term that overflows at a validation theta is named by validate_family's call
+        family = build_family(load_definition(path))
+        check = validate_family(family, VALIDATION_THETAS)
+    except (FamilyFileError, NonHermitianInput, InvalidSpec) as exc:
         return FileDiagnostics("invariant", [str(exc)])
 
-    family = build_family(definition)
     messages: list[str] = []
-    check = validate_family(family, VALIDATION_THETAS)
     degeneracy = []
     for theta in VALIDATION_THETAS:
         dec = eig_hermitian(family.derivative(theta))

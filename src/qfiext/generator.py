@@ -53,15 +53,16 @@ class GeneratorResult:
     converged: bool = True
 
 
-def _phase_kernel(t: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
-    """t * exp(i t d/2) * sin(t d/2)/(t d/2) over all eigenvalue gaps d.
+def _phase_kernel(t: np.ndarray, eigenvalues: np.ndarray, lead=None) -> np.ndarray:
+    """``lead`` (default t) * exp(i t d/2) * sin(t d/2)/(t d/2) over all eigenvalue gaps d.
 
     ``eigenvalues`` is a stack (N, d) of spectra and ``t`` is (N, 1, 1). d/2 is formed
     from halves, which cannot overflow, and has the bits of d's half where t d/2 is normal.
     """
     half = eigenvalues * 0.5
     half_gaps = half[..., :, None] - half[..., None, :]
-    return t * np.exp(1j * t * half_gaps) * np.sinc(t * half_gaps / np.pi)
+    lead = t if lead is None else lead
+    return lead * np.exp(1j * t * half_gaps) * np.sinc(t * half_gaps / np.pi)
 
 
 class SpectralPoint:
@@ -103,7 +104,7 @@ def generator_spectral(family: HamiltonianFamily, theta: float, t: float) -> Gen
 
 
 def generator_in_eigenbasis(
-    w: np.ndarray, v: np.ndarray, hdot: np.ndarray, t: np.ndarray
+    w: np.ndarray, v: np.ndarray, hdot: np.ndarray, t: np.ndarray, over_t: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """The spectral generators (N, d, d) and their errors (N,) from H's ``eigh_stack``.
 
@@ -113,10 +114,12 @@ def generator_in_eigenbasis(
     makes it exactly Hermitian, so wrapping it in a ``HermitianOperator``
     leaves its bits unchanged. An overflow at large t gives a generator or
     error that is not finite, without a numpy warning; the caller checks.
+    With ``over_t`` they are K/t, from the kernel without its leading t.
     """
     v_dag = v.conj().swapaxes(-1, -2)
     with np.errstate(all="ignore"):
-        gen = v @ ((v_dag @ hdot @ v) * _phase_kernel(t[:, None, None], w)) @ v_dag
+        kernel = _phase_kernel(t[:, None, None], w, 1.0 if over_t else None)
+        gen = v @ ((v_dag @ hdot @ v) * kernel) @ v_dag
         # 16 d eps (1 + |t| max|Hdot|), the spectral route's rounding estimate.
         hdot_max = np.abs(hdot).max(axis=(-2, -1))
         err = 16.0 * w.shape[-1] * float(np.finfo(float).eps) * (1.0 + abs(t) * hdot_max)

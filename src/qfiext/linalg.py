@@ -295,9 +295,9 @@ def expm_unitary(a: HermitianOperator, t: float) -> UnitaryOperator:
 
 
 def seminorm(a: HermitianOperator) -> float:
-    """Spectral spread max(eig) - min(eig); vanishes on multiples of identity."""
+    """Spectral spread max(eig) - min(eig), inf beyond the largest float; 0 on c * 1."""
     w = np.linalg.eigvalsh(a.matrix)
-    return float(w[-1] - w[0])
+    return float(w[-1]) - float(w[0])  # Python floats overflow without a warning
 
 
 def _check_dims(a: HermitianOperator, dim: int):

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DimensionMismatch, ModelError
 from .family import HamiltonianFamily
 from .generator import GeneratorMethod, generator_in_eigenbasis, generator_spectral, spectral_point
-from .linalg import PureState, degenerate_blocks, eigh_stack, seminorm, variance
+from .linalg import PureState, degenerate_blocks, eigh_stack, variance
 
 # Residual tolerance (relative to the spectral norm of H) below which an
 # extremal eigenvector of dH/dtheta counts as an eigenvector of H.
@@ -70,21 +70,25 @@ def qfi_pure(family: HamiltonianFamily, theta: float, t: float, psi0: PureState)
 
 def upper_bound(family: HamiltonianFamily, theta: float, t: float) -> float:
     """t^2 * seminorm(dH/dtheta)^2, the ceiling for the channel QFI (see ``_bound``)."""
+    d = np.linalg.eigvalsh(family.derivative(theta).matrix)
     with np.errstate(all="ignore"):
-        return float(_bound(np.float64(t), np.float64(seminorm(family.derivative(theta)))))
+        return float(_bound(np.float64(t), d[-1] - d[0], d))
 
 
-def _bound(t, spread):
-    """t * t * spread**2, or (|t| spread)**2 where that is not finite (inf * 0, say).
-
-    For numpy values under ``np.errstate(all="ignore")``.
-    """
+def _bound(t, spread, d):
+    """t * t * spread**2, or (|t| spread)**2 where that is not finite (inf * 0, say), with a
+    spread beyond the largest float formed from halves of the spectra ``d``; under errstate."""
     bound = t * t * spread**2
-    return np.where(np.isfinite(bound), bound, (np.abs(t) * spread) ** 2)
+    finite = np.isfinite(bound)
+    if finite.all():
+        return bound
+    halves = np.abs(t) * (d[..., -1] * 0.5 - d[..., 0] * 0.5) * 2.0
+    root = np.where(np.isfinite(spread), np.abs(t) * spread, halves)
+    return np.where(finite, bound, root**2)
 
 
 def _reduce(
-    k: np.ndarray, hdot: np.ndarray, t: np.ndarray, err: np.ndarray
+    k: np.ndarray, hdot: np.ndarray, t: np.ndarray, err: np.ndarray, eigh=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(channel QFI, upper bound, ratio, estimated error) as (N,) columns.
 
@@ -94,20 +98,36 @@ def _reduce(
     bound vanishes. Once the bound is below the smallest normal float, the
     squares have lost relative precision (or underflowed to 0), so the ratio
     is formed from their square roots, the spreads of K and of t dH/dtheta.
+    Where |t| spread(dH/dtheta) is itself below it, K is rounding noise, and
+    ``_unit_ratio`` forms the ratio there from H's ``eigh``, if given.
     """
-    # eigvalsh as seminorm (so upper_bound) does: eigh need not agree in the last bit.
+    # eigvalsh as upper_bound does: eigh need not agree in the last bit.
     d = np.linalg.eigvalsh(hdot)
-    d_spread = d[..., -1] - d[..., 0]
-    k_spread = k[:, -1] - k[:, 0]
-    bound_spread = np.abs(t) * d_spread
     # Both branches of each where are formed; an overflow, 0/0 or inf/inf
     # there is left to _check_finite, not reported by numpy.
     with np.errstate(all="ignore"):
+        d_spread = d[..., -1] - d[..., 0]
+        k_spread = k[:, -1] - k[:, 0]
+        bound_spread = np.abs(t) * d_spread
         cqfi = k_spread * k_spread
-        bound = _bound(t, d_spread)
+        bound = _bound(t, d_spread, d)
         from_spreads = np.where(bound_spread > 0.0, (k_spread / bound_spread) ** 2, 1.0)
         ratio = np.where(bound >= _SMALLEST_NORMAL, cqfi / bound, from_spreads)
+        if eigh is not None and bound.min() < _SMALLEST_NORMAL:  # else bound_spread is normal
+            noise = (bound_spread > 0.0) & (bound_spread < _SMALLEST_NORMAL)
+            ratio[noise] = _unit_ratio(eigh, hdot, t, noise)
     return cqfi, bound, ratio, err
+
+
+def _unit_ratio(eigh, hdot: np.ndarray, t: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The ratio at the points ``at`` from D = 2^e dH/dtheta (exact), max|entry| in [1/2, 1),
+    and D's generator over t (the kernel without its t), whose spread is at most D's."""
+    w, v, hdot = (np.broadcast_to(a, (len(t), *a.shape[1:]))[at]
+                  for a in (*eigh, hdot.reshape(-1, *hdot.shape[-2:])))
+    e = np.frexp(np.abs(hdot).max(axis=(-2, -1)))[1]
+    unit = np.ldexp(hdot.view(float), -e[:, None, None]).view(complex)
+    k, d = np.linalg.eigvalsh([generator_in_eigenbasis(w, v, unit, t[at], over_t=True)[0], unit])
+    return ((k[:, -1] - k[:, 0]) / (d[:, -1] - d[:, 0])) ** 2
 
 
 _COLUMNS = ("channel_qfi", "upper_bound", "ratio", "estimated_error")
@@ -153,11 +173,11 @@ def channel_qfi(family: HamiltonianFamily, theta: float, t: float) -> ChannelQfi
     NaNs. A generator or result that is not finite (an overflow at large t)
     raises ModelError naming it and t, on every call.
     """
-    point = spectral_point(family, theta, t)
-    hdot = family.point(theta).derivative.matrix
+    point, at = spectral_point(family, theta, t), family.point(theta)
     _check_finite(_GENERATOR, (point.gen, point.err), "t", [t])
     kw, kv = point.eigh
-    columns = _reduce(kw, hdot, np.array([t], dtype=float), point.err)
+    eigh = at.eigenvalues[:1], at.eigenvectors[:1]
+    columns = _reduce(kw, at.derivative.matrix, np.array([t], dtype=float), point.err, eigh)
     _check_finite(_COLUMNS, columns, "t", [t])
     cqfi, bound, ratio, e = (float(column[0]) for column in columns)
     probe = PureState(_balanced_probe(kv[0]))
@@ -179,11 +199,12 @@ def channel_qfi_stack(
     point by its value in ``values`` (default ``t``) of ``variable``.
     """
     values = t.tolist() if values is None else values
-    gen, err = generator_in_eigenbasis(*eigh_stack(h if h.ndim == 3 else h[None]), hdot, t)
+    eigh = eigh_stack(h if h.ndim == 3 else h[None])
+    gen, err = generator_in_eigenbasis(*eigh, hdot, t)
     _check_finite(_GENERATOR, (gen, err), variable, values)
     # Eigenvalues only: no probe is formed, so eigh_stack's basis fixing,
     # which leaves the eigenvalues as they are, is skipped.
-    columns = _reduce(np.linalg.eigh(gen)[0], hdot, t, err)
+    columns = _reduce(np.linalg.eigh(gen)[0], hdot, t, err, eigh)
     _check_finite(_COLUMNS, columns, variable, values)
     return columns
 

@@ -47,15 +47,14 @@ from .extensions import (
     extension_offset,
     shifted_family,
 )
-from .family import hermitian_stack
-from .familyfile import load_definition, load_operator, read_json
+from .family import _formula_family, factor, hermitian_stack
+from .familyfile import Coefficient, checked_sum, load_definition, load_operator, read_json
 from .familyfile import build_family as _build_custom_family
 from .generator import GeneratorMethod
 from .linalg import as_hermitian
 from .models import (
     DirectionParams,
     NvParams,
-    broken_phase_shift_family,
     direction_family,
     direction_sz_operator,
     gyromagnetic_ratio,
@@ -267,27 +266,16 @@ def build_scenario(scenario: dict, swept: Optional[str] = None, value=None):
     does not depend on it, and it is returned as ``theta``. A file family or
     operator file is loaded once here. An added term that overflows raises
     InvalidSpec naming ``extension.beta``, ``extension.epsilon`` or
-    ``extension.kappa``, and a model term that overflows (``_model_terms``),
-    over the whole grid, names its field, as does an anchor theta0 + epsilon
-    that is not finite. So does an offset that can overflow H(theta) when
-    added: a model term of H plus the offset's largest real or imaginary
-    part that is not finite names ``extension.<field> + <term>``.
+    ``extension.kappa``, as do an anchor theta0 + epsilon that is not finite
+    and, where it is evaluated (``extensions.add_offset``), a sum of H(theta)
+    and the offset; a model term names its field (``_check_model_terms``).
     """
     model, params, kind, fields = validate_scenario(scenario, swept)
     if swept in ("B_z", "theta", "t"):
         params["Bz" if swept == "B_z" else swept] = value
     elif swept is not None:
         fields[swept] = value
-    terms = _model_terms(model, params, kind, fields, swept)
-    for name, given, term in terms:
-        if not math.isfinite(term):
-            raise InvalidSpec(f"{name}: the model's term is not finite at {given!r}")
-    if kind == "subtract-perturbed":  # H(theta0 + epsilon) is evaluated
-        with np.errstate(over="ignore") if swept else nullcontext():
-            finite = np.isfinite(fields["theta0"] + fields["epsilon"])
-        if not finite.all():
-            epsilon = float(np.atleast_1d(fields["epsilon"])[np.argmin(finite)])
-            raise InvalidSpec(f"extension.epsilon: theta0 + epsilon is not finite at {epsilon!r}")
+    _check_model_terms(model, params, kind, fields, swept)
     if model == "nv":  # B_z is the family's theta; nv_family does not read NvParams.Bz
         theta = params.pop("Bz")
         family = nv_family(NvParams(**params))
@@ -307,37 +295,25 @@ def build_scenario(scenario: dict, swept: Optional[str] = None, value=None):
         spec = spec_type(**fields)
     try:
         offset = extension_offset(family, spec)
-    except OverflowError as exc:  # raised only by a kind with a scaled term
+    except OverflowError as exc:  # a scaled term, or an anchor theta0 + epsilon
         raise InvalidSpec(f"extension.{scale_field}: {exc}") from exc
-    # A real or imaginary part of an entry of H(theta) is at most one of its terms
-    # (an anchor's terms bound the offset instead), and of the offset at most its largest.
-    largest = float(max(np.abs(offset.real).max(), np.abs(offset.imag).max())) if terms else 0.0
-    for name, _, term in terms:
-        if not name.startswith("extension.") and not math.isfinite(abs(term) + largest):
-            raise InvalidSpec(f"extension.{scale_field} + {name}: "
-                              "the added term plus the model's term is not finite")
     if swept in ("beta", "kappa", "epsilon"):
         return family, theta, params["t"], offset
-    # A file family has no model terms to bound its sum with the offset: checked when evaluated.
-    field = None if terms else f"extension.{scale_field}"
-    return shifted_family(family, offset, field), theta, params["t"], None
+    return shifted_family(family, offset, f"extension.{scale_field}"), theta, params["t"], None
 
 
-def _model_terms(model: str, params: dict, kind, fields: dict, swept=None) -> list:
-    """``(field, value, term)`` for each spin-matrix coefficient that a model field sets.
+def _check_model_terms(model: str, params: dict, kind, fields: dict, swept=None) -> None:
+    """Raise InvalidSpec naming the first model field whose term is not finite.
 
-    A term is gamma (rad/(s T)) or gamma times a field in Tesla; spin-matrix
-    entries are at most 1. On ``nv``, H's diagonal adds D to gamma B_z, and
-    to gamma times a subtract anchor, so each of those also gives the term
-    |gamma B| + |D|, named ``<field> + fixed_params.D``, and E sets the last
-    term; the real and imaginary parts of H's entries are at most its terms
-    that are not an anchor's. A swept ``B_z`` (named ``B_z``) or ``epsilon``
-    is its (N,) grid: its terms are formed under errstate, as
-    ``extensions._scaled`` forms its term, and the first grid value whose
-    term is not finite (else the largest term's) is kept.
+    A term, a spin-matrix coefficient, is gamma (rad/(s T)) or gamma times a
+    field in Tesla. On ``nv``, H's diagonal adds D to gamma B_z and to gamma
+    times a subtract anchor, which gives the terms |gamma B| + |D|, named
+    ``<field> + fixed_params.D``. A swept ``B_z`` (named ``B_z``) or
+    ``epsilon`` is its (N,) grid: its terms are formed under errstate, as
+    ``extensions._scaled`` forms its term, naming the first such grid value.
     """
     if model not in ("nv", "direction"):
-        return []
+        return
     gamma = gyromagnetic_ratio(params["g"])
     names = ("Bx", "By", "Bz") if model == "nv" else ("B",)
     # (field, value, Tesla): gamma times each Tesla value is a term
@@ -357,12 +333,12 @@ def _model_terms(model: str, params: dict, kind, fields: dict, swept=None) -> li
         if model == "nv":  # the diagonal, +-gamma B + D, at B_z and at the anchors
             terms += [(f"{name} + fixed_params.D", given, abs(term) + abs(params["D"]))
                       for name, given, term in terms[3:]]
-            terms.append(("fixed_params.E", params["E"], params["E"]))
-    for n, (name, given, term) in enumerate(terms):
-        if isinstance(term, np.ndarray):  # a swept grid: the first term that is not finite
-            k = int(np.argmax(np.where(np.isfinite(term), np.abs(term), np.inf)))
-            terms[n] = (name, float(given[k]), float(term[k]))
-    return terms
+    for name, given, term in terms:
+        if isinstance(term, np.ndarray):  # a swept grid: its first term that is not finite
+            k = int(np.argmin(np.isfinite(term)))
+            given, term = float(given[k]), float(term[k])
+        if not math.isfinite(term):
+            raise InvalidSpec(f"{name}: the model's term is not finite at {given!r}")
 
 
 def load_model_family(model: str, family_file):
@@ -375,19 +351,16 @@ def load_model_family(model: str, family_file):
     definition = load_definition(family_file)
     if model == "custom":
         return _build_custom_family(definition)
-    g_acc = np.zeros((definition.dim, definition.dim), dtype=complex)
-    f_acc = np.zeros_like(g_acc)
-    for k, term in enumerate(definition.terms):
-        if term.coefficient.kind == "linear":
-            g_acc += term.coefficient.scale * term.matrix.matrix
-        elif term.coefficient.kind == "const":
-            f_acc += term.coefficient.scale * term.matrix.matrix
-        else:
-            raise InvalidSpec(
-                f"family_file: terms[{k}]: model 'broken-phase-shift' allows only "
-                f"const and linear coefficients, got {term.coefficient.kind!r}"
-            )
-    return broken_phase_shift_family(as_hermitian(g_acc), as_hermitian(f_acc))
+    terms = definition.terms
+    for k, term in enumerate(terms):
+        if term.coefficient.kind not in ("const", "linear"):
+            raise InvalidSpec(f"family_file: terms[{k}]: model 'broken-phase-shift' allows only "
+                              f"const and linear coefficients, got {term.coefficient.kind!r}")
+    # G = dH/dtheta and F = H(0) summed in file order; theta G + F is checked as the terms' sum.
+    g, f = (as_hermitian(checked_sum(terms, c)(0.0))
+            for c in (Coefficient.derivative, Coefficient.value))
+    value = checked_sum(terms, Coefficient.value, formula=lambda x: factor(x) * g.matrix + f.matrix)
+    return _formula_family(definition.dim, value, g, as_hermitian(np.zeros_like(g.matrix)))
 
 
 def _grid_stacks(spec: SweepSpec, values: list[float]):

@@ -688,6 +688,18 @@ class TestOverflow:
         doc = json.loads(out)
         assert all(np.isfinite([doc["channel_qfi"], doc["upper_bound"], doc["ratio"]]))
 
+    def test_report_whose_bound_spread_is_subnormal_has_ratio_one(self, capsys):
+        # |t| spread(dH/dtheta) is about 5e-324, so K is rounding noise; the ratio from
+        # the spreads of K and t dH/dtheta read 4.0.
+        argv = ("--param", "t=-1.6695982960666202e-127", "--param", "g=1.8751048892832552e-208",
+                "--param", "Bz=-2.2810564117578962e+174",
+                "--extension", "subtract:theta0=1.7216583532268923e+264")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "report", "--model", "nv", *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["ratio"] == pytest.approx(1.0, abs=1e-9)
+
     @pytest.mark.parametrize("model", ["custom", "broken-phase-shift"])
     def test_report_file_family_whose_flood_overflows_exits_one_naming_beta(self, capsys, model):
         # H(theta) and the flood term are finite; their sum overflows where it is evaluated.
@@ -732,6 +744,42 @@ class TestOverflow:
             )
         assert (code, err) == (0, "")
         assert json.loads(out)["saturation"]["verdict"] == "not-saturating"
+
+    @pytest.mark.parametrize(
+        "model,params,extension,family_file",
+        [
+            ("nv", {"Bz": 0.1, "t": 1e300}, None, None),
+            ("nv", {"Bz": 0.1, "t": 1e-3}, {"kind": "flood", "beta": 1e300}, None),
+            ("nv", {"Bz": 1e300, "t": 1e-3}, None, None),
+            ("nv", {"D": 1e308, "t": 1e-3}, {"kind": "flood", "beta": 1e297}, None),
+            ("nv", {"Bz": 1e297, "t": 1e-3}, {"kind": "subtract", "theta0": -1e297}, None),
+            ("direction", {"B": 5.6e296, "t": 1e-2}, {"kind": "sz", "kappa": 1.0}, None),
+            ("direction", {"B": 5.6e296, "theta": 1.5707963267948966, "t": 1e-2},
+             {"kind": "sz", "kappa": 1.0}, None),
+            ("direction", {"B": 1e-9, "t": 1e-2},
+             {"kind": "subtract-perturbed", "theta0": 1e308, "epsilon": 1e308}, None),
+            ("custom", {"theta": 1e308, "t": 1.0}, {"kind": "flood", "beta": 1e308}, VALID_FAMILY),
+            ("custom", {"theta": 1e308, "t": 1.0}, None, "OVERFLOWING"),
+            ("broken-phase-shift", {"theta": 1e308, "t": 1.0}, None, "OVERFLOWING"),
+        ],
+    )
+    def test_report_and_a_one_point_sweep_over_t_fail_alike(
+        self, tmp_path, capsys, model, params, extension, family_file
+    ):
+        if family_file == "OVERFLOWING":
+            family_file = overflowing_family(tmp_path)
+        t = params["t"]
+        run = {"model": model, "sweep_variable": "t", "family_file": family_file,
+               "fixed_params": drop(params, "t"), "extension": extension,
+               "grid": {"start": t, "stop": t, "points": 1}}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(run), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_cli(capsys, *report_argv(model, params, extension, family_file))
+            sweep = run_cli(capsys, "sweep", "--config", str(path))
+        assert report[0] in (1, 4) and report[1] == "" and report[2].startswith("error: ")
+        assert sweep == report
 
     @pytest.mark.parametrize(
         "model,params,extension,field",
@@ -858,23 +906,22 @@ def test_model_terms_that_overflow_when_added_exit_one_naming_the_fields(capsys,
         )
 
 
-_OFFSET_OVERFLOW = "the added term plus the model's term is not finite"
+_OFFSET_OVERFLOW = "the added term plus H is not finite at theta="
 
 
 @pytest.mark.parametrize(
-    "argv,fields",
+    "argv,field,at",
     [
-        (("--param", "D=1e308", "--extension", "flood:beta=1e297"),
-         "extension.beta + fixed_params.Bz + fixed_params.D"),
+        (("--param", "D=1e308", "--extension", "flood:beta=1e297"), "extension.beta", "0.0"),
         (("--param", "Bz=1e297", "--extension", "subtract:theta0=-1e297"),
-         "extension.theta0 + fixed_params.Bz"),
+         "extension.theta0", "1e+297"),
     ],
 )
-def test_extension_offset_that_overflows_h_exits_one_naming_the_fields(capsys, argv, fields):
+def test_extension_offset_that_overflows_h_exits_one_naming_the_fields(capsys, argv, field, at):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli(capsys, "report", "--model", "nv", *argv) == (
-            1, "", f"error: {fields}: {_OFFSET_OVERFLOW}\n"
+            1, "", f"error: {field}: {_OFFSET_OVERFLOW}{at}\n"
         )
 
 
@@ -884,12 +931,94 @@ def test_extension_offset_that_overflows_h_over_a_b_z_grid_exits_one(tmp_path, c
            "grid": {"start": 1e-3, "stop": 1.0, "points": 3, "scale": "log"}}
     path, out = tmp_path / "run.json", tmp_path / "out.csv"
     path.write_text(json.dumps(run), encoding="utf-8")
-    expected = f"error: extension.beta + B_z + fixed_params.D: {_OFFSET_OVERFLOW}\n"
+    expected = f"error: extension.beta: {_OFFSET_OVERFLOW}0.001\n"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run_cli(capsys, "sweep", "--config", str(path), "--out", str(out))
     assert code == (1, "", expected)
     assert not out.exists()
+
+
+def test_offset_whose_large_entries_miss_h_large_ones_exits_zero(tmp_path, capsys):
+    # Every entry of H + offset is finite: D sits on H's diagonal, the offset off it.
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"re": [[0, 1, 0], [1, 0, 0], [0, 0, 0]]}), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "report", "--model", "nv", "--param", "D=1e308",
+                                 "--extension", f"add-operator:file={op},eps=1e308")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert all(np.isfinite([doc["channel_qfi"], doc["upper_bound"], doc["ratio"]]))
+    assert 0.0 < doc["ratio"] <= 1.0 + 1e-9
+
+
+def test_sz_term_that_overflows_h_exits_one_naming_kappa(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, "report", "--model", "direction", "--param", "B=5.6e296",
+                       "--extension", "sz:kappa=1") == (
+            1, "", f"error: extension.kappa: {_OFFSET_OVERFLOW}0.0\n"
+        )
+
+
+_HALF_PI = "1.5707963267948966"
+
+
+@pytest.mark.parametrize(
+    "argv,code,line",
+    [
+        # spread(dH/dtheta) is beyond the largest float; (|t| spread)^2 is not.
+        (("--param", "t=1e-300"), 0, None),
+        (("--param", f"theta={_HALF_PI}", "--extension", "sz:kappa=1"), 4,
+         "error: at t=0.01: channel_qfi is not finite\n"),
+        (("--param", f"theta={_HALF_PI}", "--extension", "sz:kappa=1", "--param", "t=1e-300"),
+         0, None),
+    ],
+)
+def test_derivative_spread_beyond_the_largest_float_is_quiet(capsys, argv, code, line):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_cli(capsys, "report", "--model", "direction", "--param", "B=5.6e296", *argv)
+    assert result[0] == code
+    if line is not None:
+        assert result[1:] == ("", line)
+        return
+    assert result[2] == ""
+    doc = json.loads(result[1])
+    assert doc["upper_bound"] == pytest.approx((1e-300 * 2 * gyromagnetic_ratio() * 5.6e296) ** 2)
+    assert 0.0 < doc["ratio"] <= 1.0 + 1e-9
+    if "sz:kappa=1" in argv:
+        assert doc["ratio"] == pytest.approx(0.5, rel=1e-12)
+
+
+def overflowing_family(tmp_path) -> str:
+    """valid-family.json with its linear term scaled by 10: H overflows at theta = 1e308."""
+    doc = json.loads(FIXTURES.joinpath("valid-family.json").read_text(encoding="utf-8"))
+    doc["terms"][0]["coefficient"]["scale"] = 10.0
+    path = tmp_path / "overflowing-family.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+FAMILY_TERM_OVERFLOW = "error: family_file: terms[0]: the term or the sum up to it is not finite"
+
+
+@pytest.mark.parametrize("model", ["custom", "broken-phase-shift"])
+def test_file_family_term_that_overflows_exits_one_naming_it(tmp_path, capsys, model):
+    family = overflowing_family(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_cli(capsys, "report", "--model", model, "--family-file", family,
+                         "--param", "theta=1e308")
+        run = {"model": model, "family_file": family, "sweep_variable": "theta",
+               "grid": {"start": 1e306, "stop": 1e308, "points": 5, "scale": "log"}}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(run), encoding="utf-8")
+        sweep = run_cli(capsys, "sweep", "--config", str(path))
+    assert report == (1, "", f"{FAMILY_TERM_OVERFLOW} at theta=1e+308\n")
+    first = np.geomspace(1e306, 1e308, 5).tolist()[3]  # 10 theta overflows from 1e307.5 on
+    assert sweep == (1, "", f"{FAMILY_TERM_OVERFLOW} at theta={first!r}\n")
 
 
 def test_report_evaluates_the_family_once_and_decomposes_h_once(monkeypatch, capsys):

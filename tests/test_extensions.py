@@ -1,5 +1,7 @@
 """Tests for the Hamiltonian-extension transformers and their predictions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,17 @@ class TestSubtractPerturbed:
                 subtract_perturbed(fam, params.theta, -epsilon), params.theta, params.t
             ).channel_qfi
             assert plus == pytest.approx(minus, rel=1e-9)
+
+    def test_anchor_that_overflows_names_epsilon_quietly(self):
+        fam = direction_family(DirectionParams(B=1e-9))
+        message = r"^theta0 \+ epsilon is not finite at 1e\+308$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=message):
+                subtract_perturbed(fam, 1e308, 1e308)
+            with pytest.raises(OverflowError, match=message):
+                spec = SubtractPerturbed(theta0=1e308, epsilon=np.array([-1e308, 1e308, 1.7e308]))
+                extension_offset(fam, spec)
 
 
 class TestPredictedDeficit:

@@ -157,6 +157,16 @@ class TestChannelQfi:
             [report.channel_qfi], [report.upper_bound], [report.ratio]
         )
 
+    @pytest.mark.parametrize("scale", [1e-315, 1e-320])
+    def test_ratio_where_t_times_the_derivative_spread_is_subnormal(self, scale):
+        # K is rounding noise there; the ratio comes from dH/dtheta scaled by a power
+        # of two and its generator over t, and a phase shift saturates.
+        g = HermitianOperator(scale * gue(3, np.random.default_rng(38)).matrix)
+        report = channel_qfi(phase_shift(g), 0.0, 2.0)
+        assert report.ratio == pytest.approx(1.0, abs=1e-12)
+        ratio = channel_qfi_stack(np.zeros((3, 3), dtype=complex), g.matrix, np.array([2.0]))[2]
+        assert ratio.tolist() == [report.ratio]
+
     def test_stack_decomposes_grid_constant_matrices_once_with_the_same_bits(self):
         rng = np.random.default_rng(37)
         h, hdot = gue(3, rng).matrix, gue(3, rng).matrix
@@ -210,6 +220,16 @@ class TestChannelQfi:
         nv = nv_family(NvParams(Bx=0.1, t=1e-3))
         gamma = gyromagnetic_ratio()
         assert upper_bound(nv, 0.0, 1e-3) == pytest.approx(4.0 * (1e-3 * gamma) ** 2, rel=1e-12)
+
+    def test_upper_bound_whose_derivative_spread_overflows_is_finite_and_quiet(self):
+        # spread(dH/dtheta) = 2 gamma B is beyond the largest float; (|t| spread)^2 is not.
+        fam = direction_family(DirectionParams(B=5.6e296))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert seminorm(fam.derivative(0.0)) == np.inf
+            bound = upper_bound(fam, 0.0, 1e-300)
+        assert bound == pytest.approx((1e-300 * 2 * gyromagnetic_ratio() * 5.6e296) ** 2)
+        assert bound == channel_qfi(fam, 0.0, 1e-300).upper_bound
 
     def test_upper_bound_whose_t_squared_overflows_is_finite(self):
         # t * t overflows and seminorm(dH/dtheta)^2 underflows; (|t| seminorm)^2 is a float.
