@@ -91,7 +91,6 @@ from .sweep import (
     Grid,
     Preset,
     SweepResult,
-    SweepRow,
     SweepSpec,
     load_config,
     load_preset,

@@ -25,12 +25,12 @@ from .sweep import (
     MODELS,
     Preset,
     SweepResult,
+    _csv_texts,
     build_scenario,
     json_text,
     load_config,
     load_preset,
     preset_names,
-    rows_to_csv,
     rows_to_json,
     run_sweep,
 )
@@ -98,20 +98,18 @@ def _run_label_file(label: str, fmt: str) -> str:
 
 def _cmd_sweep(args) -> int:
     preset: Preset = load_preset(args.preset) if args.preset else load_config(args.config)
-    render = rows_to_csv if args.format == "csv" else rows_to_json
     results: list[SweepResult] = [run_sweep(spec) for spec in preset.runs]
+    texts = _csv_texts(results) if args.format == "csv" else list(map(rows_to_json, results))
     if len(results) == 1:
-        _emit(render(results[0]), Path(args.out) if args.out else None)
-        return EXIT_OK
-    if args.out:
+        _emit(texts[0], Path(args.out) if args.out else None)
+    elif args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for result in results:
-            _emit(render(result), out_dir / _run_label_file(result.label, args.format))
+        for result, text in zip(results, texts):
+            _emit(text, out_dir / _run_label_file(result.label, args.format))
     else:
-        for result in results:
-            sys.stdout.write(f"# run: {result.label}\n")
-            sys.stdout.write(render(result))
+        for result, text in zip(results, texts):
+            sys.stdout.write(f"# run: {result.label}\n{text}")
     return EXIT_OK
 
 

@@ -15,7 +15,8 @@ columns (one list per quantity, in grid order) from the eigensolver to the
 CSV or JSON text. A run with a generator or result that is not finite (an
 overflow at large t) raises ModelError naming the quantity and the first
 such grid value, and no row of it is written. Floats are emitted in
-shortest round-trip form, so identical specs produce byte-identical output.
+shortest round-trip form, each distinct float formatted once for all the CSV
+runs of one command, so identical specs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 from importlib import resources
 from contextlib import nullcontext
-from itertools import repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
@@ -127,16 +128,6 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    sweep_value: float
-    channel_qfi: float
-    upper_bound: float
-    ratio: float
-    generator_method: str
-    estimated_error: float
-
-
-@dataclass(frozen=True)
 class SweepResult:
     """A run's results as columns of floats, one element per grid point in grid order."""
 
@@ -146,18 +137,6 @@ class SweepResult:
     upper_bound: list[float]
     ratio: list[float]
     estimated_error: list[float]
-
-    @property
-    def rows(self) -> tuple[SweepRow, ...]:
-        return tuple(SweepRow(*record) for record in self._records())
-
-    def _records(self):
-        """One tuple per grid point, in ``CSV_HEADER`` order."""
-        method = repeat(GeneratorMethod.SPECTRAL.value)
-        return zip(
-            self.sweep_value, self.channel_qfi, self.upper_bound, self.ratio, method,
-            self.estimated_error,
-        )
 
 
 def validate_spec(spec: SweepSpec) -> None:
@@ -357,8 +336,11 @@ def load_model_family(model: str, family_file):
             raise InvalidSpec(f"family_file: terms[{k}]: model 'broken-phase-shift' allows only "
                               f"const and linear coefficients, got {term.coefficient.kind!r}")
     # G = dH/dtheta and F = H(0) summed in file order; theta G + F is checked as the terms' sum.
-    g, f = (as_hermitian(checked_sum(terms, c)(0.0))
-            for c in (Coefficient.derivative, Coefficient.value))
+    try:
+        g, f = (as_hermitian(checked_sum(terms, c)(0.0))
+                for c in (Coefficient.derivative, Coefficient.value))
+    except InvalidSpec as exc:  # G and F are the same at every theta: name none
+        raise InvalidSpec(str(exc).partition(" at theta=")[0]) from None
     value = checked_sum(terms, Coefficient.value, formula=lambda x: factor(x) * g.matrix + f.matrix)
     return _formula_family(definition.dim, value, g, as_hermitian(np.zeros_like(g.matrix)))
 
@@ -409,16 +391,32 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 
 def rows_to_csv(result: SweepResult) -> str:
-    lines = [
-        f"{x!r},{cqfi!r},{bound!r},{ratio!r},{method},{err!r}"
-        for x, cqfi, bound, ratio, method, err in result._records()
-    ]
-    return "\n".join([CSV_HEADER, *lines, ""])
+    return _csv_texts([result])[0]
+
+
+def _csv_texts(results) -> list[str]:
+    """Each result's CSV, every distinct float of all of them formatted once. Floats are
+    told apart by their bits: 0.0 == -0.0, so a table keyed by value would write both alike."""
+    runs = [(r.sweep_value, r.channel_qfi, r.upper_bound, r.ratio, r.estimated_error)
+            for r in results]
+    columns = [column for run in runs for column in run]
+    floats = np.fromiter(chain.from_iterable(columns), float, sum(map(len, columns)))
+    bits, where = np.unique(floats.view(np.int64), return_inverse=True)
+    table = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)
+    texts = iter(table[where].tolist())
+    method, csv = repeat(GeneratorMethod.SPECTRAL.value), []
+    for run in runs:
+        x, cqfi, bound, ratio, err = (list(islice(texts, len(column))) for column in run)
+        rows = zip(x, cqfi, bound, ratio, method, err)
+        csv.append("\n".join([CSV_HEADER, *map(",".join, rows), ""]))
+    return csv
 
 
 def rows_to_json(result: SweepResult) -> str:
-    keys = CSV_HEADER.split(",")
-    rows = [dict(zip(keys, record)) for record in result._records()]
+    keys, method = CSV_HEADER.split(","), repeat(GeneratorMethod.SPECTRAL.value)
+    records = zip(result.sweep_value, result.channel_qfi, result.upper_bound, result.ratio,
+                  method, result.estimated_error)
+    rows = [dict(zip(keys, record)) for record in records]
     return json_text({"label": result.label, "rows": rows}) + "\n"
 
 

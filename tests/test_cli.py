@@ -1021,6 +1021,25 @@ def test_file_family_term_that_overflows_exits_one_naming_it(tmp_path, capsys, m
     assert sweep == (1, "", f"{FAMILY_TERM_OVERFLOW} at theta={first!r}\n")
 
 
+def test_broken_phase_shift_file_whose_derivative_overflows_names_no_theta(tmp_path, capsys):
+    # G = dH/dtheta = 1e308 [[10, 0], [0, -1]] overflows whatever theta is.
+    doc = {"dim": 2, "terms": [
+        {"coefficient": {"kind": "linear", "scale": 1e308},
+         "matrix": {"re": [[10.0, 0.0], [0.0, -1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}},
+        {"coefficient": {"kind": "const", "scale": 1.0},
+         "matrix": {"re": [[0.0, 1.0], [1.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}},
+    ]}
+    path = tmp_path / "overflowing-derivative.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "report", "--model", "broken-phase-shift",
+                                 "--family-file", str(path), "--param", "theta=0.25")
+    assert (code, out) == (1, "")
+    assert err.startswith(FAMILY_TERM_OVERFLOW)
+    assert "theta=0.0" not in err
+
+
 def test_report_evaluates_the_family_once_and_decomposes_h_once(monkeypatch, capsys):
     calls = {"value": 0, "derivative": 0}
     build_scenario = qfiext.cli.build_scenario

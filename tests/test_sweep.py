@@ -124,12 +124,12 @@ class TestSpecValidation:
 class TestRunSweep:
     def test_rows_in_grid_order_with_bound_dominating(self):
         result = run_sweep(direction_spec(8))
-        values = [r.sweep_value for r in result.rows]
-        assert values == sorted(values)
-        for row in result.rows:
-            assert row.channel_qfi <= row.upper_bound * (1.0 + 1e-9)
-            assert 0.0 <= row.ratio <= 1.0 + 1e-9
-            assert row.generator_method == "spectral"
+        assert result.sweep_value == sorted(result.sweep_value)
+        for cqfi, bound, ratio in zip(result.channel_qfi, result.upper_bound, result.ratio):
+            assert cqfi <= bound * (1.0 + 1e-9)
+            assert 0.0 <= ratio <= 1.0 + 1e-9
+        methods = {line.split(",")[4] for line in rows_to_csv(result).splitlines()[1:]}
+        assert methods == {"spectral"}
 
     def test_missing_required_model_param(self):
         spec = SweepSpec("direction", "t", Grid(1e-3, 1e-2, 2), {"phi": 0.1})
@@ -169,9 +169,9 @@ class TestRunSweep:
             family_file=path,
         )
         result = run_sweep(spec)
-        assert len(result.rows) == 5
-        for row in result.rows:
-            assert row.upper_bound == pytest.approx(4.0, rel=1e-12)  # seminorm(G)=2, t=1
+        assert len(result.upper_bound) == 5
+        for bound in result.upper_bound:
+            assert bound == pytest.approx(4.0, rel=1e-12)  # seminorm(G)=2, t=1
 
     def test_epsilon_sweep_patches_extension(self):
         spec = SweepSpec(
@@ -182,10 +182,10 @@ class TestRunSweep:
             extension={"kind": "subtract-perturbed", "theta0": 1.0471975511965976, "epsilon": 0.0},
         )
         result = run_sweep(spec)
-        mid = result.rows[2]  # epsilon = 0: exact subtraction saturates
-        assert mid.sweep_value == pytest.approx(0.0, abs=1e-15)
-        assert mid.ratio == pytest.approx(1.0, abs=1e-9)
-        assert result.rows[0].ratio < 1.0
+        # the middle point, epsilon = 0: exact subtraction saturates
+        assert result.sweep_value[2] == pytest.approx(0.0, abs=1e-15)
+        assert result.ratio[2] == pytest.approx(1.0, abs=1e-9)
+        assert result.ratio[0] < 1.0
 
 
 class TestSerialization:
@@ -199,12 +199,13 @@ class TestSerialization:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 7
         json_doc = json.loads(rows_to_json(result))
-        for line, jrow, row in zip(lines[1:], json_doc["rows"], result.rows):
+        columns = zip(result.sweep_value, result.channel_qfi, result.upper_bound, result.ratio)
+        for line, jrow, (x, cqfi, bound, ratio) in zip(lines[1:], json_doc["rows"], columns):
             fields = line.split(",")
-            assert float(fields[0]) == jrow["sweep_value"] == row.sweep_value
-            assert float(fields[1]) == jrow["channel_qfi"] == row.channel_qfi
-            assert float(fields[2]) == jrow["upper_bound"] == row.upper_bound
-            assert float(fields[3]) == jrow["ratio"] == row.ratio
+            assert float(fields[0]) == jrow["sweep_value"] == x
+            assert float(fields[1]) == jrow["channel_qfi"] == cqfi
+            assert float(fields[2]) == jrow["upper_bound"] == bound
+            assert float(fields[3]) == jrow["ratio"] == ratio
             assert fields[4] == jrow["generator_method"]
             assert float(fields[5]) == jrow["estimated_error"]
 
@@ -225,7 +226,6 @@ class TestSerialization:
         for k, row in enumerate(doc["rows"]):
             assert row["generator_method"] == "spectral"
             assert [repr(row[key]) for key in keys] == [repr(column[k]) for column in columns]
-        assert [row.channel_qfi for row in result.rows] == columns[1]
 
     def test_non_finite_result_raises_before_any_row(self):
         spec = SweepSpec(
@@ -362,24 +362,18 @@ def batched_case(name: str, tmp_path):
 def test_batched_rows_equal_per_point_channel_qfi(name, tmp_path):
     spec, reference = batched_case(name, tmp_path)
     result = run_sweep(spec)
-    assert [row.sweep_value for row in result.rows] == spec.grid.values()
-    for row in result.rows:
-        report = channel_qfi(*reference(row.sweep_value))
+    assert result.sweep_value == spec.grid.values()
+    columns = (result.channel_qfi, result.upper_bound, result.ratio, result.estimated_error)
+    for x, *got in zip(result.sweep_value, *columns):
+        report = channel_qfi(*reference(x))
         expected = (
             report.channel_qfi,
             report.upper_bound,
             report.ratio,
-            report.generator_method.value,
             report.estimated_error,
         )
-        got = (
-            row.channel_qfi,
-            row.upper_bound,
-            row.ratio,
-            row.generator_method,
-            row.estimated_error,
-        )
-        assert [repr(v) for v in got] == [repr(v) for v in expected], row.sweep_value
+        assert report.generator_method.value == "spectral"  # every batched row's method
+        assert [repr(v) for v in got] == [repr(v) for v in expected], x
 
 
 # sha256 of every preset CSV, as recorded in perfbench/reference.json (gates.preset_csv_sha256).
@@ -408,6 +402,32 @@ def test_preset_csv_bytes_pinned(tmp_path):
         for path in tmp_path.rglob("*.csv")
     }
     assert digests == PRESET_CSV_SHA256
+
+
+@pytest.mark.parametrize("negative_first", [False, True], ids=["zero-first", "negative-first"])
+def test_signed_zeros_in_different_runs_keep_their_own_csv_text(tmp_path, negative_first):
+    fixed = {"B": DIRECTION_FIXED["B"], "phi": DIRECTION_FIXED["phi"]}
+    runs = [
+        {"label": "zero", "model": "direction", "sweep_variable": "theta", "fixed_params": fixed,
+         "grid": {"start": -1.0, "stop": 1.0, "points": 3}},  # -1.0, 0.0, 1.0
+        {"label": "negative-zero", "model": "direction", "sweep_variable": "theta",
+         "fixed_params": fixed, "grid": {"start": -1.0, "stop": -0.0, "points": 2}},
+    ]
+    config = tmp_path / "runs.json"
+    config.write_text(json.dumps({"runs": runs[::-1] if negative_first else runs}), "utf-8")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    for spec in sweep.load_config(config).runs:
+        result = run_sweep(spec)
+        floats = zip(result.sweep_value, result.channel_qfi, result.upper_bound, result.ratio,
+                     result.estimated_error)
+        expected = [[*map(repr, row[:4]), "spectral", repr(row[4])] for row in floats]
+        lines = (out / f"{spec.label}.csv").read_text(encoding="utf-8").splitlines()
+        assert [line.split(",") for line in lines[1:]] == expected, spec.label
+    assert (out / "zero.csv").read_text(encoding="utf-8").splitlines()[2].startswith("0.0,")
+    assert (out / "negative-zero.csv").read_text(encoding="utf-8").splitlines()[2].startswith(
+        "-0.0,"
+    )
 
 
 def test_each_preset_run_walks_its_scenario_once(monkeypatch):
@@ -479,10 +499,10 @@ def test_ratio_never_exceeds_one_on_random_file_families(doc, start, width, poin
         spec = SweepSpec(
             "custom", "theta", Grid(start, start + width, points), {"t": t}, family_file=str(path)
         )
-        rows = run_sweep(spec).rows
-    assert len(rows) == points
-    for row in rows:
-        assert 0.0 <= row.ratio <= 1.0 + 1e-9
+        ratios = run_sweep(spec).ratio
+    assert len(ratios) == points
+    for ratio in ratios:
+        assert 0.0 <= ratio <= 1.0 + 1e-9
 
 
 json_leaves = (
@@ -522,9 +542,28 @@ def test_json_text_rejects_other_types_and_keys_that_are_not_strings(value):
         sweep.json_text(value)
 
 
+def json_dumps_text(result: SweepResult) -> str:
+    """A run's JSON text as json.dumps writes it, built from the run's columns."""
+    keys = CSV_HEADER.split(",")
+    methods = ["spectral"] * len(result.ratio)
+    records = zip(result.sweep_value, result.channel_qfi, result.upper_bound, result.ratio,
+                  methods, result.estimated_error)
+    doc = {"label": result.label, "rows": [dict(zip(keys, record)) for record in records]}
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
 def test_rows_to_json_of_fig3_is_the_json_dumps_text():
     (spec,) = load_preset("fig3").runs
     result = run_sweep(spec)
-    keys = CSV_HEADER.split(",")
-    doc = {"label": result.label, "rows": [dict(zip(keys, r)) for r in result._records()]}
-    assert rows_to_json(result) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    assert rows_to_json(result) == json_dumps_text(result)
+
+
+def test_each_file_of_a_multi_run_json_sweep_is_the_json_dumps_text_of_its_run(tmp_path):
+    assert main(["sweep", "--preset", "fig2", "--format", "json", "--out", str(tmp_path)]) == 0
+    runs = load_preset("fig2").runs
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        f"{spec.label}.json" for spec in runs
+    )
+    for spec in runs:
+        text = (tmp_path / f"{spec.label}.json").read_text(encoding="utf-8")
+        assert text == json_dumps_text(run_sweep(spec)), spec.label
