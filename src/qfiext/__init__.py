@@ -21,7 +21,6 @@ from .errors import (
 from .family import (
     FamilyValidation,
     HamiltonianFamily,
-    fd_derivative,
     validate_family,
 )
 from .generator import (

@@ -12,7 +12,8 @@ with V(a) = exp(-i a t H). Three independent evaluation routes:
                to t * Hdot_kk, off-diagonal pairs with coinciding eigenvalues
                to the smooth sinc limit, so degenerate blocks need no special
                casing. This is the route of ``channel_qfi``, ``report`` and
-               ``sweep``; it evaluates a whole stack of points at once.
+               ``sweep``; it evaluates a whole stack of points at once, from
+               H's scaled eigenvalues, t's mantissa and scaled dH/dtheta.
 * quadrature -- adaptive Gauss-Legendre evaluation of the integral.
 * finite difference -- i U^dag [U(theta+h) - U(theta-h)] / 2h, the oracle the
                other two are validated against.
@@ -53,27 +54,31 @@ class GeneratorResult:
     converged: bool = True
 
 
-def _phase_kernel(t: np.ndarray, eigenvalues: np.ndarray, lead=None) -> np.ndarray:
-    """``lead`` (default t) * exp(i t d/2) * sin(t d/2)/(t d/2) over all eigenvalue gaps d.
+def _phase_kernel(lead: np.ndarray, half_t: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """lead * exp(i x) * sinc(x/pi), x = t d/2, over the gaps d of H's eigenvalues 2^e unit.
 
-    ``eigenvalues`` is a stack (N, d) of spectra and ``t`` is (N, 1, 1). d/2 is formed
-    from halves, which cannot overflow, and has the bits of d's half where t d/2 is normal.
+    ``unit`` (N, d) are spectra scaled by 2^-e, ``lead`` and ``half_t`` = t 2^(e-1)
+    are (N, 1, 1): x = half_t (unit_l - unit_k) has the bits of t d/2 where that
+    is normal. Where x is not finite but ``lead`` is, an entry is 0 (|sinc x| <=
+    1/|x|), or ``lead`` on a zero gap. Under errstate.
     """
-    half = eigenvalues * 0.5
-    half_gaps = half[..., :, None] - half[..., None, :]
-    lead = t if lead is None else lead
-    return lead * np.exp(1j * t * half_gaps) * np.sinc(t * half_gaps / np.pi)
+    gaps = unit[..., :, None] - unit[..., None, :]
+    x = half_t * gaps
+    kernel = lead * np.exp(1j * half_t * gaps) * np.sinc(x / np.pi)
+    if np.isfinite(x).all():
+        return kernel
+    return np.where(np.isfinite(x) | np.isinf(lead), kernel, lead * (gaps == 0.0))
 
 
 class SpectralPoint:
-    """K at one (theta, t): ``generator_in_eigenbasis``'s raw ``gen`` (1, d, d) and
-    ``err`` (1,), then K's ``eigh_stack`` and ``HermitianOperator``, each formed when
+    """K at one (theta, t): ``generator_in_eigenbasis``'s ``(gen, err, k, f)``, then K's
+    ``eigh_stack`` (of k, scaled by 2^-f) and ``HermitianOperator``, each formed when
     first asked for (again, if that raised). Every array is read-only."""
 
-    def __init__(self, gen: np.ndarray, err: np.ndarray):
-        self.gen, self.err = _freeze(gen), _freeze(err)
+    def __init__(self, gen: np.ndarray, err: np.ndarray, k: np.ndarray, f: np.ndarray):
+        self.gen, self.err, self.k, self.f = _freeze(gen), _freeze(err), _freeze(k), f
 
-    eigh = cached_property(lambda self: tuple(_freeze(a) for a in eigh_stack(self.gen)))
+    eigh = cached_property(lambda self: tuple(map(_freeze, eigh_stack(self.k, self.f))))
     operator = cached_property(lambda self: as_hermitian(self.gen[0]))
 
 
@@ -88,8 +93,8 @@ def spectral_point(family: HamiltonianFamily, theta: float, t: float) -> Spectra
     point = family.point(theta)
     key = float(t).hex()
     if point.at_t[0] != key:
-        w, v, ts = point.eigenvalues[:1], point.eigenvectors[:1], np.array([t], dtype=float)
-        raw = generator_in_eigenbasis(w, v, point.derivative.matrix, ts)
+        eigh = (a[:1] for a in point.eigh)
+        raw = generator_in_eigenbasis(*eigh, point.derivative.matrix, np.array([t], dtype=float))
         point.at_t = (key, SpectralPoint(*raw))
     return point.at_t[1]
 
@@ -104,26 +109,30 @@ def generator_spectral(family: HamiltonianFamily, theta: float, t: float) -> Gen
 
 
 def generator_in_eigenbasis(
-    w: np.ndarray, v: np.ndarray, hdot: np.ndarray, t: np.ndarray, over_t: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """The spectral generators (N, d, d) and their errors (N,) from H's ``eigh_stack``.
+    w: np.ndarray, v: np.ndarray, e: np.ndarray, hdot: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(K, err, k, f)``: the spectral generators K (N, d, d) = 2^f k and their errors (N,).
 
-    ``w`` (N, d) or (1, d) and ``v`` (N, d, d) or (1, d, d) are H's
-    eigenvalues and eigenvectors, ``hdot`` is dH/dtheta as an (N, d, d)
-    stack or one (d, d) matrix, and ``t`` is (N,). Each generator is hermitized once, which
-    makes it exactly Hermitian, so wrapping it in a ``HermitianOperator``
-    leaves its bits unchanged. An overflow at large t gives a generator or
-    error that is not finite, without a numpy warning; the caller checks.
-    With ``over_t`` they are K/t, from the kernel without its leading t.
+    ``w``, ``v`` and ``e`` are H's ``eigh_stack`` at N points or at one, ``hdot``
+    is dH/dtheta as an (N, d, d) stack or one (d, d) matrix, and ``t`` is (N,).
+    k is formed from t's mantissa and dH/dtheta scaled to max|entry| in [1/2, 1):
+    its max|entry| is at most about d^2, and it keeps its digits where K is
+    subnormal. K has the unscaled formula's bits where its values are normal.
+    Each generator is hermitized once, so a ``HermitianOperator`` of it keeps
+    its bits. An overflow at large t gives a K or error that is not finite,
+    without a numpy warning; the caller checks.
     """
     v_dag = v.conj().swapaxes(-1, -2)
+    hdot_max = np.abs(hdot).max(axis=(-2, -1))
+    (lead, et), eh = np.frexp(t), np.frexp(hdot_max)[1]
+    unit, f = np.ldexp(hdot.view(float), -eh[..., None, None]).view(complex), et + eh
     with np.errstate(all="ignore"):
-        kernel = _phase_kernel(t[:, None, None], w, 1.0 if over_t else None)
-        gen = v @ ((v_dag @ hdot @ v) * kernel) @ v_dag
+        kernel = _phase_kernel(lead[:, None, None], np.ldexp(t, e - 1)[:, None, None], w)
+        k = hermitian_part(v @ ((v_dag @ unit @ v) * kernel) @ v_dag)
+        gen = np.ldexp(k.view(float), f[:, None, None]).view(complex)
         # 16 d eps (1 + |t| max|Hdot|), the spectral route's rounding estimate.
-        hdot_max = np.abs(hdot).max(axis=(-2, -1))
         err = 16.0 * w.shape[-1] * float(np.finfo(float).eps) * (1.0 + abs(t) * hdot_max)
-        return hermitian_part(gen), err
+        return gen, err, k, f
 
 
 @lru_cache(maxsize=32)
@@ -157,7 +166,8 @@ def generator_quadrature(
     if order < 2:
         raise ValueError(f"quadrature order must be >= 2, got {order}")
     point = family.point(theta)
-    w, v, hdot = point.eigenvalues[0], point.eigenvectors[0], point.derivative.matrix
+    (w, v, e), hdot = (a[0] for a in point.eigh), point.derivative.matrix
+    w = np.ldexp(w, e)
 
     def evaluate(n: int) -> np.ndarray:
         return _gauss_legendre_generator(t, w, v, hdot, n)
@@ -198,9 +208,9 @@ def generator_fd(
     half = h / 2.0
     point = family.point(theta)
     hs = family.values([theta + h, theta - h, theta + half, theta - half])
-    w, v = eigh_stack(np.broadcast_to(hs, (4, family.dim, family.dim)))
-    w, v = np.concatenate([point.eigenvalues[:1], w]), np.concatenate([point.eigenvectors[:1], v])
-    stack = (v * np.exp(-1j * t * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    shifted = eigh_stack(np.broadcast_to(hs, (4, family.dim, family.dim)))
+    w, v, e = (np.concatenate([a[:1], b]) for a, b in zip(point.eigh, shifted))
+    stack = (v * np.exp(-1j * t * np.ldexp(w, e[:, None]))[:, None, :]) @ v.conj().swapaxes(-1, -2)
     u0, up, um, uph, umh = check_unitary(stack)
 
     def central(plus: np.ndarray, minus: np.ndarray, step: float) -> np.ndarray:
@@ -223,5 +233,5 @@ def broken_phase_shift_generator_at_zero(
     """
     if g.dim != f.dim:
         raise DimensionMismatch(f"dimensions differ: {g.dim} vs {f.dim}")
-    gen, _ = generator_in_eigenbasis(*eigh_stack(f.matrix[None]), g.matrix, np.array([t], float))
+    gen = generator_in_eigenbasis(*eigh_stack(f.matrix[None]), g.matrix, np.array([t], float))[0]
     return as_hermitian(gen[0])

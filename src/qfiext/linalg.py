@@ -3,6 +3,9 @@
 All operators are plain numpy arrays wrapped in thin immutable value types.
 Internal unit convention: Hamiltonians are angular frequencies (rad/s) with
 hbar = 1; SI conversions happen in :mod:`qfiext.models` only.
+Every Hermitian decomposition is ``scaled_eigh``'s, of the matrix scaled by
+2^-e to max|entry| in [1/2, 1): its eigenvalues, which neither overflow nor
+underflow, come with e, and callers form spreads and gaps from both.
 """
 
 from __future__ import annotations
@@ -200,19 +203,13 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def degenerate_blocks(eigenvalues: np.ndarray) -> list[range]:
-    """Group ascending eigenvalues into blocks chained by the degeneracy tolerance (its
-    spread formed from halves, as in ``eigh_stack``; a Python float gap overflows quietly)."""
+def degenerate_blocks(eigenvalues: np.ndarray, e: int = 0) -> list[range]:
+    """Group ascending eigenvalues 2^e w into blocks chained by the degeneracy tolerance,
+    with ``eigh_stack``'s splits. ATOL 2^-e stops at 2^1000 ATOL, above every gap of w."""
     w = eigenvalues.tolist()
-    tol = max(DEGENERACY_RTOL * (w[-1] * 0.5 - w[0] * 0.5) * 2.0, DEGENERACY_ATOL)
-    blocks = []
-    start = 0
-    for k in range(1, len(w)):
-        if w[k] - w[k - 1] > tol:
-            blocks.append(range(start, k))
-            start = k
-    blocks.append(range(start, len(w)))
-    return blocks
+    tol = max(DEGENERACY_RTOL * (w[-1] - w[0]), math.ldexp(DEGENERACY_ATOL, min(-int(e), 1000)))
+    cuts = [0, *(k for k in range(1, len(w)) if w[k] - w[k - 1] > tol), len(w)]
+    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _canonical_block_basis(block_vectors: np.ndarray) -> np.ndarray:
@@ -256,34 +253,47 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 
 
 def eig_hermitian(a: HermitianOperator) -> EigenDecomposition:
-    """``eigh_stack`` of the one matrix of ``a``, as a frozen ``EigenDecomposition``."""
-    w, v = eigh_stack(a.matrix[None])
-    return EigenDecomposition(_freeze(w[0]), _freeze(v[0]))
+    """``eigh_stack`` of ``a``'s matrix as an ``EigenDecomposition``, eigenvalues scaled back."""
+    w, v, e = eigh_stack(a.matrix[None])
+    with np.errstate(over="ignore"):
+        return EigenDecomposition(_freeze(np.ldexp(w[0], e[0])), _freeze(v[0]))
 
 
-def eigh_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues (N, d) and eigenvectors (N, d, d) of a stack, deterministically.
+def scaled_eigh(matrices: np.ndarray, vectors: bool = True, e=None):
+    """``(w, v, e)``: ``eigh`` of each matrix scaled by 2^-e, or ``eigvalsh`` and v = None.
 
-    The matrices are taken as Hermitian without a check (pass
-    ``HermitianOperator.matrix`` values). One batched ``eigh``; at each point
-    whose spectrum has a degenerate block (as in ``degenerate_blocks``), that
-    block's columns become its ``_canonical_block_basis``; then one phase fix
-    for the whole stack. A point gets the same bits in any stack.
+    ``matrices``, one complex matrix (d, d) or a stack (N, d, d), are taken as Hermitian.
+    ``np.ldexp`` (a product with 2^-e overflows on a subnormal matrix) scales each largest
+    real or imaginary part into [1/2, 1) exactly; e = 0 on a zero matrix. For max|entry|
+    in about 1e-120 ... 1e140 LAPACK then gives the unscaled results' bits; beyond, it
+    rescales in its own way, which moves their last bits or fails to converge. Given
+    ``e``, the matrices are taken as scaled by 2^-e already, with max|entry| of order 1.
     """
-    w, v = np.linalg.eigh(matrices)
-    # Halves cannot overflow, and halving is exact above the subnormal range, where no
-    # tolerance lies: gaps of halves split against half the tolerance as the gaps would.
-    half = w * 0.5
-    tol = np.maximum(DEGENERACY_RTOL * (half[:, -1] - half[:, 0]), DEGENERACY_ATOL / 2)
-    # "not >" rather than "<=", so that a NaN gap counts as degenerate.
-    split = half[:, 1:] - half[:, :-1] > tol[:, None]
-    if not split.all():
-        for n in np.flatnonzero(~split.all(axis=1)).tolist():
-            cuts = [0, *(np.flatnonzero(split[n]) + 1).tolist(), w.shape[1]]
-            for lo, hi in zip(cuts, cuts[1:]):
-                if hi - lo > 1:
-                    v[n, :, lo:hi] = _canonical_block_basis(v[n, :, lo:hi])
-    return w, _fix_phases(v)
+    if e is None:
+        parts = matrices.view(float)
+        e = np.frexp(np.abs(parts).max(axis=(-2, -1)))[1]
+        matrices = np.ldexp(parts, -e[..., None, None]).view(complex)
+    if vectors:
+        return (*np.linalg.eigh(matrices), e)
+    return np.linalg.eigvalsh(matrices), None, e
+
+
+def eigh_stack(matrices: np.ndarray, e=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``scaled_eigh`` of a stack (N, d, d), deterministically: (w (N, d), v, e (N,)).
+
+    Each degenerate block (``degenerate_blocks``) gets its ``_canonical_block_basis``
+    columns, then the whole stack one phase fix. A point gets the same bits in any stack.
+    """
+    w, v, e = scaled_eigh(matrices, True, e)
+    atol = np.ldexp(DEGENERACY_ATOL, np.minimum(-e, 1000))
+    tol = np.maximum(DEGENERACY_RTOL * (w[:, -1] - w[:, 0]), atol)
+    split = w[:, 1:] - w[:, :-1] > tol[:, None]  # "not >": a NaN gap is degenerate
+    for n in [] if split.all() else np.flatnonzero(~split.all(axis=1)).tolist():
+        for block in degenerate_blocks(w[n], e[n]):
+            if len(block) > 1:
+                cols = slice(block.start, block.stop)
+                v[n, :, cols] = _canonical_block_basis(v[n, :, cols])
+    return w, _fix_phases(v), e
 
 
 def expm_unitary(a: HermitianOperator, t: float) -> UnitaryOperator:
@@ -296,8 +306,9 @@ def expm_unitary(a: HermitianOperator, t: float) -> UnitaryOperator:
 
 def seminorm(a: HermitianOperator) -> float:
     """Spectral spread max(eig) - min(eig), inf beyond the largest float; 0 on c * 1."""
-    w = np.linalg.eigvalsh(a.matrix)
-    return float(w[-1]) - float(w[0])  # Python floats overflow without a warning
+    w, _, e = scaled_eigh(a.matrix, vectors=False)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(w[-1] - w[0], e))
 
 
 def _check_dims(a: HermitianOperator, dim: int):

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DimensionMismatch, ModelError
 from .family import HamiltonianFamily
 from .generator import GeneratorMethod, generator_in_eigenbasis, generator_spectral, spectral_point
-from .linalg import PureState, degenerate_blocks, eigh_stack, variance
+from .linalg import PureState, degenerate_blocks, eigh_stack, scaled_eigh, variance
 
 # Residual tolerance (relative to the spectral norm of H) below which an
 # extremal eigenvector of dH/dtheta counts as an eigenvector of H.
@@ -70,64 +70,52 @@ def qfi_pure(family: HamiltonianFamily, theta: float, t: float, psi0: PureState)
 
 def upper_bound(family: HamiltonianFamily, theta: float, t: float) -> float:
     """t^2 * seminorm(dH/dtheta)^2, the ceiling for the channel QFI (see ``_bound``)."""
-    d = np.linalg.eigvalsh(family.derivative(theta).matrix)
+    d, _, e = scaled_eigh(family.derivative(theta).matrix, vectors=False)
     with np.errstate(all="ignore"):
-        return float(_bound(np.float64(t), d[-1] - d[0], d))
+        return float(_bound(np.float64(t), d[-1] - d[0], e)[0])
 
 
-def _bound(t, spread, d):
-    """t * t * spread**2, or (|t| spread)**2 where that is not finite (inf * 0, say), with a
-    spread beyond the largest float formed from halves of the spectra ``d``; under errstate."""
-    bound = t * t * spread**2
-    finite = np.isfinite(bound)
-    if finite.all():
-        return bound
-    halves = np.abs(t) * (d[..., -1] * 0.5 - d[..., 0] * 0.5) * 2.0
-    root = np.where(np.isfinite(spread), np.abs(t) * spread, halves)
-    return np.where(finite, bound, root**2)
+def _bound(t, spread, e):
+    """(bound, normal, root, k): t^2 (2^e spread)^2 from dH/dtheta's scaled spread; under errstate.
+
+    Where t*t is normal and t*t*(2^e spread)**2 finite, that is the bound;
+    elsewhere it is ldexp(root, k + e)**2, root = |m| spread with t = m 2^k, one
+    rounding from exact. ``normal``: the squares and the bound are; if all are, no root or k.
+    """
+    t2, s2 = t * t, np.ldexp(spread, e) ** 2
+    bound = t2 * s2
+    normal = np.minimum(np.minimum(t2, s2), bound) >= _SMALLEST_NORMAL
+    if (normal & (bound < np.inf)).all():
+        return bound, normal, None, None
+    m, k = np.frexp(t)
+    keep, root = (t2 >= _SMALLEST_NORMAL) & (bound < np.inf), np.abs(m) * spread
+    return np.where(keep, bound, np.ldexp(root, k + e) ** 2), normal & keep, root, k
 
 
 def _reduce(
-    k: np.ndarray, hdot: np.ndarray, t: np.ndarray, err: np.ndarray, eigh=None
+    k: np.ndarray, ek: np.ndarray, hdot: np.ndarray, t: np.ndarray, err: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(channel QFI, upper bound, ratio, estimated error) as (N,) columns.
 
-    ``k`` holds the ascending spectra (N, d) of the generators, ``hdot`` is
-    dH/dtheta as an (N, d, d) stack or one (d, d) matrix, and ``t`` and the
-    generators' ``err`` are (N,). The ratio is cqfi / bound, or 1 when the
-    bound vanishes. Once the bound is below the smallest normal float, the
-    squares have lost relative precision (or underflowed to 0), so the ratio
-    is formed from their square roots, the spreads of K and of t dH/dtheta.
-    Where |t| spread(dH/dtheta) is itself below it, K is rounding noise, and
-    ``_unit_ratio`` forms the ratio there from H's ``eigh``, if given.
+    ``k`` holds the ascending spectra (N, d) of the generators scaled by
+    2^-ek, ``hdot`` is dH/dtheta as an (N, d, d) stack or one (d, d) matrix,
+    and ``t``, ``ek`` and the generators' ``err`` are (N,). The ratio is
+    cqfi / bound where ``_bound`` is normal, else (spread(K) / (|t|
+    spread(dH/dtheta)))^2 from the scaled spreads and exponents, or 1 where
+    that denominator vanishes.
     """
     # eigvalsh as upper_bound does: eigh need not agree in the last bit.
-    d = np.linalg.eigvalsh(hdot)
+    d, _, ed = scaled_eigh(hdot, vectors=False)
     # Both branches of each where are formed; an overflow, 0/0 or inf/inf
     # there is left to _check_finite, not reported by numpy.
     with np.errstate(all="ignore"):
-        d_spread = d[..., -1] - d[..., 0]
-        k_spread = k[:, -1] - k[:, 0]
-        bound_spread = np.abs(t) * d_spread
-        cqfi = k_spread * k_spread
-        bound = _bound(t, d_spread, d)
-        from_spreads = np.where(bound_spread > 0.0, (k_spread / bound_spread) ** 2, 1.0)
-        ratio = np.where(bound >= _SMALLEST_NORMAL, cqfi / bound, from_spreads)
-        if eigh is not None and bound.min() < _SMALLEST_NORMAL:  # else bound_spread is normal
-            noise = (bound_spread > 0.0) & (bound_spread < _SMALLEST_NORMAL)
-            ratio[noise] = _unit_ratio(eigh, hdot, t, noise)
-    return cqfi, bound, ratio, err
-
-
-def _unit_ratio(eigh, hdot: np.ndarray, t: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """The ratio at the points ``at`` from D = 2^e dH/dtheta (exact), max|entry| in [1/2, 1),
-    and D's generator over t (the kernel without its t), whose spread is at most D's."""
-    w, v, hdot = (np.broadcast_to(a, (len(t), *a.shape[1:]))[at]
-                  for a in (*eigh, hdot.reshape(-1, *hdot.shape[-2:])))
-    e = np.frexp(np.abs(hdot).max(axis=(-2, -1)))[1]
-    unit = np.ldexp(hdot.view(float), -e[:, None, None]).view(complex)
-    k, d = np.linalg.eigvalsh([generator_in_eigenbasis(w, v, unit, t[at], over_t=True)[0], unit])
-    return ((k[:, -1] - k[:, 0]) / (d[:, -1] - d[:, 0])) ** 2
+        d_spread, k_spread = d[..., -1] - d[..., 0], k[:, -1] - k[:, 0]
+        cqfi = np.ldexp(k_spread, ek) ** 2
+        bound, normal, root, et = _bound(t, d_spread, ed)
+        if root is None:
+            return cqfi, bound, cqfi / bound, err
+        from_spreads = np.where(root > 0.0, np.ldexp(k_spread / root, ek - ed - et) ** 2, 1.0)
+        return cqfi, bound, np.where(normal, cqfi / bound, from_spreads), err
 
 
 _COLUMNS = ("channel_qfi", "upper_bound", "ratio", "estimated_error")
@@ -149,8 +137,7 @@ def _check_finite(quantities, arrays, variable: str, values) -> None:
     raise ModelError(f"at {variable}={values[point]!r}: {quantity} is not finite")
 
 
-# K holds a NaN or infinity after an overflow at large t; LAPACK's eigh then
-# fails with "Eigenvalues did not converge", so K is checked before it.
+# K holds a NaN or infinity after an overflow at large t, on which eigh fails: checked first.
 _GENERATOR = ("generator", "estimated_error")
 
 
@@ -164,20 +151,17 @@ def _balanced_probe(vectors: np.ndarray) -> np.ndarray:
 def channel_qfi(family: HamiltonianFamily, theta: float, t: float) -> ChannelQfiReport:
     """Channel QFI = seminorm(K)^2 plus the bound, their ratio and the optimal probe.
 
-    ``channel_qfi_stack`` at one point, from the family's ``spectral_point``,
-    whose ``eigh`` gives K's spectrum and the optimal probe, the balanced
-    superposition of K's extremal eigenvectors (K gets no ``HermitianOperator``),
-    and dH/dtheta from its ``point(theta)``.
-    When the bound vanishes (dH/dtheta proportional to identity) the channel QFI
-    vanishes too and the ratio is defined as 1 to keep sweep output free of
-    NaNs. A generator or result that is not finite (an overflow at large t)
-    raises ModelError naming it and t, on every call.
+    ``channel_qfi_stack`` at one point, from the family's ``spectral_point``, whose
+    ``eigh`` gives K's spectrum and the optimal probe (the balanced superposition of
+    K's extremal eigenvectors), and dH/dtheta from its ``point(theta)``. Where the
+    bound vanishes (dH/dtheta proportional to identity) so does the channel QFI,
+    and the ratio is 1. A generator or result that is not finite (an overflow at
+    large t) raises ModelError naming it and t, on every call.
     """
     point, at = spectral_point(family, theta, t), family.point(theta)
     _check_finite(_GENERATOR, (point.gen, point.err), "t", [t])
-    kw, kv = point.eigh
-    eigh = at.eigenvalues[:1], at.eigenvectors[:1]
-    columns = _reduce(kw, at.derivative.matrix, np.array([t], dtype=float), point.err, eigh)
+    kw, kv, ke = point.eigh
+    columns = _reduce(kw, ke, at.derivative.matrix, np.array([t], dtype=float), point.err)
     _check_finite(_COLUMNS, columns, "t", [t])
     cqfi, bound, ratio, e = (float(column[0]) for column in columns)
     probe = PureState(_balanced_probe(kv[0]))
@@ -191,20 +175,18 @@ def channel_qfi_stack(
 
     ``h`` and ``hdot`` are H(theta) and dH/dtheta as ``HermitianOperator.matrix``
     values (not checked again): (N, d, d) stacks, or one (d, d) matrix that
-    holds at every point and is decomposed once (``eigh_stack``, then
-    ``generator_in_eigenbasis``). ``t`` is (N,). Returns the
-    (N,) columns channel QFI, upper bound, ratio and estimated error, each
-    element the float that ``channel_qfi`` gives at that point. A generator
-    or result that is not finite raises ModelError naming the first such
-    point by its value in ``values`` (default ``t``) of ``variable``.
+    holds at every point and is decomposed once. ``t`` is (N,). Returns the (N,)
+    columns channel QFI, upper bound, ratio and estimated error, each element
+    the float that ``channel_qfi`` gives at that point. A generator or result
+    that is not finite raises ModelError naming the first such point by its
+    value in ``values`` (default ``t``) of ``variable``.
     """
     values = t.tolist() if values is None else values
-    eigh = eigh_stack(h if h.ndim == 3 else h[None])
-    gen, err = generator_in_eigenbasis(*eigh, hdot, t)
+    gen, err, k, f = generator_in_eigenbasis(*eigh_stack(h if h.ndim == 3 else h[None]), hdot, t)
     _check_finite(_GENERATOR, (gen, err), variable, values)
     # Eigenvalues only: no probe is formed, so eigh_stack's basis fixing,
     # which leaves the eigenvalues as they are, is skipped.
-    columns = _reduce(np.linalg.eigh(gen)[0], hdot, t, err, eigh)
+    columns = _reduce(scaled_eigh(k, True, f)[0], f, hdot, t, err)
     _check_finite(_COLUMNS, columns, variable, values)
     return columns
 
@@ -224,13 +206,13 @@ def check_saturation(
     ``point(theta)``, which ``channel_qfi`` at the same theta shares.
     """
     point = family.point(theta)
-    h, (w, dw), (v, dv) = point.value.matrix, point.eigenvalues, point.eigenvectors
-    blocks = degenerate_blocks(dw)
+    h, ((w, dw), (v, dv), (e, de)) = point.value.matrix, point.eigh
+    blocks = degenerate_blocks(dw, de)
     low, high = blocks[0], blocks[-1]
 
     if len(low) == 1 and len(high) == 1 and len(blocks) > 1:
-        h_norm = float(max(-w[0], w[-1]))  # max |eigenvalue|, as w ascends
-        unit = h / h_norm if h_norm > 0.0 else h  # no overflow; H = 0 has residual 0
+        h_norm = float(max(-w[0], w[-1]))  # max |eigenvalue| of 2^-e H, as w ascends
+        unit = np.ldexp(h.view(float), -e).view(complex) / h_norm if h_norm > 0.0 else h
 
         def residual(vec: np.ndarray) -> float:  # np.linalg.norm's bits
             r = (hv := unit @ vec) - float((vec.conj() @ hv).real) * vec
@@ -319,7 +301,9 @@ def channel_qfi_brute(
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
     point = spectral_point(family, theta, t)
     _check_finite(_GENERATOR, (point.gen, point.err), "t", [t])
-    k = float(max(-point.eigh[0][0, 0], point.eigh[0][0, -1]))  # |K|
+    w, _, e = point.eigh
+    with np.errstate(over="ignore"):
+        k = float(np.ldexp(max(-w[0, 0], w[0, -1]), e[0]))  # |K|
     if not 8.0 * (k * k) * (k * k) < math.inf:  # a float product overflows without a warning
         raise ModelError(f"at t={t!r}: 8 |K|^4 is not finite, which the oracle's ascent needs")
     candidate = 4.0 * variance(point.operator, PureState(_balanced_probe(point.eigh[1][0])))

@@ -276,6 +276,8 @@ def build_scenario(scenario: dict, swept: Optional[str] = None, value=None):
         offset = extension_offset(family, spec)
     except OverflowError as exc:  # a scaled term, or an anchor theta0 + epsilon
         raise InvalidSpec(f"extension.{scale_field}: {exc}") from exc
+    except DimensionMismatch as exc:  # an operator file of another dimension
+        raise DimensionMismatch(f"extension.file: {exc}") from exc
     if swept in ("beta", "kappa", "epsilon"):
         return family, theta, params["t"], offset
     return shifted_family(family, offset, f"extension.{scale_field}"), theta, params["t"], None

@@ -17,6 +17,7 @@ from qfiext import load_preset
 from qfiext.cli import main
 from qfiext.models import gyromagnetic_ratio
 from qfiext.sweep import CSV_HEADER
+from helpers import unit_scaled
 
 FIXTURES = resources.files("qfiext").joinpath("data/fixtures")
 
@@ -677,8 +678,9 @@ class TestOverflow:
         assert err == "error: at t=1e+300: generator is not finite\n"
 
     def test_report_whose_spectral_spread_overflows_is_quiet(self, capsys):
-        # H's eigenvalue spread is beyond the float maximum; its decomposition and the
-        # generator's phase kernel form gaps from halves, so K (about t dH/dtheta) is finite.
+        # H's eigenvalue spread is beyond the float maximum; H is decomposed scaled by a
+        # power of two and the phase kernel uses its scaled gaps, so K (about t dH/dtheta)
+        # is finite.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(
@@ -699,6 +701,55 @@ class TestOverflow:
             code, out, err = run_cli(capsys, "report", "--model", "nv", *argv)
         assert (code, err) == (0, "")
         assert json.loads(out)["ratio"] == pytest.approx(1.0, abs=1e-9)
+
+    @staticmethod
+    def quiet_report(capsys, *argv) -> dict:
+        """The JSON of a ``report`` that exits 0 without a warning, its numbers finite."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "report", *argv)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert all(np.isfinite([doc["channel_qfi"], doc["upper_bound"], doc["ratio"]]))
+        return doc
+
+    def test_report_that_lapack_could_not_decompose_unscaled_exits_zero(self, capsys):
+        # H's entries reach 1.7e251; unscaled, eigh stopped with "did not converge" (exit 2).
+        doc = self.quiet_report(capsys, "--model", "custom", "--family-file", VALID_FAMILY,
+                                "--param", "theta=1.672116511639499e+251",
+                                "--param", "t=1.2769555187113415e-57")
+        assert doc["ratio"] <= 1.0 + 1e-9
+
+    def test_report_whose_phases_overflow_has_the_bound_of_a_smaller_t(self, capsys):
+        # t d/2 overflows on H's gaps of about 2e300, where t sinc(t d/2) is below 1e-290;
+        # the generator is t dH/dtheta, as at t = 1e7, where channel_qfi is 4e14.
+        small = self.quiet_report(capsys, "--model", "custom", "--family-file", VALID_FAMILY,
+                                  "--param", "theta=1e300", "--param", "t=1e7")
+        assert small["channel_qfi"] == pytest.approx(4e14, rel=1e-12)
+        doc = self.quiet_report(capsys, "--model", "custom", "--family-file", VALID_FAMILY,
+                                "--param", "theta=1e300", "--param", "t=1e10")
+        assert doc["channel_qfi"] == pytest.approx(4e20, rel=1e-12)
+        assert doc["ratio"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_report_whose_eigenvalue_overflows_exits_zero(self, tmp_path, capsys):
+        # H = theta [[1, 1], [1, 1]] at theta = 1e308 has the eigenvalue 2e308.
+        path = tmp_path / "ones.json"
+        term = {"coefficient": {"kind": "linear", "scale": 1.0},
+                "matrix": {"re": [[1.0, 1.0], [1.0, 1.0]]}}
+        path.write_text(json.dumps({"dim": 2, "terms": [term]}), encoding="utf-8")
+        doc = self.quiet_report(capsys, "--model", "custom", "--family-file", str(path),
+                                "--param", "theta=1e308", "--param", "t=1e-300")
+        assert doc["ratio"] <= 1.0 + 1e-9
+
+    def test_report_whose_t_squared_is_subnormal_keeps_the_ratio_at_most_one(self, capsys):
+        # t * t = 1.1e-319 lost digits in t * t * spread^2 and the ratio read 1.0000073.
+        doc = self.quiet_report(
+            capsys, "--model", "direction", "--param", "t=-3.2944224505583135e-160",
+            "--param", "g=3.58310430380595e-24", "--param", "B=6.112612038377374e+148",
+            "--extension", "flood:beta=-7.085248594635016e+167,theta0=-1.8590373699865882e-124",
+        )
+        assert doc["ratio"] <= 1.0 + 1e-9
+        assert doc["channel_qfi"] == pytest.approx(doc["upper_bound"], rel=1e-9)
 
     @pytest.mark.parametrize("model", ["custom", "broken-phase-shift"])
     def test_report_file_family_whose_flood_overflows_exits_one_naming_beta(self, capsys, model):
@@ -1064,7 +1115,7 @@ def test_report_evaluates_the_family_once_and_decomposes_h_once(monkeypatch, cap
     eigh = np.linalg.eigh
 
     def counting_eigh(a, *args, **kwargs):
-        decomposed.append(np.array_equal(a.reshape(-1, 3, 3)[0], h))
+        decomposed.append(np.array_equal(a.reshape(-1, 3, 3)[0], unit_scaled(h)))
         return eigh(a, *args, **kwargs)
 
     expected = run_cli(capsys, *argv)

@@ -22,7 +22,7 @@ from qfiext import (
     spin1_matrices,
     variance,
 )
-from qfiext.linalg import _fix_phases, check_unitary, eigh_stack, symmetrized
+from qfiext.linalg import _fix_phases, check_unitary, eigh_stack, scaled_eigh, symmetrized
 from helpers import (
     eig_hermitian_reference,
     fix_phases_by_column,
@@ -228,6 +228,25 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 class TestStackedEig:
+    def test_decomposes_the_fixture_shaped_matrix_at_every_scale(self):
+        # [[s, .4+.2i, 0], [.4-.2i, 0, .4], [0, .4, -s]]: unscaled, LAPACK's eigh stops
+        # with "did not converge" at hundreds of these s.
+        s = np.geomspace(1e100, 1e307, 2000)
+        m = np.zeros((s.size, 3, 3), dtype=complex)
+        m[:, 0, 0], m[:, 2, 2] = s, -s
+        m[:, 0, 1], m[:, 1, 0] = 0.4 + 0.2j, 0.4 - 0.2j
+        m[:, 1, 2] = m[:, 2, 1] = 0.4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, v, e = eigh_stack(m)
+            values, _, exponents = scaled_eigh(m, vectors=False)
+        assert np.array_equal(e, exponents)
+        for spectrum in (w, values):
+            assert np.isfinite(spectrum).all()
+            assert np.ldexp(spectrum[:, 2], e) == pytest.approx(s, rel=1e-14)
+            assert np.ldexp(spectrum[:, 0], e) == pytest.approx(-s, rel=1e-14)
+        assert np.abs(v.conj().swapaxes(1, 2) @ v - np.eye(3)).max() < 1e-14
+
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -260,10 +279,10 @@ class TestStackedEig:
             # rank 2: a doubly degenerate zero and tied entry magnitudes
             HermitianOperator(SX.matrix[:2, :2].repeat(2, 0).repeat(2, 1)),
         ]
-        w, v = eigh_stack(np.stack([op.matrix for op in ops]))
+        w, v, e = eigh_stack(np.stack([op.matrix for op in ops]))
         for n, op in enumerate(ops):
             dec = eig_hermitian(op)
-            assert same_bits(w[n], dec.eigenvalues)
+            assert same_bits(np.ldexp(w[n], e[n]), dec.eigenvalues)
             assert same_bits(v[n], dec.eigenvectors)
 
 
@@ -290,11 +309,11 @@ class TestStackedEig:
             else:
                 m = np.zeros((dim, dim)) if kind == "zero" else np.eye(dim)
             ops.append(HermitianOperator(np.kron(m, np.eye(ancilla))))
-        w, v = eigh_stack(np.stack([op.matrix for op in ops]))
+        w, v, e = eigh_stack(np.stack([op.matrix for op in ops]))
         for n, op in enumerate(ops):
             ref_w, ref_v = eig_hermitian_reference(op)
             dec = eig_hermitian(op)
-            assert same_bits(w[n], ref_w) and same_bits(v[n], ref_v)
+            assert same_bits(np.ldexp(w[n], e[n]), ref_w) and same_bits(v[n], ref_v)
             assert same_bits(dec.eigenvalues, ref_w) and same_bits(dec.eigenvectors, ref_v)
 
 

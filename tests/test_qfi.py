@@ -40,7 +40,8 @@ from qfiext import (
 )
 from qfiext.qfi import channel_qfi_stack
 from helpers import (
-    commuting_family, cross_check_cases, gue, polynomial_family, reference_ascend, verify_calls,
+    commuting_family, cross_check_cases, gue, polynomial_family, reference_ascend, unit_scaled,
+    verify_calls,
 )
 from qfiext.errors import ModelError
 
@@ -193,14 +194,16 @@ class TestChannelQfi:
             hdot = np.stack([gue(d, rng).matrix * scale for _ in range(n)])
             t = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 3, n)
             err = rng.uniform(0.0, 1.0, n)
-            columns = qfi._reduce(k, hdot, t, err)
-            d_spread = [float(s[-1] - s[0]) for s in np.linalg.eigvalsh(hdot)]
+            columns = qfi._reduce(k, np.zeros(n, dtype=int), hdot, t, err)
+            # seminorm decomposes as _reduce does: scaled, so LAPACK does not rescale
+            # the matrices of these extreme scales in its own way.
+            d_spread = [seminorm(HermitianOperator(m)) for m in hdot]
             for i in range(n):
                 spread, ti = float(k[i, -1] - k[i, 0]), float(t[i])
                 cqfi = spread * spread
                 bound = ti * ti * d_spread[i] ** 2
                 bound_spread = abs(ti) * d_spread[i]
-                if bound >= tiny:
+                if min(ti * ti, d_spread[i] ** 2, bound) >= tiny:
                     ratio = cqfi / bound
                 else:
                     ratio = (spread / bound_spread) ** 2 if bound_spread > 0.0 else 1.0
@@ -408,7 +411,7 @@ class TestSharedPointPass:
         eigh = np.linalg.eigh
 
         def counting_eigh(a, *args, **kwargs):
-            decomposed.append(np.array_equal(a.reshape(-1, 3, 3)[0], h))
+            decomposed.append(np.array_equal(a.reshape(-1, 3, 3)[0], unit_scaled(h)))
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
