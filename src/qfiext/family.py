@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import HermitianOperator, _freeze, as_hermitian, eigh_stack, hermitized, symmetrized
+from .linalg import unit_scaled
 
 MatrixFn = Callable[[float], HermitianOperator]
 StackFn = Callable[[np.ndarray], np.ndarray]
@@ -49,14 +50,17 @@ DERIVATIVE_CHECK_STEP = 1e-5
 class Point:
     """H(theta) and dH/dtheta at one theta, and their decomposition from one ``eigh_stack``.
 
-    ``eigh`` is that call's read-only (eigenvalues (2, d), eigenvectors (2, d, d),
-    exponents (2,)), H's at index 0 and dH/dtheta's at index 1. ``at_t`` is
+    ``unit`` (2, d, d) is H and dH/dtheta scaled by ``unit_scaled``, and ``eigh``
+    that call's (eigenvalues (2, d), eigenvectors (2, d, d), exponents (2,)),
+    H's at index 0 and dH/dtheta's at index 1; all are read-only. ``at_t`` is
     ``generator.spectral_point``'s ``(t's bits, K)`` for the latest t.
     """
 
     def __init__(self, key: str, value: HermitianOperator, derivative: HermitianOperator):
         self.key, self.value, self.derivative = key, value, derivative
-        self.eigh = tuple(map(_freeze, eigh_stack(np.array([value.matrix, derivative.matrix]))))
+        unit, e = unit_scaled(np.array([value.matrix, derivative.matrix]))
+        self.unit = _freeze(unit)
+        self.eigh = tuple(map(_freeze, eigh_stack(unit, e)))
         self.at_t = (None, None)
 
 
@@ -154,6 +158,13 @@ def factor(theta):
     return theta[:, None, None] if isinstance(theta, np.ndarray) else theta
 
 
+def fd_derivative(value: MatrixFn, theta: float, h: float) -> HermitianOperator:
+    """Central difference (H(theta+h) - H(theta-h)) / 2h."""
+    plus = value(theta + h).matrix
+    minus = value(theta - h).matrix
+    return HermitianOperator((plus - minus) / (2.0 * h))
+
+
 @dataclass(frozen=True)
 class FamilyValidation:
     """Result of checking a family's analytic derivative against finite differences."""
@@ -179,8 +190,7 @@ def validate_family(family: HamiltonianFamily, thetas: Sequence[float]) -> Famil
     for theta in thetas:
         h = DERIVATIVE_CHECK_STEP * max(1.0, abs(theta))
         analytic = family.derivative(theta).matrix
-        plus, minus = family.value(theta + h).matrix, family.value(theta - h).matrix
-        numeric = HermitianOperator((plus - minus) / (2.0 * h)).matrix  # central difference
+        numeric = fd_derivative(family.value, theta, h).matrix
         dev = float(np.max(np.abs(analytic - numeric)))
         bound = DERIVATIVE_CHECK_TOL * (1.0 + float(np.max(np.abs(analytic))))
         if dev / bound > worst_ratio:

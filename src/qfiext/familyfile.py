@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import FamilyFileError, InvalidSpec, NonHermitianInput
 from .family import HamiltonianFamily, FamilyValidation, _formula_family, factor, validate_family
-from .linalg import HermitianOperator, _HALF_MAX, degenerate_blocks, eig_hermitian
+from .linalg import HermitianOperator, _HALF_MAX, degenerate_blocks, eigh_stack
 
 COEFFICIENT_KINDS = ("const", "linear", "sin", "cos")
 # theta samples used for derivative validation and degeneracy reporting
@@ -285,8 +285,8 @@ def validate_file(path) -> FileDiagnostics:
     messages: list[str] = []
     degeneracy = []
     for theta in VALIDATION_THETAS:
-        dec = eig_hermitian(family.derivative(theta))
-        blocks = degenerate_blocks(dec.eigenvalues)
+        w, _, e = eigh_stack(family.derivative(theta).matrix[None])
+        blocks = degenerate_blocks(w[0], e[0])
         low, high = len(blocks[0]), len(blocks[-1])
         tag = "non-degenerate" if (low == 1 and high == 1 and len(blocks) > 1) else "degenerate"
         degeneracy.append(

@@ -13,7 +13,7 @@ with V(a) = exp(-i a t H). Three independent evaluation routes:
                to the smooth sinc limit, so degenerate blocks need no special
                casing. This is the route of ``channel_qfi``, ``report`` and
                ``sweep``; it evaluates a whole stack of points at once, from
-               H's scaled eigenvalues, t's mantissa and scaled dH/dtheta.
+               H's eigenvalues and dH/dtheta, each scaled by a power of two.
 * quadrature -- adaptive Gauss-Legendre evaluation of the integral.
 * finite difference -- i U^dag [U(theta+h) - U(theta-h)] / 2h, the oracle the
                other two are validated against.
@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DimensionMismatch, StepTooSmall
 from .family import DEFAULT_FD_STEP, HamiltonianFamily
 from .linalg import HermitianOperator, _freeze, as_hermitian, check_unitary, eigh_stack
-from .linalg import hermitian_part
+from .linalg import hermitian_part, unit_scaled
 
 QUADRATURE_TARGET_RTOL = 1e-9
 QUADRATURE_MAX_ORDER = 1024
@@ -64,7 +64,7 @@ def _phase_kernel(lead: np.ndarray, half_t: np.ndarray, unit: np.ndarray) -> np.
     """
     gaps = unit[..., :, None] - unit[..., None, :]
     x = half_t * gaps
-    kernel = lead * np.exp(1j * half_t * gaps) * np.sinc(x / np.pi)
+    kernel = lead * np.exp(1j * x) * np.sinc(x / np.pi)
     if np.isfinite(x).all():
         return kernel
     return np.where(np.isfinite(x) | np.isinf(lead), kernel, lead * (gaps == 0.0))
@@ -93,8 +93,8 @@ def spectral_point(family: HamiltonianFamily, theta: float, t: float) -> Spectra
     point = family.point(theta)
     key = float(t).hex()
     if point.at_t[0] != key:
-        eigh = (a[:1] for a in point.eigh)
-        raw = generator_in_eigenbasis(*eigh, point.derivative.matrix, np.array([t], dtype=float))
+        (w, v, e), ts = point.eigh, np.array([t], dtype=float)
+        raw = generator_in_eigenbasis(w[:1], v[:1], e[:1], point.unit[1], e[1:], ts)
         point.at_t = (key, SpectralPoint(*raw))
     return point.at_t[1]
 
@@ -109,30 +109,31 @@ def generator_spectral(family: HamiltonianFamily, theta: float, t: float) -> Gen
 
 
 def generator_in_eigenbasis(
-    w: np.ndarray, v: np.ndarray, e: np.ndarray, hdot: np.ndarray, t: np.ndarray
+    w: np.ndarray, v: np.ndarray, e: np.ndarray, unit: np.ndarray, eh, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(K, err, k, f)``: the spectral generators K (N, d, d) = 2^f k and their errors (N,).
 
-    ``w``, ``v`` and ``e`` are H's ``eigh_stack`` at N points or at one, ``hdot``
-    is dH/dtheta as an (N, d, d) stack or one (d, d) matrix, and ``t`` is (N,).
-    k is formed from t's mantissa and dH/dtheta scaled to max|entry| in [1/2, 1):
-    its max|entry| is at most about d^2, and it keeps its digits where K is
-    subnormal. K has the unscaled formula's bits where its values are normal.
-    Each generator is hermitized once, so a ``HermitianOperator`` of it keeps
-    its bits. An overflow at large t gives a K or error that is not finite,
+    ``w``, ``v`` and ``e`` are H's ``eigh_stack`` at N points or at one, ``unit``
+    and ``eh`` dH/dtheta's ``unit_scaled``, of an (N, d, d) stack or of one (d, d)
+    matrix, and ``t`` is (N,). The kernel's lead is t, so that K has the
+    unscaled formula's bits where its entries are normal; where |t| is beyond
+    2^(+-960), and a product with it may leave the normal range, the lead is
+    t's mantissa and t's exponent joins f, so that k keeps its digits. Each
+    generator is hermitized once, so a ``HermitianOperator`` of it keeps its
+    bits. An overflow at large t gives a K or error that is not finite,
     without a numpy warning; the caller checks.
     """
     v_dag = v.conj().swapaxes(-1, -2)
-    hdot_max = np.abs(hdot).max(axis=(-2, -1))
-    (lead, et), eh = np.frexp(t), np.frexp(hdot_max)[1]
-    unit, f = np.ldexp(hdot.view(float), -eh[..., None, None]).view(complex), et + eh
+    m, et = np.frexp(t)
+    plain = np.abs(et) < 960
+    lead, f = np.where(plain, t, m), eh + np.where(plain, 0, et)
     with np.errstate(all="ignore"):
         kernel = _phase_kernel(lead[:, None, None], np.ldexp(t, e - 1)[:, None, None], w)
         k = hermitian_part(v @ ((v_dag @ unit @ v) * kernel) @ v_dag)
-        gen = np.ldexp(k.view(float), f[:, None, None]).view(complex)
         # 16 d eps (1 + |t| max|Hdot|), the spectral route's rounding estimate.
+        hdot_max = np.ldexp(np.abs(unit).max(axis=(-2, -1)), eh)
         err = 16.0 * w.shape[-1] * float(np.finfo(float).eps) * (1.0 + abs(t) * hdot_max)
-        return gen, err, k, f
+        return np.ldexp(k.view(float), f[:, None, None]).view(complex), err, k, f
 
 
 @lru_cache(maxsize=32)
@@ -233,5 +234,6 @@ def broken_phase_shift_generator_at_zero(
     """
     if g.dim != f.dim:
         raise DimensionMismatch(f"dimensions differ: {g.dim} vs {f.dim}")
-    gen = generator_in_eigenbasis(*eigh_stack(f.matrix[None]), g.matrix, np.array([t], float))[0]
+    ts = np.array([t], dtype=float)
+    gen = generator_in_eigenbasis(*eigh_stack(f.matrix[None]), *unit_scaled(g.matrix), ts)[0]
     return as_hermitian(gen[0])

@@ -203,13 +203,27 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def degenerate_blocks(eigenvalues: np.ndarray, e: int = 0) -> list[range]:
-    """Group ascending eigenvalues 2^e w into blocks chained by the degeneracy tolerance,
-    with ``eigh_stack``'s splits. ATOL 2^-e stops at 2^1000 ATOL, above every gap of w."""
+def degenerate_blocks(eigenvalues: np.ndarray, e=None) -> list[range]:
+    """Group ascending eigenvalues into blocks chained by the degeneracy tolerance.
+
+    Given ``e``, they are ``eigh_stack``'s, of a matrix scaled by 2^-e, and the
+    blocks are its splits. Without, they are unscaled, and are scaled here
+    first: their spread, a Python float, would overflow quietly.
+    """
+    if e is None:
+        e = int(np.frexp(np.abs(eigenvalues).max())[1])
+        eigenvalues = np.ldexp(eigenvalues, -e)
     w = eigenvalues.tolist()
+    # ATOL 2^-e, as the unscaled gaps split against ATOL; 2^1000 ATOL is above every unit gap.
     tol = max(DEGENERACY_RTOL * (w[-1] - w[0]), math.ldexp(DEGENERACY_ATOL, min(-int(e), 1000)))
-    cuts = [0, *(k for k in range(1, len(w)) if w[k] - w[k - 1] > tol), len(w)]
-    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    blocks = []
+    start = 0
+    for k in range(1, len(w)):
+        if w[k] - w[k - 1] > tol:
+            blocks.append(range(start, k))
+            start = k
+    blocks.append(range(start, len(w)))
+    return blocks
 
 
 def _canonical_block_basis(block_vectors: np.ndarray) -> np.ndarray:
@@ -259,20 +273,26 @@ def eig_hermitian(a: HermitianOperator) -> EigenDecomposition:
         return EigenDecomposition(_freeze(np.ldexp(w[0], e[0])), _freeze(v[0]))
 
 
-def scaled_eigh(matrices: np.ndarray, vectors: bool = True, e=None):
-    """``(w, v, e)``: ``eigh`` of each matrix scaled by 2^-e, or ``eigvalsh`` and v = None.
+def unit_scaled(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(matrices 2^-e, e)``: each complex matrix (..., d, d) scaled by ``np.ldexp`` (a product
+    with 2^-e overflows on a subnormal matrix), its largest real or imaginary part into
+    [1/2, 1); e = 0 on a zero matrix."""
+    parts = matrices.view(float)
+    e = np.frexp(np.abs(parts).max(axis=(-2, -1)))[1]
+    return np.ldexp(parts, -e[..., None, None]).view(complex), e
 
-    ``matrices``, one complex matrix (d, d) or a stack (N, d, d), are taken as Hermitian.
-    ``np.ldexp`` (a product with 2^-e overflows on a subnormal matrix) scales each largest
-    real or imaginary part into [1/2, 1) exactly; e = 0 on a zero matrix. For max|entry|
-    in about 1e-120 ... 1e140 LAPACK then gives the unscaled results' bits; beyond, it
-    rescales in its own way, which moves their last bits or fails to converge. Given
-    ``e``, the matrices are taken as scaled by 2^-e already, with max|entry| of order 1.
+
+def scaled_eigh(matrices: np.ndarray, vectors: bool = True, e=None):
+    """``(w, v, e)``: ``eigh`` of each matrix ``unit_scaled``, or ``eigvalsh`` and v = None.
+
+    ``matrices``, one complex matrix (d, d) or a stack (N, d, d), are taken as
+    Hermitian; given ``e``, as scaled by 2^-e already. Unscaled, LAPACK rescales
+    a matrix of max|entry| beyond about 1e-120 ... 1e140 by a factor that is
+    not a power of two, which moves the last bits of its results or fails to
+    converge.
     """
     if e is None:
-        parts = matrices.view(float)
-        e = np.frexp(np.abs(parts).max(axis=(-2, -1)))[1]
-        matrices = np.ldexp(parts, -e[..., None, None]).view(complex)
+        matrices, e = unit_scaled(matrices)
     if vectors:
         return (*np.linalg.eigh(matrices), e)
     return np.linalg.eigvalsh(matrices), None, e
@@ -281,18 +301,22 @@ def scaled_eigh(matrices: np.ndarray, vectors: bool = True, e=None):
 def eigh_stack(matrices: np.ndarray, e=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``scaled_eigh`` of a stack (N, d, d), deterministically: (w (N, d), v, e (N,)).
 
-    Each degenerate block (``degenerate_blocks``) gets its ``_canonical_block_basis``
-    columns, then the whole stack one phase fix. A point gets the same bits in any stack.
+    One batched ``eigh``; at each point whose spectrum has a degenerate block
+    (``degenerate_blocks``), that block's columns become its
+    ``_canonical_block_basis``; then one phase fix for the whole stack. A
+    point gets the same bits in any stack.
     """
     w, v, e = scaled_eigh(matrices, True, e)
-    atol = np.ldexp(DEGENERACY_ATOL, np.minimum(-e, 1000))
+    atol = np.ldexp(DEGENERACY_ATOL, np.minimum(-e, 1000))  # as in degenerate_blocks
     tol = np.maximum(DEGENERACY_RTOL * (w[:, -1] - w[:, 0]), atol)
-    split = w[:, 1:] - w[:, :-1] > tol[:, None]  # "not >": a NaN gap is degenerate
-    for n in [] if split.all() else np.flatnonzero(~split.all(axis=1)).tolist():
-        for block in degenerate_blocks(w[n], e[n]):
-            if len(block) > 1:
-                cols = slice(block.start, block.stop)
-                v[n, :, cols] = _canonical_block_basis(v[n, :, cols])
+    # "not >" rather than "<=", so that a NaN gap counts as degenerate.
+    split = w[:, 1:] - w[:, :-1] > tol[:, None]
+    if not split.all():
+        for n in np.flatnonzero(~split.all(axis=1)).tolist():
+            for block in degenerate_blocks(w[n], e[n]):
+                if len(block) > 1:
+                    cols = slice(block.start, block.stop)
+                    v[n, :, cols] = _canonical_block_basis(v[n, :, cols])
     return w, _fix_phases(v), e
 
 

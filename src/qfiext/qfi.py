@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DimensionMismatch, ModelError
 from .family import HamiltonianFamily
 from .generator import GeneratorMethod, generator_in_eigenbasis, generator_spectral, spectral_point
-from .linalg import PureState, degenerate_blocks, eigh_stack, scaled_eigh, variance
+from .linalg import PureState, degenerate_blocks, eigh_stack, scaled_eigh, unit_scaled, variance
 
 # Residual tolerance (relative to the spectral norm of H) below which an
 # extremal eigenvector of dH/dtheta counts as an eigenvector of H.
@@ -76,44 +76,49 @@ def upper_bound(family: HamiltonianFamily, theta: float, t: float) -> float:
 
 
 def _bound(t, spread, e):
-    """(bound, normal, root, k): t^2 (2^e spread)^2 from dH/dtheta's scaled spread; under errstate.
+    """(bound, normal): t^2 (2^e spread)^2 from dH/dtheta's spread scaled by 2^-e, under errstate.
 
     Where t*t is normal and t*t*(2^e spread)**2 finite, that is the bound;
-    elsewhere it is ldexp(root, k + e)**2, root = |m| spread with t = m 2^k, one
-    rounding from exact. ``normal``: the squares and the bound are; if all are, no root or k.
+    elsewhere it is ldexp(|m| spread, k + e)**2 with t = m 2^k, one rounding
+    from exact. ``normal``: where the squares and the bound are normal floats,
+    and the bound is the first formula's.
     """
     t2, s2 = t * t, np.ldexp(spread, e) ** 2
     bound = t2 * s2
     normal = np.minimum(np.minimum(t2, s2), bound) >= _SMALLEST_NORMAL
     if (normal & (bound < np.inf)).all():
-        return bound, normal, None, None
+        return bound, normal
     m, k = np.frexp(t)
-    keep, root = (t2 >= _SMALLEST_NORMAL) & (bound < np.inf), np.abs(m) * spread
-    return np.where(keep, bound, np.ldexp(root, k + e) ** 2), normal & keep, root, k
+    keep = (t2 >= _SMALLEST_NORMAL) & (bound < np.inf)
+    return np.where(keep, bound, np.ldexp(np.abs(m) * spread, k + e) ** 2), normal & keep
 
 
 def _reduce(
-    k: np.ndarray, ek: np.ndarray, hdot: np.ndarray, t: np.ndarray, err: np.ndarray
+    k: np.ndarray, ek: np.ndarray, unit: np.ndarray, ed, t: np.ndarray, err: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(channel QFI, upper bound, ratio, estimated error) as (N,) columns.
 
     ``k`` holds the ascending spectra (N, d) of the generators scaled by
-    2^-ek, ``hdot`` is dH/dtheta as an (N, d, d) stack or one (d, d) matrix,
-    and ``t``, ``ek`` and the generators' ``err`` are (N,). The ratio is
-    cqfi / bound where ``_bound`` is normal, else (spread(K) / (|t|
-    spread(dH/dtheta)))^2 from the scaled spreads and exponents, or 1 where
-    that denominator vanishes.
+    2^-ek, ``unit`` and ``ed`` are dH/dtheta's ``unit_scaled``, of an (N, d, d)
+    stack or of one (d, d) matrix, and ``t``, ``ek`` and the generators' ``err``
+    are (N,). The ratio is cqfi / bound where ``_bound`` is normal. Elsewhere
+    the squares have lost relative precision (or underflowed to 0, or
+    overflowed), so the ratio is (spread(K) / (|t| spread(dH/dtheta)))^2,
+    formed from the scaled spreads and the exponents, or 1 where that
+    denominator vanishes.
     """
     # eigvalsh as upper_bound does: eigh need not agree in the last bit.
-    d, _, ed = scaled_eigh(hdot, vectors=False)
+    d = scaled_eigh(unit, vectors=False, e=ed)[0]
     # Both branches of each where are formed; an overflow, 0/0 or inf/inf
     # there is left to _check_finite, not reported by numpy.
     with np.errstate(all="ignore"):
         d_spread, k_spread = d[..., -1] - d[..., 0], k[:, -1] - k[:, 0]
         cqfi = np.ldexp(k_spread, ek) ** 2
-        bound, normal, root, et = _bound(t, d_spread, ed)
-        if root is None:
+        bound, normal = _bound(t, d_spread, ed)
+        if normal.all():
             return cqfi, bound, cqfi / bound, err
+        m, et = np.frexp(t)
+        root = np.abs(m) * d_spread
         from_spreads = np.where(root > 0.0, np.ldexp(k_spread / root, ek - ed - et) ** 2, 1.0)
         return cqfi, bound, np.where(normal, cqfi / bound, from_spreads), err
 
@@ -137,7 +142,8 @@ def _check_finite(quantities, arrays, variable: str, values) -> None:
     raise ModelError(f"at {variable}={values[point]!r}: {quantity} is not finite")
 
 
-# K holds a NaN or infinity after an overflow at large t, on which eigh fails: checked first.
+# K holds a NaN or infinity after an overflow at large t; LAPACK's eigh then
+# fails with "Eigenvalues did not converge", so K is checked before it.
 _GENERATOR = ("generator", "estimated_error")
 
 
@@ -151,17 +157,19 @@ def _balanced_probe(vectors: np.ndarray) -> np.ndarray:
 def channel_qfi(family: HamiltonianFamily, theta: float, t: float) -> ChannelQfiReport:
     """Channel QFI = seminorm(K)^2 plus the bound, their ratio and the optimal probe.
 
-    ``channel_qfi_stack`` at one point, from the family's ``spectral_point``, whose
-    ``eigh`` gives K's spectrum and the optimal probe (the balanced superposition of
-    K's extremal eigenvectors), and dH/dtheta from its ``point(theta)``. Where the
-    bound vanishes (dH/dtheta proportional to identity) so does the channel QFI,
-    and the ratio is 1. A generator or result that is not finite (an overflow at
-    large t) raises ModelError naming it and t, on every call.
+    ``channel_qfi_stack`` at one point, from the family's ``spectral_point``,
+    whose ``eigh`` gives K's spectrum and the optimal probe, the balanced
+    superposition of K's extremal eigenvectors (K gets no ``HermitianOperator``),
+    and dH/dtheta from its ``point(theta)``.
+    When the bound vanishes (dH/dtheta proportional to identity) the channel QFI
+    vanishes too and the ratio is defined as 1 to keep sweep output free of
+    NaNs. A generator or result that is not finite (an overflow at large t)
+    raises ModelError naming it and t, on every call.
     """
     point, at = spectral_point(family, theta, t), family.point(theta)
     _check_finite(_GENERATOR, (point.gen, point.err), "t", [t])
     kw, kv, ke = point.eigh
-    columns = _reduce(kw, ke, at.derivative.matrix, np.array([t], dtype=float), point.err)
+    columns = _reduce(kw, ke, at.unit[1], at.eigh[2][1:], np.array([t], dtype=float), point.err)
     _check_finite(_COLUMNS, columns, "t", [t])
     cqfi, bound, ratio, e = (float(column[0]) for column in columns)
     probe = PureState(_balanced_probe(kv[0]))
@@ -175,18 +183,20 @@ def channel_qfi_stack(
 
     ``h`` and ``hdot`` are H(theta) and dH/dtheta as ``HermitianOperator.matrix``
     values (not checked again): (N, d, d) stacks, or one (d, d) matrix that
-    holds at every point and is decomposed once. ``t`` is (N,). Returns the (N,)
-    columns channel QFI, upper bound, ratio and estimated error, each element
-    the float that ``channel_qfi`` gives at that point. A generator or result
-    that is not finite raises ModelError naming the first such point by its
-    value in ``values`` (default ``t``) of ``variable``.
+    holds at every point and is decomposed once (``eigh_stack``, then
+    ``generator_in_eigenbasis``). ``t`` is (N,). Returns the
+    (N,) columns channel QFI, upper bound, ratio and estimated error, each
+    element the float that ``channel_qfi`` gives at that point. A generator
+    or result that is not finite raises ModelError naming the first such
+    point by its value in ``values`` (default ``t``) of ``variable``.
     """
     values = t.tolist() if values is None else values
-    gen, err, k, f = generator_in_eigenbasis(*eigh_stack(h if h.ndim == 3 else h[None]), hdot, t)
+    eigh, (unit, eh) = eigh_stack(h if h.ndim == 3 else h[None]), unit_scaled(hdot)
+    gen, err, k, f = generator_in_eigenbasis(*eigh, unit, eh, t)
     _check_finite(_GENERATOR, (gen, err), variable, values)
     # Eigenvalues only: no probe is formed, so eigh_stack's basis fixing,
     # which leaves the eigenvalues as they are, is skipped.
-    columns = _reduce(scaled_eigh(k, True, f)[0], f, hdot, t, err)
+    columns = _reduce(scaled_eigh(k, True, f)[0], f, unit, eh, t, err)
     _check_finite(_COLUMNS, columns, variable, values)
     return columns
 
@@ -206,13 +216,13 @@ def check_saturation(
     ``point(theta)``, which ``channel_qfi`` at the same theta shares.
     """
     point = family.point(theta)
-    h, ((w, dw), (v, dv), (e, de)) = point.value.matrix, point.eigh
+    (w, dw), (v, dv), (_, de) = point.eigh
     blocks = degenerate_blocks(dw, de)
     low, high = blocks[0], blocks[-1]
 
     if len(low) == 1 and len(high) == 1 and len(blocks) > 1:
-        h_norm = float(max(-w[0], w[-1]))  # max |eigenvalue| of 2^-e H, as w ascends
-        unit = np.ldexp(h.view(float), -e).view(complex) / h_norm if h_norm > 0.0 else h
+        h_norm = float(max(-w[0], w[-1]))  # max |eigenvalue| of H scaled, as w ascends
+        unit = point.unit[0] / h_norm if h_norm > 0.0 else point.unit[0]  # H = 0: residual 0
 
         def residual(vec: np.ndarray) -> float:  # np.linalg.norm's bits
             r = (hv := unit @ vec) - float((vec.conj() @ hv).real) * vec

@@ -29,12 +29,6 @@ from qfiext.linalg import (
 )
 
 
-def unit_scaled(m: np.ndarray) -> np.ndarray:
-    """``m`` scaled by the power of two that ``linalg.scaled_eigh`` decomposes it at."""
-    e = np.frexp(np.abs(m.view(float)).max())[1]
-    return np.ldexp(m.view(float), -e).view(complex)
-
-
 def gue(dim: int, rng: np.random.Generator) -> HermitianOperator:
     return random_hermitian(dim, rng)
 

@@ -15,9 +15,9 @@ import qfiext.cli
 from qfiext import HamiltonianFamily
 from qfiext import load_preset
 from qfiext.cli import main
+from qfiext.linalg import unit_scaled
 from qfiext.models import gyromagnetic_ratio
 from qfiext.sweep import CSV_HEADER
-from helpers import unit_scaled
 
 FIXTURES = resources.files("qfiext").joinpath("data/fixtures")
 
@@ -1115,7 +1115,7 @@ def test_report_evaluates_the_family_once_and_decomposes_h_once(monkeypatch, cap
     eigh = np.linalg.eigh
 
     def counting_eigh(a, *args, **kwargs):
-        decomposed.append(np.array_equal(a.reshape(-1, 3, 3)[0], unit_scaled(h)))
+        decomposed.append(np.array_equal(a.reshape(-1, 3, 3)[0], unit_scaled(h)[0]))
         return eigh(a, *args, **kwargs)
 
     expected = run_cli(capsys, *argv)

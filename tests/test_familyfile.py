@@ -179,6 +179,15 @@ class TestValidateFile:
         assert diag.status == "invariant"
         assert any("not Hermitian" in m for m in diag.messages)
 
+    def test_extremal_eigenvalues_of_a_spread_beyond_the_largest_float(self, tmp_path):
+        # dH/dtheta = diag(1.7e308, -1.7e308): its spread is not a float.
+        term = {"coefficient": {"kind": "linear", "scale": 1.0},
+                "matrix": {"re": [[1.7e308, 0.0], [0.0, -1.7e308]]}}
+        diag = validate_file(write_doc(tmp_path, {"dim": 2, "terms": [term]}))
+        assert diag.status == "ok"
+        assert all("non-degenerate (min multiplicity 1, max multiplicity 1)" in line
+                   for line in diag.extremal_degeneracy)
+
     def test_missing_file(self):
         diag = validate_file("does-not-exist.json")
         assert diag.status == "invariant"

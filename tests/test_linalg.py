@@ -22,7 +22,9 @@ from qfiext import (
     spin1_matrices,
     variance,
 )
-from qfiext.linalg import _fix_phases, check_unitary, eigh_stack, scaled_eigh, symmetrized
+from qfiext.linalg import (
+    _fix_phases, check_unitary, degenerate_blocks, eigh_stack, scaled_eigh, symmetrized,
+)
 from helpers import (
     eig_hermitian_reference,
     fix_phases_by_column,
@@ -188,6 +190,16 @@ class TestEig:
         expected[0, 1] = 1.0
         expected[1, 2] = 1.0
         assert np.allclose(dec.eigenvectors, expected, atol=1e-14)
+
+    def test_blocks_of_a_spread_beyond_the_largest_float(self):
+        # Unscaled, as eig_hermitian gives them, and scaled, as eigh_stack does: the
+        # spread 3.4e308 is not a float, and 0 and 1e-14 are within its tolerance.
+        m = HermitianOperator(np.diag([1.7e308, 1e-14, 0.0, -1.7e308]))
+        w, _, e = eigh_stack(m.matrix[None])
+        expected = [range(0, 1), range(1, 3), range(3, 4)]
+        assert degenerate_blocks(eig_hermitian(m).eigenvalues) == expected
+        assert degenerate_blocks(w[0], e[0]) == expected
+        assert degenerate_blocks(np.array([-1.7e308, 1.7e308])) == [range(0, 1), range(1, 2)]
 
     def test_identity_fully_degenerate(self):
         dec = eig_hermitian(HermitianOperator(np.eye(4)))

@@ -38,10 +38,10 @@ from qfiext import (
     tensor_identity,
     upper_bound,
 )
+from qfiext.linalg import unit_scaled
 from qfiext.qfi import channel_qfi_stack
 from helpers import (
-    commuting_family, cross_check_cases, gue, polynomial_family, reference_ascend, unit_scaled,
-    verify_calls,
+    commuting_family, cross_check_cases, gue, polynomial_family, reference_ascend, verify_calls,
 )
 from qfiext.errors import ModelError
 
@@ -194,11 +194,16 @@ class TestChannelQfi:
             hdot = np.stack([gue(d, rng).matrix * scale for _ in range(n)])
             t = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 3, n)
             err = rng.uniform(0.0, 1.0, n)
-            columns = qfi._reduce(k, np.zeros(n, dtype=int), hdot, t, err)
-            # seminorm decomposes as _reduce does: scaled, so LAPACK does not rescale
-            # the matrices of these extreme scales in its own way.
-            d_spread = [seminorm(HermitianOperator(m)) for m in hdot]
+            columns = qfi._reduce(k, np.zeros(n, dtype=int), *unit_scaled(hdot), t, err)
+            # Beyond max|entry| of about 1e-120 ... 1e140, LAPACK rescales a matrix by a
+            # factor that is not a power of two, which moves the last bits of its spectrum;
+            # eigvalsh of hdot scaled by 2^-p, p nearest log2(scale), keeps them.
+            p = round(np.log2(scale))
+            d = np.linalg.eigvalsh(np.ldexp(hdot.view(float), -p).view(complex))
+            d_spread = [float(np.ldexp(s[-1] - s[0], p)) for s in d]
+            unscaled = [float(s[-1] - s[0]) for s in np.linalg.eigvalsh(hdot)]
             for i in range(n):
+                assert abs(d_spread[i] - unscaled[i]) <= 8 * np.spacing(unscaled[i])
                 spread, ti = float(k[i, -1] - k[i, 0]), float(t[i])
                 cqfi = spread * spread
                 bound = ti * ti * d_spread[i] ** 2
@@ -411,7 +416,7 @@ class TestSharedPointPass:
         eigh = np.linalg.eigh
 
         def counting_eigh(a, *args, **kwargs):
-            decomposed.append(np.array_equal(a.reshape(-1, 3, 3)[0], unit_scaled(h)))
+            decomposed.append(np.array_equal(a.reshape(-1, 3, 3)[0], unit_scaled(h)[0]))
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
