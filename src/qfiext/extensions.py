@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import DegenerateExtremalEigenvalues, DimensionMismatch, InvalidSpec
 from .family import HamiltonianFamily, _formula_family, factor, hermitian_stack
-from .linalg import HermitianOperator, _HALF_MAX, as_hermitian, commutator, degenerate_blocks
-from .linalg import eig_hermitian
+from .linalg import HermitianOperator, as_hermitian, commutator, degenerate_blocks, eigh_stack
 
 
 @dataclass(frozen=True)
@@ -69,9 +68,8 @@ def _first_not_finite(finite: np.ndarray, values, message: str, error=OverflowEr
 
 def add_offset(h: np.ndarray, offset: np.ndarray, field=None, at=None, name: str = "theta"):
     """``h + offset``; with ``field``, the extension field that sets the offset, a sum that
-    is not finite raises InvalidSpec naming it and ``name``'s first such value in ``at``. A sum
-    of parts at most half the largest float cannot overflow: it is not checked (no errstate)."""
-    if field is None or max(np.abs(h).max(), np.abs(offset).max()) <= _HALF_MAX:
+    is not finite raises InvalidSpec naming it and ``name``'s first such value in ``at``."""
+    if field is None:
         return h + offset
     with np.errstate(over="ignore"):
         total = h + offset
@@ -177,10 +175,10 @@ def extension_offset(family: HamiltonianFamily, spec: ExtensionSpec) -> np.ndarr
         return -family.value(spec.theta0).matrix
     if isinstance(spec, SubtractPerturbed):
         _require_finite(theta0=spec.theta0, epsilon=spec.epsilon)
-        half = np.abs(spec.theta0 * 0.5 + spec.epsilon * 0.5)  # overflows as the sum would
-        _first_not_finite(half <= _HALF_MAX, spec.epsilon, "theta0 + epsilon is not finite at ")
-        anchor = spec.theta0 + spec.epsilon
-        return -family.values(anchor) if half.ndim else -family.value(anchor).matrix
+        with np.errstate(over="ignore"):
+            anchor = spec.theta0 + spec.epsilon
+        _first_not_finite(np.isfinite(anchor), spec.epsilon, "theta0 + epsilon is not finite at ")
+        return -family.values(anchor) if np.ndim(anchor) else -family.value(anchor).matrix
     if isinstance(spec, AddOperator):
         _require_finite(epsilon=spec.epsilon)
         v = spec.operator
@@ -227,21 +225,22 @@ def predicted_subtraction_deficit(
         raise ValueError("family has no second derivative")
     hdot = family.derivative(theta0)
     hddot = family.second_derivative(theta0)
-    dec = eig_hermitian(hdot)
-    blocks = degenerate_blocks(dec.eigenvalues)
+    w, v, e = eigh_stack(hdot.matrix[None])
+    a, v, e = w[0], v[0], int(e[0])  # A's eigenvalues are a 2^e
+    blocks = degenerate_blocks(a, e)
     if len(blocks[0]) > 1 or len(blocks[-1]) > 1 or len(blocks) == 1:
         raise DegenerateExtremalEigenvalues(
             "extremal eigenvalues of the derivative are degenerate"
         )
-    a, v = dec.eigenvalues, dec.eigenvectors
     ba = commutator(hddot, hdot)
     x = -(1j * t / 4.0) * (v.conj().T @ ba @ v)
     z = -(t * t / 24.0) * (v.conj().T @ (hddot.matrix @ ba - ba @ hddot.matrix) @ v)
 
     def shift(m: int) -> float:
         others = np.arange(a.size) != m
-        return float(z[m, m].real + np.sum(np.abs(x[others, m]) ** 2 / (a[m] - a[others])))
+        gaps = np.ldexp(np.abs(x[others, m]) ** 2 / (a[m] - a[others]), -e)
+        return float(z[m, m].real + np.sum(gaps))
 
     delta_spread = epsilon**4 * (shift(a.size - 1) - shift(0))
-    return float(2.0 * t * t * (a[-1] - a[0]) * delta_spread)
+    return float(np.ldexp(2.0 * t * t * (a[-1] - a[0]) * delta_spread, e))
 

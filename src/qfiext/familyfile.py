@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from .errors import FamilyFileError, InvalidSpec, NonHermitianInput
 from .family import HamiltonianFamily, FamilyValidation, _formula_family, factor, validate_family
-from .linalg import HermitianOperator, _HALF_MAX, degenerate_blocks, eigh_stack
+from .linalg import HermitianOperator, degenerate_blocks, eigh_stack
 
 COEFFICIENT_KINDS = ("const", "linear", "sin", "cos")
 # theta samples used for derivative validation and degeneracy reporting
@@ -87,11 +86,6 @@ class Coefficient:
 class Term:
     coefficient: Coefficient
     matrix: HermitianOperator
-
-    @cached_property
-    def size(self) -> float:  # max(1, |scale|, |frequency|, |phase|, max|entry|)
-        c, m = self.coefficient, self.matrix.matrix
-        return max(1.0, abs(c.scale), abs(c.frequency), abs(c.phase), float(np.abs(m).max()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,19 +218,13 @@ def checked_sum(terms: tuple[Term, ...], coefficient, key: str = "terms", formul
     """theta -> sum_k coefficient(c_k, theta) M_k over ``terms`` (``formula`` may form the
     sum otherwise), at a float theta or an (N,) array of them. A sum that is not finite
     raises InvalidSpec naming ``family_file: <key>[k]``, the first term in file order whose
-    term or running sum is not finite, at the first such theta. With the n terms' scales,
-    frequencies, phases and entries at most s >= 1, each angle, coefficient and partial sum
-    is at most 2 n s^4 max(1, |theta|): within ``limit`` a float theta needs no check."""
+    term or running sum is not finite, at the first such theta."""
     dim = terms[0].matrix.dim
     formula = formula or (lambda theta: sum(
         (factor(coefficient(term.coefficient, theta)) * term.matrix.matrix for term in terms),
         np.zeros(np.shape(theta) + (dim, dim), dtype=complex)))
-    s = max(term.size for term in terms)
-    limit = _HALF_MAX / (len(terms) * s * s * s * s)
 
     def checked(theta):
-        if not isinstance(theta, np.ndarray) and max(1.0, abs(theta)) <= limit:
-            return formula(theta)
         with np.errstate(all="ignore"):
             total = formula(theta)
             finite = np.isfinite(total).all(axis=(-2, -1))
@@ -284,9 +272,9 @@ def validate_file(path) -> FileDiagnostics:
 
     messages: list[str] = []
     degeneracy = []
-    for theta in VALIDATION_THETAS:
-        w, _, e = eigh_stack(family.derivative(theta).matrix[None])
-        blocks = degenerate_blocks(w[0], e[0])
+    w, _, e = eigh_stack(family.derivatives(VALIDATION_THETAS))
+    for theta, w_theta, e_theta in zip(VALIDATION_THETAS, w, e):
+        blocks = degenerate_blocks(w_theta, e_theta)
         low, high = len(blocks[0]), len(blocks[-1])
         tag = "non-degenerate" if (low == 1 and high == 1 and len(blocks) > 1) else "degenerate"
         degeneracy.append(

@@ -60,6 +60,7 @@ from .models import (
     direction_sz_operator,
     gyromagnetic_ratio,
     nv_family,
+    spin1_matrices,
 )
 from .qfi import channel_qfi_stack
 
@@ -284,41 +285,47 @@ def build_scenario(scenario: dict, swept: Optional[str] = None, value=None):
 
 
 def _check_model_terms(model: str, params: dict, kind, fields: dict, swept=None) -> None:
-    """Raise InvalidSpec naming the first model field whose term is not finite.
+    """Raise InvalidSpec naming the first model field that makes an entry of H not finite.
 
-    A term, a spin-matrix coefficient, is gamma (rad/(s T)) or gamma times a
-    field in Tesla. On ``nv``, H's diagonal adds D to gamma B_z and to gamma
-    times a subtract anchor, which gives the terms |gamma B| + |D|, named
-    ``<field> + fixed_params.D``. A swept ``B_z`` (named ``B_z``) or
-    ``epsilon`` is its (N,) grid: its terms are formed under errstate, as
-    ``extensions._scaled`` forms its term, naming the first such grid value.
+    The entries are those the model forms, with the model's own rounding:
+    gamma = g mu_B / hbar (rad/(s T)); on ``direction`` gamma B; on ``nv``
+    gamma (B_x s) and gamma (B_y s) off the diagonal (s = 1/sqrt(2), an entry
+    of S_x), and on the diagonal gamma b and D +- gamma b, at b = B_z and at a
+    subtract anchor. One of D +- gamma b is |gamma b| + |D|, named ``<field> +
+    fixed_params.D``. A swept ``B_z`` (named ``B_z``) or ``epsilon`` is its (N,)
+    grid, whose entries are formed under errstate, as ``extensions._scaled``
+    forms its term, naming the first grid value where one is not finite.
     """
     if model not in ("nv", "direction"):
         return
     gamma = gyromagnetic_ratio(params["g"])
-    names = ("Bx", "By", "Bz") if model == "nv" else ("B",)
-    # (field, value, Tesla): gamma times each Tesla value is a term
-    tesla = [(f"fixed_params.{k}", params[k], params[k]) for k in names]
-    if swept == "B_z":
-        tesla[-1] = ("B_z", params["Bz"], params["Bz"])
+    entries = [("fixed_params.g", params["g"], gamma)]
+    if model == "direction":
+        entries.append(("fixed_params.B", params["B"], gamma * params["B"]))
+    epsilon = fields.get("epsilon")
+    grid = isinstance(params.get("Bz"), np.ndarray) or isinstance(epsilon, np.ndarray)
     # Float arithmetic cannot warn; a swept grid's can, and errstate costs microseconds.
-    with np.errstate(over="ignore", invalid="ignore") if swept else nullcontext():
-        if model == "nv" and kind in ("subtract", "subtract-perturbed"):  # H at the anchor
-            theta0 = fields["theta0"]
-            tesla.append(("extension.theta0", theta0, theta0))
-            if kind == "subtract-perturbed":
-                epsilon = fields["epsilon"]
-                tesla.append(("extension.epsilon", epsilon, theta0 + epsilon))
-        terms = [("fixed_params.g", params["g"], gamma)]
-        terms += [(name, given, gamma * b) for name, given, b in tesla]
-        if model == "nv":  # the diagonal, +-gamma B + D, at B_z and at the anchors
-            terms += [(f"{name} + fixed_params.D", given, abs(term) + abs(params["D"]))
-                      for name, given, term in terms[3:]]
-    for name, given, term in terms:
-        if isinstance(term, np.ndarray):  # a swept grid: its first term that is not finite
-            k = int(np.argmin(np.isfinite(term)))
-            given, term = float(given[k]), float(term[k])
-        if not math.isfinite(term):
+    with np.errstate(over="ignore", invalid="ignore") if grid else nullcontext():
+        if model == "nv":
+            s = float(spin1_matrices()[0].matrix[0, 1].real)
+            entries += [(f"fixed_params.{k}", params[k], gamma * (params[k] * s))
+                        for k in ("Bx", "By")]
+            # (field, value, b): the diagonal's gamma b at B_z and at the subtract anchors
+            name = "B_z" if swept == "B_z" else "fixed_params.Bz"
+            diagonal = [(name, params["Bz"], params["Bz"])]
+            if kind in ("subtract", "subtract-perturbed"):
+                theta0 = fields["theta0"]
+                diagonal.append(("extension.theta0", theta0, theta0))
+                if kind == "subtract-perturbed":
+                    diagonal.append(("extension.epsilon", epsilon, theta0 + epsilon))
+            terms = [(name, given, gamma * b) for name, given, b in diagonal]
+            entries += terms + [(f"{name} + fixed_params.D", given, abs(term) + abs(params["D"]))
+                                for name, given, term in terms]
+    for name, given, entry in entries:
+        if isinstance(entry, np.ndarray):  # a swept grid: its first entry that is not finite
+            k = int(np.argmin(np.isfinite(entry)))
+            given, entry = float(given[k]), float(entry[k])
+        if not math.isfinite(entry):
             raise InvalidSpec(f"{name}: the model's term is not finite at {given!r}")
 
 

@@ -880,6 +880,16 @@ def test_overflowing_model_term_exits_one_naming_the_field(capsys, argv, field):
         assert run_cli(capsys, "report", *argv) == (1, "", expected)
 
 
+def test_model_field_whose_product_with_gamma_overflows_where_h_does_not_exits_zero(capsys):
+    # gamma Bx overflows, but H holds gamma (Bx / sqrt(2)), about 1.5e308, which does not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "report", "--model", "nv", "--param", "Bx=1.2e297",
+                                 "--param", "t=1e-300")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["channel_qfi"] == 0.0
+
+
 def test_overflowing_anchor_over_an_epsilon_grid_names_its_first_value(tmp_path, capsys):
     run = {"model": "nv", "sweep_variable": "epsilon", "fixed_params": {"Bz": 0.1},
            "extension": {"kind": "subtract-perturbed", "theta0": 0.1},

@@ -238,6 +238,19 @@ class TestPredictedDeficit:
         with pytest.raises(ValueError):
             predicted_subtraction_deficit(fam, 0.0, 0.01, 1.0)
 
+    def test_spread_beyond_the_largest_float_gives_zero_quietly(self):
+        # A's spread, 3.4e308, overflows; it is formed scaled, so a zero shift gives 0.0.
+        d = np.diag([1.7e308, -1.7e308]).astype(complex)
+        fam = HamiltonianFamily(
+            2,
+            lambda th: HermitianOperator(th * d),
+            lambda th: HermitianOperator(d),
+            lambda th: HermitianOperator(np.zeros((2, 2), dtype=complex)),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert predicted_subtraction_deficit(fam, 0.0, 0.01, 1.0) == 0.0
+
     def test_direction_model_matches_closed_form(self):
         # The direction deficit is -a^4 eps^4 / 12 + O(eps^6) with a = gamma*B*t.
         params = DirectionParams(B=1e-9, theta=0.7, phi=0.3)

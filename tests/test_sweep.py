@@ -18,6 +18,7 @@ from qfiext import (
     HermitianOperator,
     InvalidSpec,
     ModelError,
+    NonHermitianInput,
     NvParams,
     SweepResult,
     SweepSpec,
@@ -444,6 +445,59 @@ def test_each_preset_run_walks_its_scenario_once(monkeypatch):
         run_sweep(spec)
     assert len(specs) == 12
     assert walked == [spec.sweep_variable for spec in specs]
+
+
+def _draw(rng):
+    # A signed value log-uniform over [1e250, ~1.8e308]; gamma times it overflows from ~1e297.
+    return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(250.0, 308.25))
+
+
+def _model_h_is_finite(model, params, anchors):
+    # The model's own H, at the evaluation point and at every anchor; a non-finite entry
+    # raises NonHermitianInput where the family is built or evaluated.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            if model == "nv":
+                family, theta = nv_family(NvParams(**params)), params["Bz"]
+            else:
+                family, theta = direction_family(DirectionParams(**params)), params["theta"]
+            for x in (theta, *anchors):
+                family.value(x)
+        except NonHermitianInput:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("model", ["nv", "direction"])
+def test_model_terms_are_refused_exactly_where_h_is_not_finite(model):
+    rng = np.random.default_rng(23)
+    refused = 0
+    for _ in range(1000):
+        g = float(10.0 ** rng.uniform(-1.0, 1.0))
+        if model == "nv":
+            params = {k: _draw(rng) for k in ("Bx", "By", "Bz", "D")}
+            params.update(g=g, E=_draw(rng))
+        else:
+            params = {"B": abs(_draw(rng)), "g": g, "theta": float(rng.uniform(-4, 4))}
+        kind = rng.choice(["none", "subtract", "subtract-perturbed"])
+        extension, anchors = None, []
+        if kind != "none":
+            theta0 = _draw(rng)
+            extension, anchors = {"kind": str(kind), "theta0": theta0}, [theta0]
+            if kind == "subtract-perturbed":
+                epsilon = _draw(rng)
+                extension["epsilon"], anchors = epsilon, [theta0 + epsilon]
+        scenario = {"model": model, "fixed_params": params, "extension": extension,
+                    "family_file": None}
+        try:
+            build_scenario(scenario)
+            was_refused = False
+        except InvalidSpec as exc:  # an anchor theta0 + epsilon that overflows is refused too
+            assert "the model's term" in str(exc) or "theta0 + epsilon" in str(exc), exc
+            was_refused = True
+        assert was_refused is not _model_h_is_finite(model, params, anchors), scenario
+        refused += was_refused
+    assert 100 < refused < 900
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
