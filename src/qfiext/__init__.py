@@ -39,7 +39,6 @@ from .linalg import (
     commutator,
     degenerate_blocks,
     eig_hermitian,
-    expectation,
     expm_unitary,
     random_hermitian,
     seminorm,

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import DegenerateExtremalEigenvalues, DimensionMismatch, InvalidSpec
 from .family import HamiltonianFamily, _formula_family, factor, hermitian_stack
-from .linalg import HermitianOperator, as_hermitian, commutator, degenerate_blocks, eigh_stack
+from .linalg import HermitianOperator, as_hermitian, degenerate_blocks, eigh_stack
+from .linalg import nondegenerate_extremes, unit_scaled
 
 
 @dataclass(frozen=True)
@@ -67,14 +68,14 @@ def _first_not_finite(finite: np.ndarray, values, message: str, error=OverflowEr
 
 
 def add_offset(h: np.ndarray, offset: np.ndarray, field=None, at=None, name: str = "theta"):
-    """``h + offset``; with ``field``, the extension field that sets the offset, a sum that
-    is not finite raises InvalidSpec naming it and ``name``'s first such value in ``at``."""
-    if field is None:
-        return h + offset
+    """``h + offset``, formed without a numpy warning. With ``field``, the extension field
+    that sets the offset, a sum that is not finite raises InvalidSpec naming it and
+    ``name``'s first such value in ``at``; without, it is left to the Hermiticity check."""
     with np.errstate(over="ignore"):
         total = h + offset
-    message = f"{field}: the added term plus H is not finite at {name}="
-    _first_not_finite(np.isfinite(total).all(axis=(-2, -1)), at, message, InvalidSpec)
+    if field is not None:
+        message = f"{field}: the added term plus H is not finite at {name}="
+        _first_not_finite(np.isfinite(total).all(axis=(-2, -1)), at, message, InvalidSpec)
     return total
 
 
@@ -83,7 +84,8 @@ def shifted_family(family: HamiltonianFamily, offset: np.ndarray, field=None) ->
 
     ``offset`` is Hermitian (``extension_offset`` forms it from checked
     operators), so the sum is not tested for asymmetry (``hermitized``).
-    ``field`` names the sum's overflow as ``add_offset`` does.
+    ``field`` names the sum's overflow as ``add_offset`` does; without it, an
+    overflowing sum raises NonHermitianInput.
     """
 
     def value(theta: float) -> HermitianOperator:
@@ -219,28 +221,28 @@ def predicted_subtraction_deficit(
     The extremal eigenvalues of A must be non-degenerate; otherwise
     DegenerateExtremalEigenvalues is raised. A family without a second
     derivative, or a non-finite input, raises ValueError.
+    X and Z are formed from A 2^-ea and B 2^-eb (``unit_scaled``), so the
+    shifts are 2^(ea + 2 eb) smaller; the deficit is scaled back at the end.
     """
     _require_finite(theta0=theta0, epsilon=epsilon, t=t)
     if family.second_derivative is None:
         raise ValueError("family has no second derivative")
-    hdot = family.derivative(theta0)
-    hddot = family.second_derivative(theta0)
-    w, v, e = eigh_stack(hdot.matrix[None])
-    a, v, e = w[0], v[0], int(e[0])  # A's eigenvalues are a 2^e
-    blocks = degenerate_blocks(a, e)
-    if len(blocks[0]) > 1 or len(blocks[-1]) > 1 or len(blocks) == 1:
+    hdot, hddot = family.derivative(theta0), family.second_derivative(theta0)
+    (a_unit, b_unit), (ea, eb) = unit_scaled(np.array([hdot.matrix, hddot.matrix]))
+    w, v, _ = eigh_stack(a_unit[None], ea[None])
+    a, v = w[0], v[0]  # A's eigenvalues are a 2^ea
+    if not nondegenerate_extremes(degenerate_blocks(a, ea)):
         raise DegenerateExtremalEigenvalues(
             "extremal eigenvalues of the derivative are degenerate"
         )
-    ba = commutator(hddot, hdot)
+    ba = b_unit @ a_unit - a_unit @ b_unit
     x = -(1j * t / 4.0) * (v.conj().T @ ba @ v)
-    z = -(t * t / 24.0) * (v.conj().T @ (hddot.matrix @ ba - ba @ hddot.matrix) @ v)
+    z = -(t * t / 24.0) * (v.conj().T @ (b_unit @ ba - ba @ b_unit) @ v)
 
     def shift(m: int) -> float:
         others = np.arange(a.size) != m
-        gaps = np.ldexp(np.abs(x[others, m]) ** 2 / (a[m] - a[others]), -e)
-        return float(z[m, m].real + np.sum(gaps))
+        return float(z[m, m].real + np.sum(np.abs(x[others, m]) ** 2 / (a[m] - a[others])))
 
     delta_spread = epsilon**4 * (shift(a.size - 1) - shift(0))
-    return float(np.ldexp(2.0 * t * t * (a[-1] - a[0]) * delta_spread, e))
+    return float(np.ldexp(2.0 * t * t * (a[-1] - a[0]) * delta_spread, 2 * (ea + eb)))
 

@@ -158,13 +158,6 @@ def factor(theta):
     return theta[:, None, None] if isinstance(theta, np.ndarray) else theta
 
 
-def fd_derivative(value: MatrixFn, theta: float, h: float) -> HermitianOperator:
-    """Central difference (H(theta+h) - H(theta-h)) / 2h."""
-    plus = value(theta + h).matrix
-    minus = value(theta - h).matrix
-    return HermitianOperator((plus - minus) / (2.0 * h))
-
-
 @dataclass(frozen=True)
 class FamilyValidation:
     """Result of checking a family's analytic derivative against finite differences."""
@@ -190,7 +183,8 @@ def validate_family(family: HamiltonianFamily, thetas: Sequence[float]) -> Famil
     for theta in thetas:
         h = DERIVATIVE_CHECK_STEP * max(1.0, abs(theta))
         analytic = family.derivative(theta).matrix
-        numeric = fd_derivative(family.value, theta, h).matrix
+        plus, minus = family.value(theta + h).matrix, family.value(theta - h).matrix
+        numeric = HermitianOperator((plus - minus) / (2.0 * h)).matrix  # central difference
         dev = float(np.max(np.abs(analytic - numeric)))
         bound = DERIVATIVE_CHECK_TOL * (1.0 + float(np.max(np.abs(analytic))))
         if dev / bound > worst_ratio:

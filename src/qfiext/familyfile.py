@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import FamilyFileError, InvalidSpec, NonHermitianInput
 from .family import HamiltonianFamily, FamilyValidation, _formula_family, factor, validate_family
-from .linalg import HermitianOperator, degenerate_blocks, eigh_stack
+from .linalg import HermitianOperator, degenerate_blocks, eigh_stack, nondegenerate_extremes
 
 COEFFICIENT_KINDS = ("const", "linear", "sin", "cos")
 # theta samples used for derivative validation and degeneracy reporting
@@ -276,7 +276,7 @@ def validate_file(path) -> FileDiagnostics:
     for theta, w_theta, e_theta in zip(VALIDATION_THETAS, w, e):
         blocks = degenerate_blocks(w_theta, e_theta)
         low, high = len(blocks[0]), len(blocks[-1])
-        tag = "non-degenerate" if (low == 1 and high == 1 and len(blocks) > 1) else "degenerate"
+        tag = "non-degenerate" if nondegenerate_extremes(blocks) else "degenerate"
         degeneracy.append(
             f"theta={theta:g}: extremal eigenvalues of dH/dtheta {tag} "
             f"(min multiplicity {low}, max multiplicity {high})"

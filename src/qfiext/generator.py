@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, StepTooSmall
 from .family import DEFAULT_FD_STEP, HamiltonianFamily
-from .linalg import HermitianOperator, _freeze, as_hermitian, check_unitary, eigh_stack
+from .linalg import HermitianOperator, _freeze, as_hermitian, check_unitary, eigh_stack, evolution
 from .linalg import hermitian_part, unit_scaled
 
 QUADRATURE_TARGET_RTOL = 1e-9
@@ -148,8 +148,7 @@ def _gauss_legendre_generator(
     nodes, weights = _leggauss(order)
     alphas = (nodes - 1.0) / 2.0
     # V(alpha) = exp(-i alpha t H) at every node, an (order, d, d) stack
-    phases = np.exp(-1j * alphas[:, None] * t * eigenvalues)
-    u = (eigenvectors * phases[:, None, :]) @ eigenvectors.conj().T
+    u = evolution(eigenvalues, eigenvectors, alphas[:, None] * t)
     terms = u @ hdot @ u.conj().swapaxes(-1, -2)
     return t * np.tensordot(weights / 2.0, terms, axes=1)
 
@@ -197,8 +196,7 @@ def generator_fd(
     second-order scheme err(h) ~ (4/3) |K(h) - K(h/2)|. H(theta)'s
     decomposition is the family's ``point(theta)``, which the other routes
     share; H at the four shifted points is decomposed in one ``eigh_stack`` call. The
-    five unitaries are formed as one stack, with the bits of
-    ``expm_unitary``, and pass ``check_unitary`` as one stack.
+    five unitaries are one ``evolution`` stack and pass ``check_unitary`` as one stack.
     """
     if h is None:
         h = DEFAULT_FD_STEP * max(1.0, abs(theta))
@@ -211,8 +209,7 @@ def generator_fd(
     hs = family.values([theta + h, theta - h, theta + half, theta - half])
     shifted = eigh_stack(np.broadcast_to(hs, (4, family.dim, family.dim)))
     w, v, e = (np.concatenate([a[:1], b]) for a, b in zip(point.eigh, shifted))
-    stack = (v * np.exp(-1j * t * np.ldexp(w, e[:, None]))[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    u0, up, um, uph, umh = check_unitary(stack)
+    u0, up, um, uph, umh = check_unitary(evolution(np.ldexp(w, e[:, None]), v, t))
 
     def central(plus: np.ndarray, minus: np.ndarray, step: float) -> np.ndarray:
         return 1j * u0.conj().T @ (plus - minus) / (2.0 * step)

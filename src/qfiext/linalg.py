@@ -181,15 +181,6 @@ class PureState:
             raise ValueError(f"state norm {n!r} is not 1 within {NORM_RTOL:.0e}")
         object.__setattr__(self, "amplitudes", _freeze(v / n))
 
-    @classmethod
-    def normalized(cls, vector) -> "PureState":
-        """Build a state from any nonzero vector by normalizing it."""
-        v = np.asarray(vector, dtype=np.complex128)
-        n = float(np.linalg.norm(v))
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(v / n)
-
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
@@ -203,27 +194,43 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
+def _degeneracy_splits(w: np.ndarray, e) -> np.ndarray:
+    """Where ascending eigenvalues w (..., d) of matrices scaled by 2^-e (...) split into blocks:
+    at each gap (..., d - 1) above max(DEGENERACY_RTOL * spread, DEGENERACY_ATOL 2^-e), "not >"
+    rather than "<=", so that a NaN gap counts as degenerate."""
+    # ATOL 2^-e, as the unscaled gaps split against ATOL; 2^1000 ATOL is above every unit gap.
+    atol = np.ldexp(DEGENERACY_ATOL, np.minimum(-e, 1000))
+    tol = np.maximum(DEGENERACY_RTOL * (w[..., -1] - w[..., 0]), atol)
+    return w[..., 1:] - w[..., :-1] > tol[..., None]
+
+
 def degenerate_blocks(eigenvalues: np.ndarray, e=None) -> list[range]:
-    """Group ascending eigenvalues into blocks chained by the degeneracy tolerance.
+    """Group ascending eigenvalues into the blocks between their degeneracy splits.
 
     Given ``e``, they are ``eigh_stack``'s, of a matrix scaled by 2^-e, and the
     blocks are its splits. Without, they are unscaled, and are scaled here
-    first: their spread, a Python float, would overflow quietly.
+    first: their spread would overflow.
     """
     if e is None:
         e = int(np.frexp(np.abs(eigenvalues).max())[1])
         eigenvalues = np.ldexp(eigenvalues, -e)
-    w = eigenvalues.tolist()
-    # ATOL 2^-e, as the unscaled gaps split against ATOL; 2^1000 ATOL is above every unit gap.
-    tol = max(DEGENERACY_RTOL * (w[-1] - w[0]), math.ldexp(DEGENERACY_ATOL, min(-int(e), 1000)))
-    blocks = []
-    start = 0
-    for k in range(1, len(w)):
-        if w[k] - w[k - 1] > tol:
-            blocks.append(range(start, k))
-            start = k
-    blocks.append(range(start, len(w)))
-    return blocks
+    return _blocks_between(_degeneracy_splits(eigenvalues, e))
+
+
+def _blocks_between(splits: np.ndarray) -> list[range]:
+    """The blocks of d ascending eigenvalues between their (d - 1,) ``_degeneracy_splits``."""
+    cuts = [0, *(k + 1 for k in splits.nonzero()[0].tolist()), splits.size + 1]
+    return list(map(range, cuts[:-1], cuts[1:]))
+
+
+def nondegenerate_extremes(blocks: list[range]) -> bool:
+    """Whether the lowest and the highest ``degenerate_blocks`` are distinct single eigenvalues."""
+    return len(blocks) > 1 and len(blocks[0]) == 1 and len(blocks[-1]) == 1
+
+
+def norm(v: np.ndarray) -> float:
+    """The Euclidean norm of a complex vector, with ``np.linalg.norm``'s bits."""
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
 def _canonical_block_basis(block_vectors: np.ndarray) -> np.ndarray:
@@ -231,7 +238,7 @@ def _canonical_block_basis(block_vectors: np.ndarray) -> np.ndarray:
 
     Gram-Schmidt over the canonical basis vectors projected into the block
     subspace, in index order, so degenerate subspaces get a reproducible basis
-    independent of eigensolver arbitrariness; norms have ``np.linalg.norm``'s bits.
+    independent of eigensolver arbitrariness.
     """
     dim, size = block_vectors.shape
     projector = block_vectors @ block_vectors.conj().T
@@ -240,9 +247,9 @@ def _canonical_block_basis(block_vectors: np.ndarray) -> np.ndarray:
         cand = projector[:, idx].copy()
         for b, b_conj in basis:
             cand -= (b_conj @ cand) * b
-        norm = math.sqrt(cand.real.dot(cand.real) + cand.imag.dot(cand.imag))
-        if norm > _GS_RANK_TOL:
-            basis.append((b := cand / norm, b.conj()))
+        length = norm(cand)
+        if length > _GS_RANK_TOL:
+            basis.append((b := cand / length, b.conj()))
             if len(basis) == size:
                 break
     if len(basis) < size:  # projected canonical set was rank-deficient; keep solver basis
@@ -307,25 +314,27 @@ def eigh_stack(matrices: np.ndarray, e=None) -> tuple[np.ndarray, np.ndarray, np
     point gets the same bits in any stack.
     """
     w, v, e = scaled_eigh(matrices, True, e)
-    atol = np.ldexp(DEGENERACY_ATOL, np.minimum(-e, 1000))  # as in degenerate_blocks
-    tol = np.maximum(DEGENERACY_RTOL * (w[:, -1] - w[:, 0]), atol)
-    # "not >" rather than "<=", so that a NaN gap counts as degenerate.
-    split = w[:, 1:] - w[:, :-1] > tol[:, None]
+    split = _degeneracy_splits(w, e)
     if not split.all():
         for n in np.flatnonzero(~split.all(axis=1)).tolist():
-            for block in degenerate_blocks(w[n], e[n]):
+            for block in _blocks_between(split[n]):
                 if len(block) > 1:
                     cols = slice(block.start, block.stop)
                     v[n, :, cols] = _canonical_block_basis(v[n, :, cols])
     return w, _fix_phases(v), e
 
 
+def evolution(w: np.ndarray, v: np.ndarray, t) -> np.ndarray:
+    """exp(-i t A) for A = v diag(w) v^dag, broadcast over the leading axes of w and t:
+    one matrix, a stack of decompositions (w (N, d), v (N, d, d)) or of times (t (N, 1))."""
+    phases = np.exp(-1j * t * w)
+    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
 def expm_unitary(a: HermitianOperator, t: float) -> UnitaryOperator:
     """Evolution operator exp(-i t A) via the spectral decomposition of A."""
     dec = eig_hermitian(a)
-    phases = np.exp(-1j * t * dec.eigenvalues)
-    u = (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T
-    return UnitaryOperator(u)
+    return UnitaryOperator(evolution(dec.eigenvalues, dec.eigenvectors, t))
 
 
 def seminorm(a: HermitianOperator) -> float:
@@ -335,21 +344,10 @@ def seminorm(a: HermitianOperator) -> float:
         return float(np.ldexp(w[-1] - w[0], e))
 
 
-def _check_dims(a: HermitianOperator, dim: int):
-    if a.dim != dim:
-        raise DimensionMismatch(f"operator dimension {a.dim} does not match {dim}")
-
-
-def expectation(a: HermitianOperator, psi: PureState) -> float:
-    """<psi|A|psi> (real for Hermitian A)."""
-    _check_dims(a, psi.dim)
-    v = psi.amplitudes
-    return float((v.conj() @ (a.matrix @ v)).real)
-
-
 def variance(a: HermitianOperator, psi: PureState) -> float:
     """<A^2> - <A>^2 in the given state; clamped to be non-negative."""
-    _check_dims(a, psi.dim)
+    if a.dim != psi.dim:
+        raise DimensionMismatch(f"operator dimension {a.dim} does not match {psi.dim}")
     v = a.matrix @ psi.amplitudes
     mean = float((psi.amplitudes.conj() @ v).real)
     second = float((v.conj() @ v).real)

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import DimensionMismatch, ModelError
 from .family import HamiltonianFamily
 from .generator import GeneratorMethod, generator_in_eigenbasis, generator_spectral, spectral_point
-from .linalg import PureState, degenerate_blocks, eigh_stack, scaled_eigh, unit_scaled, variance
+from .linalg import PureState, degenerate_blocks, eigh_stack, nondegenerate_extremes, norm
+from .linalg import scaled_eigh, unit_scaled, variance
 
 # Residual tolerance (relative to the spectral norm of H) below which an
 # extremal eigenvector of dH/dtheta counts as an eigenvector of H.
@@ -69,28 +70,31 @@ def qfi_pure(family: HamiltonianFamily, theta: float, t: float, psi0: PureState)
 
 
 def upper_bound(family: HamiltonianFamily, theta: float, t: float) -> float:
-    """t^2 * seminorm(dH/dtheta)^2, the ceiling for the channel QFI (see ``_bound``)."""
-    d, _, e = scaled_eigh(family.derivative(theta).matrix, vectors=False)
+    """t^2 * seminorm(dH/dtheta)^2, the channel QFI's ceiling (``_bound``), at ``point(theta)``."""
+    at = family.point(theta)
     with np.errstate(all="ignore"):
-        return float(_bound(np.float64(t), d[-1] - d[0], e)[0])
+        return float(_bound(np.float64(t), at.unit[1], at.eigh[2][1])[0])
 
 
-def _bound(t, spread, e):
-    """(bound, normal): t^2 (2^e spread)^2 from dH/dtheta's spread scaled by 2^-e, under errstate.
+def _bound(t, unit, e):
+    """(bound, normal, spread) from dH/dtheta ``unit_scaled``, ``unit`` 2^e, under errstate.
 
-    Where t*t is normal and t*t*(2^e spread)**2 finite, that is the bound;
-    elsewhere it is ldexp(|m| spread, k + e)**2 with t = m 2^k, one rounding
-    from exact. ``normal``: where the squares and the bound are normal floats,
-    and the bound is the first formula's.
+    ``spread`` is that of unit's ``eigvalsh`` (``eigh`` need not agree in the
+    last bit). Where t*t is normal and t*t*(2^e spread)**2 finite, that is the
+    bound; elsewhere it is ldexp(|m| spread, k + e)**2 with t = m 2^k, one
+    rounding from exact. ``normal``: where the squares and the bound are
+    normal floats, and the bound is the first formula's.
     """
+    d = scaled_eigh(unit, vectors=False, e=e)[0]
+    spread = d[..., -1] - d[..., 0]
     t2, s2 = t * t, np.ldexp(spread, e) ** 2
     bound = t2 * s2
     normal = np.minimum(np.minimum(t2, s2), bound) >= _SMALLEST_NORMAL
     if (normal & (bound < np.inf)).all():
-        return bound, normal
+        return bound, normal, spread
     m, k = np.frexp(t)
     keep = (t2 >= _SMALLEST_NORMAL) & (bound < np.inf)
-    return np.where(keep, bound, np.ldexp(np.abs(m) * spread, k + e) ** 2), normal & keep
+    return np.where(keep, bound, np.ldexp(np.abs(m) * spread, k + e) ** 2), normal & keep, spread
 
 
 def _reduce(
@@ -107,14 +111,12 @@ def _reduce(
     formed from the scaled spreads and the exponents, or 1 where that
     denominator vanishes.
     """
-    # eigvalsh as upper_bound does: eigh need not agree in the last bit.
-    d = scaled_eigh(unit, vectors=False, e=ed)[0]
     # Both branches of each where are formed; an overflow, 0/0 or inf/inf
     # there is left to _check_finite, not reported by numpy.
     with np.errstate(all="ignore"):
-        d_spread, k_spread = d[..., -1] - d[..., 0], k[:, -1] - k[:, 0]
+        k_spread = k[:, -1] - k[:, 0]
         cqfi = np.ldexp(k_spread, ek) ** 2
-        bound, normal = _bound(t, d_spread, ed)
+        bound, normal, d_spread = _bound(t, unit, ed)
         if normal.all():
             return cqfi, bound, cqfi / bound, err
         m, et = np.frexp(t)
@@ -124,6 +126,7 @@ def _reduce(
 
 
 _COLUMNS = ("channel_qfi", "upper_bound", "ratio", "estimated_error")
+_GENERATOR = ("generator", "estimated_error")
 
 
 def _check_finite(quantities, arrays, variable: str, values) -> None:
@@ -142,9 +145,14 @@ def _check_finite(quantities, arrays, variable: str, values) -> None:
     raise ModelError(f"at {variable}={values[point]!r}: {quantity} is not finite")
 
 
-# K holds a NaN or infinity after an overflow at large t; LAPACK's eigh then
-# fails with "Eigenvalues did not converge", so K is checked before it.
-_GENERATOR = ("generator", "estimated_error")
+def _checked_reduce(spectrum, gen, err, f, unit, ed, t, variable: str, values):
+    """``_reduce`` of ``spectrum()``, the spectra of the N generators ``gen`` scaled by 2^-f,
+    after ``_check_finite`` of ``gen`` and their ``err`` (LAPACK's eigh fails on the NaN or
+    infinity that an overflow at large t leaves in K), and ``_check_finite`` of its columns."""
+    _check_finite(_GENERATOR, (gen, err), variable, values)
+    columns = _reduce(spectrum(), f, unit, ed, t, err)
+    _check_finite(_COLUMNS, columns, variable, values)
+    return columns
 
 
 def _balanced_probe(vectors: np.ndarray) -> np.ndarray:
@@ -167,12 +175,11 @@ def channel_qfi(family: HamiltonianFamily, theta: float, t: float) -> ChannelQfi
     raises ModelError naming it and t, on every call.
     """
     point, at = spectral_point(family, theta, t), family.point(theta)
-    _check_finite(_GENERATOR, (point.gen, point.err), "t", [t])
-    kw, kv, ke = point.eigh
-    columns = _reduce(kw, ke, at.unit[1], at.eigh[2][1:], np.array([t], dtype=float), point.err)
-    _check_finite(_COLUMNS, columns, "t", [t])
+    ts = np.array([t], dtype=float)
+    columns = _checked_reduce(lambda: point.eigh[0], point.gen, point.err, point.f,
+                              at.unit[1], at.eigh[2][1:], ts, "t", [t])
     cqfi, bound, ratio, e = (float(column[0]) for column in columns)
-    probe = PureState(_balanced_probe(kv[0]))
+    probe = PureState(_balanced_probe(point.eigh[1][0]))
     return ChannelQfiReport(cqfi, bound, ratio, probe, GeneratorMethod.SPECTRAL, e)
 
 
@@ -193,12 +200,10 @@ def channel_qfi_stack(
     values = t.tolist() if values is None else values
     eigh, (unit, eh) = eigh_stack(h if h.ndim == 3 else h[None]), unit_scaled(hdot)
     gen, err, k, f = generator_in_eigenbasis(*eigh, unit, eh, t)
-    _check_finite(_GENERATOR, (gen, err), variable, values)
     # Eigenvalues only: no probe is formed, so eigh_stack's basis fixing,
     # which leaves the eigenvalues as they are, is skipped.
-    columns = _reduce(scaled_eigh(k, True, f)[0], f, unit, eh, t, err)
-    _check_finite(_COLUMNS, columns, variable, values)
-    return columns
+    return _checked_reduce(lambda: scaled_eigh(k, True, f)[0], gen, err, f, unit, eh, t,
+                           variable, values)
 
 
 def check_saturation(
@@ -220,13 +225,12 @@ def check_saturation(
     blocks = degenerate_blocks(dw, de)
     low, high = blocks[0], blocks[-1]
 
-    if len(low) == 1 and len(high) == 1 and len(blocks) > 1:
+    if nondegenerate_extremes(blocks):
         h_norm = float(max(-w[0], w[-1]))  # max |eigenvalue| of H scaled, as w ascends
         unit = point.unit[0] / h_norm if h_norm > 0.0 else point.unit[0]  # H = 0: residual 0
 
-        def residual(vec: np.ndarray) -> float:  # np.linalg.norm's bits
-            r = (hv := unit @ vec) - float((vec.conj() @ hv).real) * vec
-            return math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag))
+        def residual(vec: np.ndarray) -> float:
+            return norm((hv := unit @ vec) - float((vec.conj() @ hv).real) * vec)
 
         ok = all(residual(dv[:, idx]) <= tol for idx in (high[0], low[0]))
         status = SaturationStatus.SATURATES if ok else SaturationStatus.NOT_SATURATING

@@ -476,9 +476,23 @@ def _grid_bound(value, key: str, prefix: str) -> float:
     raise InvalidSpec(f"{prefix}grid.{key}: must be a finite number, got {json.dumps(value)}")
 
 
+# The fields of a run document, each with its JSON types, named when a field has another type.
+_RUN_FIELDS = {
+    "model": ((str,), "a string"),
+    "sweep_variable": ((str,), "a string"),
+    "grid": ((dict,), "a JSON object"),
+    "fixed_params": ((dict,), "a JSON object"),
+    "extension": ((dict, type(None)), "a JSON object or null"),
+    "family_file": ((str, type(None)), "a file path or null"),
+    "label": ((str,), "a string"),
+}
+
+
 def spec_from_dict(doc, label: str = "", where: str = "") -> SweepSpec:
     """Build a SweepSpec from a decoded JSON run document; ``run_sweep`` validates it.
 
+    Each of its ``_RUN_FIELDS`` is checked here for its JSON type only; a
+    field left out takes the SweepSpec default (``label`` the one given).
     Error messages name fields from ``where`` on (``runs[k]`` for an entry
     of a ``runs`` list, nothing for a config that is one run document).
     """
@@ -489,31 +503,22 @@ def spec_from_dict(doc, label: str = "", where: str = "") -> SweepSpec:
     for key in ("model", "sweep_variable", "grid"):
         if key not in doc:
             raise InvalidSpec(f"{prefix}{key}: required")
+    fields = {key: doc[key] for key in _RUN_FIELDS if key in doc}
+    for key, value in fields.items():
+        types, expected = _RUN_FIELDS[key]
+        if not isinstance(value, types):
+            raise InvalidSpec(f"{prefix}{key}: expected {expected}, got {type(value).__name__}")
     grid_doc = doc["grid"]
-    if not isinstance(grid_doc, dict):
-        raise InvalidSpec(f"{prefix}grid: expected a JSON object, got {type(grid_doc).__name__}")
     for key in ("start", "stop", "points"):
         if key not in grid_doc:
             raise InvalidSpec(f"{prefix}grid.{key}: required")
-    try:
-        grid = Grid(
-            start=_grid_bound(grid_doc["start"], "start", prefix),
-            stop=_grid_bound(grid_doc["stop"], "stop", prefix),
-            points=_grid_points(grid_doc["points"], prefix),
-            scale=str(grid_doc.get("scale", "linear")),
-        )
-        spec = SweepSpec(
-            model=str(doc["model"]),
-            sweep_variable=str(doc["sweep_variable"]),
-            grid=grid,
-            fixed_params=dict(doc.get("fixed_params", {})),
-            extension=doc.get("extension"),
-            family_file=doc.get("family_file"),
-            label=str(doc.get("label", label)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise InvalidSpec(f"{where}: {exc!r}") from exc
-    return spec
+    grid = Grid(
+        start=_grid_bound(grid_doc["start"], "start", prefix),
+        stop=_grid_bound(grid_doc["stop"], "stop", prefix),
+        points=_grid_points(grid_doc["points"], prefix),
+        scale=grid_doc.get("scale", "linear"),
+    )
+    return SweepSpec(**{"label": label, **fields, "grid": grid})
 
 
 def _run_specs(runs) -> tuple[SweepSpec, ...]:

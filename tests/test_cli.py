@@ -299,6 +299,37 @@ def report_argv(model, params, extension, family_file) -> list:
     return argv
 
 
+CUSTOM_RUN = {"model": "custom", "family_file": VALID_FAMILY, "sweep_variable": "theta",
+              "grid": {"start": 0.0, "stop": 1.0, "points": 2}}
+
+
+@pytest.mark.parametrize(
+    "run,message",
+    [
+        ({**CUSTOM_RUN, "family_file": 5}, "family_file: expected a file path or null, got int"),
+        ({**DIRECTION_RUN, "fixed_params": [["B", 1e-9]]},
+         "fixed_params: expected a JSON object, got list"),
+        ({**DIRECTION_RUN, "extension": "flood"},
+         "extension: expected a JSON object or null, got str"),
+        ({**DIRECTION_RUN, "label": ["x"]}, "label: expected a string, got list"),
+    ],
+)
+def test_run_document_field_of_another_json_type_exits_one(tmp_path, capsys, run, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(run), encoding="utf-8")
+    assert run_cli(capsys, "sweep", "--config", str(path)) == (1, "", f"error: {message}\n")
+    path.write_text(json.dumps({"runs": [DIRECTION_RUN, run]}), encoding="utf-8")
+    expected = (1, "", f"error: runs[1].{message}\n")
+    assert run_cli(capsys, "sweep", "--config", str(path)) == expected
+
+
+def test_report_names_the_extension_field_whose_sum_with_h_overflows(capsys):
+    argv = ["report", "--model", "nv", "--param", "D=1e308", "--extension", "flood:beta=1e297"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: extension.beta: the added term plus H is not finite")
+
+
 @pytest.mark.parametrize("kind", [["flood"], {"name": "flood"}])
 def test_extension_kind_that_is_not_a_string_exits_one(tmp_path, capsys, kind):
     run = {**DIRECTION_RUN, "extension": {"kind": kind, "beta": 1.0}}

@@ -13,6 +13,8 @@ from qfiext import (
     Flood,
     HamiltonianFamily,
     HermitianOperator,
+    NonHermitianInput,
+    NvParams,
     PureState,
     Subtract,
     SubtractPerturbed,
@@ -25,6 +27,7 @@ from qfiext import (
     expm_unitary,
     flood,
     gyromagnetic_ratio,
+    nv_family,
     predicted_subtraction_deficit,
     qfi_pure,
     seminorm,
@@ -251,6 +254,27 @@ class TestPredictedDeficit:
             warnings.simplefilter("error")
             assert predicted_subtraction_deficit(fam, 0.0, 0.01, 1.0) == 0.0
 
+    def test_products_beyond_the_largest_float_give_a_finite_deficit_quietly(self):
+        # |X_km|^2 is about 1e310; the deficit scales as |A|^2 |B|^2, so it is 1e310
+        # times that of A and B divided by 1e100 and 1e55.
+        a, b = np.diag([1.0, -1.0]).astype(complex), np.array([[0.0, 1.0], [1.0, 0.0]], complex)
+
+        def family(sa: float, sb: float) -> HamiltonianFamily:
+            return HamiltonianFamily(
+                2,
+                lambda th: HermitianOperator(th * sa * a + th * th / 2.0 * sb * b),
+                lambda th: HermitianOperator(sa * a + th * sb * b),
+                lambda th: HermitianOperator(sb * b),
+            )
+
+        small = predicted_subtraction_deficit(family(1.0, 1.0), 0.0, 1e-3, 1.0)
+        assert small == pytest.approx(-1.0 / 3.0 * 1e-12, rel=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            large = predicted_subtraction_deficit(family(1e100, 1e55), 0.0, 1e-3, 1.0)
+        assert np.isfinite(large)
+        assert large / 1e155 / 1e155 == pytest.approx(small, rel=1e-12)
+
     def test_direction_model_matches_closed_form(self):
         # The direction deficit is -a^4 eps^4 / 12 + O(eps^6) with a = gamma*B*t.
         params = DirectionParams(B=1e-9, theta=0.7, phi=0.3)
@@ -336,6 +360,16 @@ class TestApplyExtension:
             flood(fam, theta0=float("nan"), beta=1.0)
         with pytest.raises(ValueError):
             subtract(fam, theta0=float("inf"))
+
+    def test_sum_that_overflows_is_not_hermitian_input_quietly(self):
+        # H's D ~ 1e308 plus beta dH/dtheta ~ 1e297 * 1.8e11 overflows in the sum alone.
+        fam = flood(nv_family(NvParams(D=1e308)), 0.0, 1e297)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonHermitianInput, match="non-finite entry"):
+                fam.value(0.0)
+            with pytest.raises(NonHermitianInput, match="non-finite entry"):
+                fam.values(np.array([0.0, 1.0]))
 
     def test_overflowing_added_term_names_its_coefficient(self):
         fam = direction_family(DirectionParams(B=1.0))  # dH/dtheta ~ gamma B ~ 1.8e11

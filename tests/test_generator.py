@@ -186,6 +186,30 @@ class TestQuadrature:
             converged.append(res.converged)
         assert converged == [True] * (len(cases) - 1) + [False]
 
+    @pytest.mark.parametrize("order", [513, 600, 1024])
+    def test_order_at_the_cap_is_checked_against_the_halved_order(self, monkeypatch, order):
+        # t * spread(H) is about 0.2 rad, which any of these rules resolves.
+        fam, theta, t = direction_family(DirectionParams(B=1e-9)), 0.7, 1e-3
+        rule, orders = generator._gauss_legendre_generator, []
+
+        def recorded(*args):
+            orders.append(args[-1])
+            return rule(*args)
+
+        monkeypatch.setattr(generator, "_gauss_legendre_generator", recorded)
+        res = generator_quadrature(fam, theta, t, order=order)
+        assert orders == [order, order // 2]
+        assert res.converged
+        k = generator_spectral(fam, theta, t).generator.matrix
+        assert res.estimated_error <= 1e-9 * (1.0 + np.max(np.abs(res.generator.matrix)))
+        assert np.max(np.abs(res.generator.matrix - k)) <= 1e-12 * np.max(np.abs(k))
+
+    def test_order_at_the_cap_reports_what_its_half_misses(self):
+        # t * spread(H) is about 2e3 rad: 300 nodes do not resolve the integrand.
+        res = generator_quadrature(direction_family(DirectionParams(B=1e-6)), 0.7, 1e-2, order=600)
+        assert not res.converged
+        assert res.estimated_error > 1.0
+
     def test_rejects_tiny_order(self):
         rng = np.random.default_rng(21)
         with pytest.raises(ValueError):

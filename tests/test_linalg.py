@@ -15,7 +15,6 @@ from qfiext import (
     UnitaryOperator,
     commutator,
     eig_hermitian,
-    expectation,
     expm_unitary,
     random_hermitian,
     seminorm,
@@ -147,14 +146,6 @@ class TestPureState:
     def test_rejects_far_from_unit(self):
         with pytest.raises(ValueError):
             PureState(np.array([2.0, 0.0]))
-
-    def test_normalized_classmethod(self):
-        psi = PureState.normalized([3.0, 4.0j])
-        assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-15)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            PureState.normalized([0.0, 0.0])
 
 
 class TestEig:
@@ -405,12 +396,10 @@ class TestSeminorm:
 class TestExpectationVariance:
     def test_eigenstate(self):
         up = PureState(np.array([1.0, 0.0, 0.0]))
-        assert expectation(SZ, up) == pytest.approx(1.0, abs=1e-14)
         assert variance(SZ, up) == pytest.approx(0.0, abs=1e-14)
 
     def test_balanced_superposition(self):
         psi = PureState(np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0))
-        assert expectation(SZ, psi) == pytest.approx(0.0, abs=1e-14)
         assert variance(SZ, psi) == pytest.approx(1.0, abs=1e-14)
 
     def test_popoviciu_bound(self):
@@ -429,8 +418,6 @@ class TestExpectationVariance:
             assert 4.0 * variance(a, psi) == pytest.approx(seminorm(a) ** 2, abs=1e-9)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            expectation(SZ, PureState(np.array([1.0, 0.0])))
         with pytest.raises(DimensionMismatch):
             variance(SZ, PureState(np.array([1.0, 0.0])))
 
