@@ -114,14 +114,21 @@ def _cmd_sweep(args) -> int:
 
 
 def _fields(items: list[str], option: str) -> dict:
-    """``K=V`` items as a dict of strings; build_scenario checks the names and values."""
+    """``K=V`` items as a dict of strings; build_scenario checks the names and values.
+    A key given twice is an error."""
     fields = {}
     for item in items:
         if "=" not in item:
             raise InvalidSpec(f"{option}: expected K=V, got {item!r}")
         key, value = item.split("=", 1)
-        fields[key.strip()] = value.strip()
+        _add_once(fields, key.strip(), value.strip(), option)
     return fields
+
+
+def _add_once(fields: dict, key: str, value: str, option: str) -> None:
+    if key in fields:
+        raise InvalidSpec(f"{option}: {key} given more than once")
+    fields[key] = value
 
 
 def _cmd_report(args) -> int:
@@ -129,8 +136,8 @@ def _cmd_report(args) -> int:
     if args.extension:
         kind, _, body = args.extension.partition(":")
         extension = {**_fields(body.split(",") if body else [], "--extension"), "kind": kind}
-        if "eps" in extension:
-            extension["epsilon"] = extension.pop("eps")
+        if "eps" in extension:  # eps is short for epsilon
+            _add_once(extension, "epsilon", extension.pop("eps"), "--extension")
     scenario = {
         "model": args.model,
         "fixed_params": _fields(args.param, "--param"),
@@ -139,24 +146,27 @@ def _cmd_report(args) -> int:
     }
     family, theta, t, _ = build_scenario(scenario)
     report, verdict = channel_qfi(family, theta, t), check_saturation(family, theta)
-    probe = [[float(a.real), float(a.imag)] for a in report.optimal_probe.amplitudes]
-    doc = {
-        "model": args.model,
-        "theta": theta,
-        "t": t,
-        "channel_qfi": report.channel_qfi,
-        "upper_bound": report.upper_bound,
-        "ratio": report.ratio,
-        "generator_method": report.generator_method.value,
-        "estimated_error": report.estimated_error,
-        "saturation": {
-            "verdict": verdict.verdict.value,
-            "witness": list(verdict.witness) if verdict.witness is not None else None,
-        },
-        "optimal_probe": probe,
-    }
-    sys.stdout.write(json_text(doc) + "\n")
+    sys.stdout.write(_report_text(args.model, theta, t, report, verdict))
     return EXIT_OK
+
+
+def _report_text(model: str, theta, t, report, verdict) -> str:
+    """The report document, in ``json_text``'s bytes plus a line break, written directly in
+    its fixed layout. Each value is ``json_text``'s, formed in document order, so the first
+    float that is not finite raises as it does there."""
+    j = json_text
+    head = (f'{{\n  "model": {j(model)},\n  "theta": {j(theta)},\n  "t": {j(t)},\n'
+            f'  "channel_qfi": {j(report.channel_qfi)},\n'
+            f'  "upper_bound": {j(report.upper_bound)},\n  "ratio": {j(report.ratio)},\n'
+            f'  "generator_method": {j(report.generator_method.value)},\n'
+            f'  "estimated_error": {j(report.estimated_error)},\n'
+            f'  "saturation": {{\n    "verdict": {j(verdict.verdict.value)},\n')
+    witness = "null" if verdict.witness is None else (
+        "[\n      " + ",\n      ".join(map(j, verdict.witness)) + "\n    ]")
+    items = report.optimal_probe.amplitudes.view(float).tolist()  # re, im of each amplitude
+    probe = ",\n    ".join(f"[\n      {j(re)},\n      {j(im)}\n    ]"
+                          for re, im in zip(items[::2], items[1::2]))
+    return f'{head}    "witness": {witness}\n  }},\n  "optimal_probe": [\n    {probe}\n  ]\n}}\n'
 
 
 def _cmd_validate(args) -> int:

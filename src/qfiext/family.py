@@ -1,11 +1,13 @@
 """Differentiable Hamiltonian families theta -> HermitianOperator.
 
 A family bundles a value map with its first (and optionally second)
-parametric derivative; each call of a map evaluates it. Derivative maps are
-analytic where the model provides them and central finite differences
-otherwise. The single-point routes (the three generators, ``channel_qfi``,
-the oracle and ``check_saturation``) share the family's ``point(theta)``:
-H(theta) and dH/dtheta evaluated once, with their decomposition.
+parametric derivative; each call of a map evaluates it. Every derivative map
+is given explicitly (``HamiltonianFamily`` requires one): the models, file
+families and extensions supply analytic ones, and ``validate_family`` checks a
+derivative against a central finite difference. The single-point routes (the
+three generators, ``channel_qfi``, the oracle and ``check_saturation``) share
+the family's ``point(theta)``: H(theta) and dH/dtheta evaluated once, with
+their decomposition.
 
 ``values(thetas)`` and ``derivatives(thetas)`` evaluate a whole grid: (N, d,
 d) stacks, or one (d, d) matrix when the matrix does not depend on theta.
@@ -28,8 +30,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import HermitianOperator, _freeze, as_hermitian, eigh_stack, hermitized, symmetrized
-from .linalg import unit_scaled
+from .linalg import HermitianOperator, _freeze, as_hermitian, blocks_between, eigh_splits
+from .linalg import hermitized, symmetrized, unit_scaled
 
 MatrixFn = Callable[[float], HermitianOperator]
 StackFn = Callable[[np.ndarray], np.ndarray]
@@ -52,15 +54,17 @@ class Point:
 
     ``unit`` (2, d, d) is H and dH/dtheta scaled by ``unit_scaled``, and ``eigh``
     that call's (eigenvalues (2, d), eigenvectors (2, d, d), exponents (2,)),
-    H's at index 0 and dH/dtheta's at index 1; all are read-only. ``at_t`` is
-    ``generator.spectral_point``'s ``(t's bits, K)`` for the latest t.
+    H's at index 0 and dH/dtheta's at index 1; all are read-only. ``blocks``
+    are dH/dtheta's ``degenerate_blocks``, from the split that call formed.
+    ``at_t`` is ``generator.spectral_point``'s ``(t's bits, K)`` for the latest t.
     """
 
     def __init__(self, key: str, value: HermitianOperator, derivative: HermitianOperator):
         self.key, self.value, self.derivative = key, value, derivative
         unit, e = unit_scaled(np.array([value.matrix, derivative.matrix]))
         self.unit = _freeze(unit)
-        self.eigh = tuple(map(_freeze, eigh_stack(unit, e)))
+        *eigh, split = eigh_splits(unit, e)
+        self.eigh, self.blocks = tuple(map(_freeze, eigh)), blocks_between(split[1])
         self.at_t = (None, None)
 
 

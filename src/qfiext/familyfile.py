@@ -25,6 +25,14 @@ Coefficient derivatives are supplied analytically by the toolkit. When
 ``derivative_terms`` is present it overrides the derived derivative and is
 checked against finite differences by ``validate_file``. The "im" block is
 optional and defaults to zero.
+
+A term list is parsed into one ``TermStack``: each term is checked in file
+order for its structure, its coefficient, non-numeric entries and its shape,
+then all its matrices are converted and tested for Hermiticity as one (K, d,
+d) stack, so the first failing term is named as a term-by-term parse would
+name it. A sum forms the K products in one array and adds them in file order
+to a zero matrix, which gives the bits of the term-by-term sum (the signed
+zeros included; a reduction such as ``np.sum`` would not).
 """
 
 from __future__ import annotations
@@ -38,8 +46,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import FamilyFileError, InvalidSpec, NonHermitianInput
-from .family import HamiltonianFamily, FamilyValidation, _formula_family, factor, validate_family
-from .linalg import HermitianOperator, degenerate_blocks, eigh_stack, nondegenerate_extremes
+from .family import HamiltonianFamily, FamilyValidation, _formula_family, validate_family
+from .linalg import HermitianOperator, _freeze, checked_operator, degenerate_blocks, eigh_stack
+from .linalg import nondegenerate_extremes, symmetrized
 
 COEFFICIENT_KINDS = ("const", "linear", "sin", "cos")
 # theta samples used for derivative validation and degeneracy reporting
@@ -83,19 +92,32 @@ class Coefficient:
 
 
 @dataclass(frozen=True, eq=False)
-class Term:
-    coefficient: Coefficient
-    matrix: HermitianOperator
+class TermStack:
+    """A term list: its coefficients in file order and its matrices as one read-only
+    (K, d, d) stack, each ``symmetrized`` as ``HermitianOperator`` would have it."""
+
+    coefficients: tuple[Coefficient, ...]
+    matrices: np.ndarray
+
+    def products(self, coefficient, theta) -> np.ndarray:
+        """``coefficient(c_k, theta) M_k`` of every term k, (K, d, d) at a float theta or
+        (K, N, d, d) at an (N,) array of them: one product of the stacked coefficients."""
+        grid = isinstance(theta, np.ndarray)
+        values = np.empty((len(self.coefficients),) + (theta.shape if grid else ()))
+        for k, c in enumerate(self.coefficients):
+            values[k] = coefficient(c, theta)
+        return values[..., None, None] * (self.matrices[:, None] if grid else self.matrices)
 
 
 @dataclass(frozen=True, eq=False)
 class FamilyDefinition:
     dim: int
-    terms: tuple[Term, ...]
-    derivative_terms: Optional[tuple[Term, ...]] = None
+    terms: TermStack
+    derivative_terms: Optional[TermStack] = None
 
 
 _NUMBER_TYPES = {int, float}
+_FLOAT = {float}
 
 
 def _non_number(block, path: str):
@@ -117,14 +139,25 @@ def _non_number(block, path: str):
     return None
 
 
-def parse_matrix(obj, where: str, dim: Optional[int] = None) -> HermitianOperator:
-    """A ``{"re": [[..]], "im": [[..]]}`` matrix ("im" optional) as a Hermitian operator.
+def _float_rows(block, dim: int) -> bool:
+    """Whether a block is ``dim`` (>= 1) lists of ``dim`` plain floats each."""
+    if type(block) is not list or len(block) != dim or not dim:
+        return False
+    for row in block:
+        if type(row) is not list or len(row) != dim or {*map(type, row)} != _FLOAT:
+            return False
+    return True
 
-    Entries are JSON numbers; a string, a bool or null is not one. It must be
-    ``dim`` x ``dim``, or square when ``dim`` is None; errors start with ``where``.
-    """
+
+def _matrix_blocks(obj, where: str, dim: Optional[int]):
+    """``parse_matrix``'s checks before arithmetic, in order: ``(re, im)``, "im" None when left
+    out; blocks of plain floats pass as they are, others as arrays."""
     if not isinstance(obj, dict) or "re" not in obj:
         raise FamilyFileError(f"{where}: matrix must be an object with 're' (and optional 'im')")
+    re = obj["re"]
+    size = dim if dim is not None else len(re) if type(re) is list else 0
+    if _float_rows(re, size) and ("im" not in obj or _float_rows(obj["im"], size)):
+        return re, obj.get("im")
     for block in ("re", "im"):
         found = _non_number(obj.get(block, []), block)
         if found is not None:
@@ -141,10 +174,25 @@ def parse_matrix(obj, where: str, dim: Optional[int] = None) -> HermitianOperato
         raise FamilyFileError(
             f"{where}: matrix blocks must be {dim}x{dim}, got re{re.shape} im{im.shape}"
         )
-    try:
-        return HermitianOperator(re + 1j * im)
-    except NonHermitianInput as exc:
-        raise NonHermitianInput(f"{where}: {exc}") from exc
+    return re, im
+
+
+def _hermitian_stack(blocks: list, where) -> np.ndarray:
+    """The ``_matrix_blocks`` of K matrices as one read-only ``symmetrized`` (K, d, d) stack:
+    one conversion, one check, naming the first matrix that fails by ``where(k)``."""
+    zero = np.zeros((len(blocks[0][0]),) * 2)
+    parts = np.array([(re, zero if im is None else im) for re, im in blocks], dtype=float)
+    return _freeze(symmetrized(parts[:, 0] + 1j * parts[:, 1], where))
+
+
+def parse_matrix(obj, where: str, dim: Optional[int] = None) -> HermitianOperator:
+    """A ``{"re": [[..]], "im": [[..]]}`` matrix ("im" optional) as a Hermitian operator.
+
+    Entries are JSON numbers; a string, a bool or null is not one. It must be
+    ``dim`` x ``dim``, or square when ``dim`` is None; errors start with ``where``.
+    """
+    blocks = [_matrix_blocks(obj, where, dim)]
+    return checked_operator(_hermitian_stack(blocks, lambda k: where)[0])
 
 
 def _parse_coefficient(obj, where: str) -> Coefficient:
@@ -154,24 +202,36 @@ def _parse_coefficient(obj, where: str) -> Coefficient:
         )
     def num(key, default):
         v = obj.get(key, default)
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
+        try:  # a bool is no number; an int beyond the float range is not finite
+            ok = isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        except OverflowError:
+            ok = False
+        if not ok:
             raise FamilyFileError(f"{where}: coefficient.{key} must be a finite number")
         return float(v)
 
     return Coefficient(obj["kind"], num("scale", 1.0), num("frequency", 1.0), num("phase", 0.0))
 
 
-def _parse_terms(obj, dim: int, key: str) -> tuple[Term, ...]:
+def _parse_terms(obj, dim: int, key: str) -> TermStack:
+    """A term list as one ``TermStack``. Each term's structure, coefficient and blocks are
+    checked in file order, then all matrices at once; a non-Hermitian term before a
+    malformed one is named first."""
     if not isinstance(obj, list) or not obj:
         raise FamilyFileError(f"{key}: must be a non-empty list of terms")
-    terms = []
-    for k, raw in enumerate(obj):
-        where = f"{key}[{k}]"
-        if not isinstance(raw, dict) or "coefficient" not in raw or "matrix" not in raw:
-            raise FamilyFileError(f"{where}: term needs 'coefficient' and 'matrix'")
-        coefficient = _parse_coefficient(raw["coefficient"], where)
-        terms.append(Term(coefficient, parse_matrix(raw["matrix"], where, dim)))
-    return tuple(terms)
+    where = lambda k: f"{key}[{k}]"
+    coefficients, blocks = [], []
+    try:
+        for k, raw in enumerate(obj):
+            if not isinstance(raw, dict) or "coefficient" not in raw or "matrix" not in raw:
+                raise FamilyFileError(f"{where(k)}: term needs 'coefficient' and 'matrix'")
+            coefficients.append(_parse_coefficient(raw["coefficient"], where(k)))
+            blocks.append(_matrix_blocks(raw["matrix"], where(k), dim))
+    except FamilyFileError:
+        if blocks:
+            _hermitian_stack(blocks, where)
+        raise
+    return TermStack(tuple(coefficients), _hermitian_stack(blocks, where))
 
 
 def parse_definition(doc) -> FamilyDefinition:
@@ -214,15 +274,22 @@ def load_operator(path) -> HermitianOperator:
     return parse_matrix(read_json(path, "operator"), str(path))
 
 
-def checked_sum(terms: tuple[Term, ...], coefficient, key: str = "terms", formula=None):
+def checked_sum(terms: TermStack, coefficient, key: str = "terms", formula=None):
     """theta -> sum_k coefficient(c_k, theta) M_k over ``terms`` (``formula`` may form the
-    sum otherwise), at a float theta or an (N,) array of them. A sum that is not finite
-    raises InvalidSpec naming ``family_file: <key>[k]``, the first term in file order whose
-    term or running sum is not finite, at the first such theta."""
-    dim = terms[0].matrix.dim
-    formula = formula or (lambda theta: sum(
-        (factor(coefficient(term.coefficient, theta)) * term.matrix.matrix for term in terms),
-        np.zeros(np.shape(theta) + (dim, dim), dtype=complex)))
+    sum otherwise), at a float theta or an (N,) array of them. The K products are formed as
+    one array and added in file order to a zero matrix, so the sum has the bits of a
+    term-by-term sum. A sum that is not finite raises InvalidSpec naming ``family_file:
+    <key>[k]``, the first term in file order whose term or running sum is not finite, at the
+    first such theta."""
+
+    def stacked(theta):
+        products = terms.products(coefficient, theta)
+        total = np.zeros(products.shape[1:], dtype=complex)
+        for product in products:
+            total += product
+        return total
+
+    formula = formula or stacked
 
     def checked(theta):
         with np.errstate(all="ignore"):
@@ -231,8 +298,8 @@ def checked_sum(terms: tuple[Term, ...], coefficient, key: str = "terms", formul
             if finite.all():
                 return total
             at = float(np.atleast_1d(theta)[np.argmin(finite)])
-            terms_at = [coefficient(term.coefficient, at) * term.matrix.matrix for term in terms]
-            k = int(np.argmin(np.isfinite(np.cumsum(terms_at, axis=0)).all(axis=(-2, -1))))
+            sums = np.cumsum(terms.products(coefficient, at), axis=0)
+            k = int(np.argmin(np.isfinite(sums).all(axis=(-2, -1))))
         raise InvalidSpec(f"family_file: {key}[{k}]: the term or the sum up to it "
                           f"is not finite at theta={at!r}")
 

@@ -37,7 +37,8 @@ from .linalg import hermitian_part, unit_scaled
 
 QUADRATURE_TARGET_RTOL = 1e-9
 QUADRATURE_MAX_ORDER = 1024
-FD_MIN_STEP_FACTOR = 1e3 * float(np.finfo(float).eps)
+_EPS = float(np.finfo(float).eps)
+FD_MIN_STEP_FACTOR = 1e3 * _EPS
 
 
 class GeneratorMethod(Enum):
@@ -132,7 +133,7 @@ def generator_in_eigenbasis(
         k = hermitian_part(v @ ((v_dag @ unit @ v) * kernel) @ v_dag)
         # 16 d eps (1 + |t| max|Hdot|), the spectral route's rounding estimate.
         hdot_max = np.ldexp(np.abs(unit).max(axis=(-2, -1)), eh)
-        err = 16.0 * w.shape[-1] * float(np.finfo(float).eps) * (1.0 + abs(t) * hdot_max)
+        err = 16.0 * w.shape[-1] * _EPS * (1.0 + abs(t) * hdot_max)
         return np.ldexp(k.view(float), f[:, None, None]).view(complex), err, k, f
 
 

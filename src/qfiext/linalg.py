@@ -92,7 +92,14 @@ def _hermitian_part(m: np.ndarray, where, checked: bool) -> np.ndarray:
             if not HERMITICITY_RTOL * scale - asym.max() >= 0:
                 raise _hermiticity_error(m, asym, float(HERMITICITY_RTOL * scale), "")
         return (m + m_dag) / 2
-    if checked:
+    if m.ndim == 3 and (scale <= _HALF_MAX).all():  # the same for a stack
+        if not checked:
+            return (m + m_dag) / 2
+        asym, tol = np.abs(m - m_dag), HERMITICITY_RTOL * scale
+        ok = tol - asym.max(axis=(-2, -1)) >= 0
+        if ok.all():
+            return (m + m_dag) / 2
+    elif checked:
         # Above _HALF_MAX, tested on m/2 and m^dag/2 and doubled: exact, and
         # the halves' moduli cannot overflow, as |m| can (scale is then inf).
         two = np.where(scale > _HALF_MAX, 2.0, 1.0)
@@ -138,8 +145,14 @@ class HermitianOperator:
 
 def as_hermitian(m: np.ndarray) -> HermitianOperator:
     """``HermitianOperator(m)``, through ``hermitized``, for a matrix Hermitian by construction."""
+    return checked_operator(hermitized(np.asarray(m, dtype=np.complex128)))
+
+
+def checked_operator(matrix: np.ndarray) -> HermitianOperator:
+    """A ``HermitianOperator`` of a matrix that ``symmetrized`` or ``hermitized`` returned,
+    as it is."""
     op = object.__new__(HermitianOperator)
-    object.__setattr__(op, "matrix", _freeze(hermitized(np.asarray(m, dtype=np.complex128))))
+    object.__setattr__(op, "matrix", _freeze(matrix))
     return op
 
 
@@ -214,10 +227,10 @@ def degenerate_blocks(eigenvalues: np.ndarray, e=None) -> list[range]:
     if e is None:
         e = int(np.frexp(np.abs(eigenvalues).max())[1])
         eigenvalues = np.ldexp(eigenvalues, -e)
-    return _blocks_between(_degeneracy_splits(eigenvalues, e))
+    return blocks_between(_degeneracy_splits(eigenvalues, e))
 
 
-def _blocks_between(splits: np.ndarray) -> list[range]:
+def blocks_between(splits: np.ndarray) -> list[range]:
     """The blocks of d ascending eigenvalues between their (d - 1,) ``_degeneracy_splits``."""
     cuts = [0, *(k + 1 for k in splits.nonzero()[0].tolist()), splits.size + 1]
     return list(map(range, cuts[:-1], cuts[1:]))
@@ -313,15 +326,21 @@ def eigh_stack(matrices: np.ndarray, e=None) -> tuple[np.ndarray, np.ndarray, np
     ``_canonical_block_basis``; then one phase fix for the whole stack. A
     point gets the same bits in any stack.
     """
+    return eigh_splits(matrices, e)[:3]
+
+
+def eigh_splits(matrices: np.ndarray, e=None):
+    """``eigh_stack``'s ``(w, v, e)`` and the ``_degeneracy_splits`` (N, d - 1) it formed;
+    ``blocks_between`` of a point's row are its ``degenerate_blocks``."""
     w, v, e = scaled_eigh(matrices, True, e)
     split = _degeneracy_splits(w, e)
     if not split.all():
         for n in np.flatnonzero(~split.all(axis=1)).tolist():
-            for block in _blocks_between(split[n]):
+            for block in blocks_between(split[n]):
                 if len(block) > 1:
                     cols = slice(block.start, block.stop)
                     v[n, :, cols] = _canonical_block_basis(v[n, :, cols])
-    return w, _fix_phases(v), e
+    return w, _fix_phases(v), e, split
 
 
 def evolution(w: np.ndarray, v: np.ndarray, t) -> np.ndarray:

@@ -21,8 +21,8 @@ import numpy as np
 from .errors import DimensionMismatch, ModelError
 from .family import HamiltonianFamily
 from .generator import GeneratorMethod, generator_in_eigenbasis, generator_spectral, spectral_point
-from .linalg import PureState, degenerate_blocks, eigh_stack, nondegenerate_extremes, norm
-from .linalg import scaled_eigh, unit_scaled, variance
+from .linalg import PureState, eigh_stack, nondegenerate_extremes, norm, scaled_eigh, unit_scaled
+from .linalg import variance
 
 # Residual tolerance (relative to the spectral norm of H) below which an
 # extremal eigenvector of dH/dtheta counts as an eigenvector of H.
@@ -217,12 +217,13 @@ def check_saturation(
     condition is checked: some eigenvector of H lies in the maximal
     eigenspace of dH/dtheta and another in the minimal one; all of H's
     eigenvectors are projected onto each eigenspace with one product and
-    one column norm. H, dH/dtheta and their decomposition are the family's
-    ``point(theta)``, which ``channel_qfi`` at the same theta shares.
+    one column norm. H, dH/dtheta, their decomposition and dH/dtheta's blocks
+    are the family's ``point(theta)``, which ``channel_qfi`` at the same theta
+    shares.
     """
     point = family.point(theta)
-    (w, dw), (v, dv), (_, de) = point.eigh
-    blocks = degenerate_blocks(dw, de)
+    (w, _), (v, dv), _ = point.eigh
+    blocks = point.blocks
     low, high = blocks[0], blocks[-1]
 
     if nondegenerate_extremes(blocks):

@@ -158,8 +158,9 @@ def validate_spec(spec: SweepSpec) -> None:
 def _walk(given: dict, table: dict, where: str, owner: str, swept: Optional[str]) -> dict:
     """``given`` checked against ``table`` and returned as floats over its defaults.
 
-    Values are finite numbers or numeric strings (CLI values); ``file`` is a
-    non-empty path. A field whose default is None is required unless ``swept``.
+    Values are finite numbers (a bool is none) or numeric strings (CLI values);
+    ``file`` is a non-empty path. A field whose default is None is required
+    unless ``swept``.
     """
     values = dict(table)
     for key, value in given.items():
@@ -173,7 +174,7 @@ def _walk(given: dict, table: dict, where: str, owner: str, swept: Optional[str]
             values[key] = value
             continue
         try:
-            number = float(value)
+            number = math.nan if isinstance(value, bool) else float(value)
         except (TypeError, ValueError):
             number = math.nan
         if not math.isfinite(number):
@@ -340,10 +341,10 @@ def load_model_family(model: str, family_file):
     if model == "custom":
         return _build_custom_family(definition)
     terms = definition.terms
-    for k, term in enumerate(terms):
-        if term.coefficient.kind not in ("const", "linear"):
+    for k, coefficient in enumerate(terms.coefficients):
+        if coefficient.kind not in ("const", "linear"):
             raise InvalidSpec(f"family_file: terms[{k}]: model 'broken-phase-shift' allows only "
-                              f"const and linear coefficients, got {term.coefficient.kind!r}")
+                              f"const and linear coefficients, got {coefficient.kind!r}")
     # G = dH/dtheta and F = H(0) summed in file order; theta G + F is checked as the terms' sum.
     try:
         g, f = (as_hermitian(checked_sum(terms, c)(0.0))

@@ -7,13 +7,17 @@ import pytest
 from importlib import resources
 
 from qfiext import FamilyFileError, NonHermitianInput, validate_family
+from qfiext.cli import main
 from qfiext.familyfile import (
+    Coefficient,
     build_family,
     load_definition,
     parse_definition,
     parse_matrix,
     validate_file,
 )
+from qfiext.family import factor
+from qfiext.linalg import HermitianOperator, hermitized
 
 FIXTURES = resources.files("qfiext").joinpath("data/fixtures")
 
@@ -192,3 +196,109 @@ class TestValidateFile:
         diag = validate_file("does-not-exist.json")
         assert diag.status == "invariant"
 
+
+
+def _signed_zero_doc(rng: np.random.Generator) -> dict:
+    """A family document of 1-6 terms over all four kinds whose coefficients and
+    matrices hold +0.0 and -0.0: random Hermitian matrices with zeroed entries,
+    some without "im", some with int entries (which take the array path)."""
+    dim = int(rng.integers(1, 5))
+    zero = lambda: float(rng.choice([0.0, -0.0]))
+
+    def number():
+        return zero() if rng.random() < 0.3 else float(rng.standard_normal())
+
+    def matrix():
+        re, im = rng.standard_normal((2, dim, dim))
+        re, im = (re + re.T) / 2, (im - im.T) / 2
+        for i, j in zip(*np.nonzero(rng.random((dim, dim)) < 0.3)):
+            re[i, j] = re[j, i] = zero()
+            im[i, j], im[j, i] = zero(), zero()
+        np.fill_diagonal(im, 0.0)
+        doc = {"re": re.tolist()}
+        if rng.random() < 0.8:
+            doc["im"] = im.tolist()
+        if rng.random() < 0.2:
+            doc["re"][0][0] = 0
+        return doc
+
+    def terms(count):
+        return [{"coefficient": {"kind": str(rng.choice(["const", "linear", "sin", "cos"])),
+                                 "scale": number(), "frequency": number(), "phase": number()},
+                 "matrix": matrix()} for _ in range(count)]
+
+    doc = {"dim": dim, "terms": terms(int(rng.integers(1, 7)))}
+    if rng.random() < 0.5:
+        doc["derivative_terms"] = terms(int(rng.integers(1, 4)))
+    return doc
+
+
+def term_by_term(terms: list, coefficient, theta) -> np.ndarray:
+    """The reference sum: each term's matrix checked on its own, each term's product formed
+    on its own and added in file order to a zero matrix, then hermitized as a family's
+    matrices are."""
+    total = None
+    for term in terms:
+        c, m = term["coefficient"], term["matrix"]
+        re = np.asarray(m["re"], dtype=float)
+        matrix = HermitianOperator(re + 1j * np.asarray(m.get("im", np.zeros_like(re)))).matrix
+        if total is None:
+            total = np.zeros(np.shape(theta) + matrix.shape, dtype=complex)
+        value = coefficient(Coefficient(c["kind"], c["scale"], c["frequency"], c["phase"]), theta)
+        total = total + factor(value) * matrix
+    return hermitized(total)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_stacked_sums_have_the_bits_of_the_term_by_term_sum(seed):
+    rng = np.random.default_rng(seed)
+    doc = _signed_zero_doc(rng)
+    family = build_family(parse_definition(doc))
+    terms = doc["terms"]
+    derivative_terms, derivative = (doc["derivative_terms"], Coefficient.value) \
+        if "derivative_terms" in doc else (terms, Coefficient.derivative)
+    grid = np.concatenate([[0.0, -0.0], rng.uniform(-3.0, 3.0, 5)])
+    for theta in grid.tolist():
+        assert family.value(theta).matrix.tobytes() == \
+            term_by_term(terms, Coefficient.value, theta).tobytes()
+        assert family.derivative(theta).matrix.tobytes() == \
+            term_by_term(derivative_terms, derivative, theta).tobytes()
+        assert family.second_derivative(theta).matrix.tobytes() == \
+            term_by_term(terms, Coefficient.second_derivative, theta).tobytes()
+    assert family.values(grid).tobytes() == term_by_term(terms, Coefficient.value, grid).tobytes()
+    assert family.derivatives(grid).tobytes() == \
+        term_by_term(derivative_terms, derivative, grid).tobytes()
+
+
+H2 = {"re": [[1.0, 0.5], [0.5, -1.0]], "im": [[0.0, 0.25], [-0.25, 0.0]]}
+SKEW = {"re": [[0.0, 1.0], [0.0, 0.0]]}
+NOT_HERMITIAN = ("matrix is not Hermitian: |A[0][1] - conj(A[1][0])| = 1.000e+00 "
+                 "exceeds 1e-12 * max|entry| = 1.000e-12")
+
+
+def _term(matrix, kind="const"):
+    return {"coefficient": {"kind": kind}, "matrix": matrix}
+
+
+# Which failing term is named, in file order, when a file has more than one fault.
+FIRST_FAULT = [
+    ([_term(SKEW), _term(H2, "tan")], f"terms[0]: {NOT_HERMITIAN}"),
+    ([{"coefficient": {"kind": "const"}}, _term(SKEW)],
+     "terms[0]: term needs 'coefficient' and 'matrix'"),
+    ([_term(H2), _term({"re": [[float("nan"), 0.0], [0.0, 1.0]]})],
+     "terms[1]: matrix has a non-finite entry A[0][0] = (nan+0j)"),
+    ([_term(H2), _term({"re": [[1.0, 0.0], [0.0]]})],
+     "terms[1]: matrix blocks must be numeric matrices: setting an array element with a "
+     "sequence. The requested array has an inhomogeneous shape after 1 dimensions. The "
+     "detected shape was (2,) + inhomogeneous part."),
+    ([_term(H2), _term(SKEW), _term({"re": [[1.0, 0.0], [0.0]]})], f"terms[1]: {NOT_HERMITIAN}"),
+    ([_term(H2), _term(H2, "tan"), _term(SKEW)],
+     "terms[1]: coefficient.kind must be one of const, linear, sin, cos"),
+]
+
+
+@pytest.mark.parametrize("terms, message", FIRST_FAULT)
+def test_the_first_fault_in_file_order_is_named(tmp_path, capsys, terms, message):
+    path = write_doc(tmp_path, {"dim": 2, "terms": terms})
+    code = main(["report", "--model", "custom", "--family-file", path])
+    assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")

@@ -6,7 +6,9 @@ line naming the field or quantity at fault. No run warns or raises.
 
 Numeric fields are drawn log-uniform in magnitude over 1e-300 ... 1e300, with
 either sign, over all four models and all six extension choices (none and the
-five kinds), file families included.
+five kinds), file families included. Generated family files (1-6 terms of
+every coefficient kind, entries of +-0.0 and 1e+-300, now and then a
+non-Hermitian or malformed term) exit as a term-by-term parse says they must.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import re
 import warnings
 from importlib import resources
@@ -23,6 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qfiext import HermitianOperator, NonHermitianInput
 from qfiext.cli import main
 from qfiext.sweep import _EXTENSIONS, _MODEL_DEFAULTS, _SWEEPABLES
 
@@ -161,3 +165,95 @@ def report(model: str, family: str | None = None, extension=None, **params) -> d
                            "theta0": -1.8590373699865882e-124}))
 def test_extreme_inputs_exit_zero_or_name_what_failed(files, case):
     check(case, files)
+
+
+KINDS = ("const", "linear", "sin", "cos")
+entries = st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300]) | st.floats(-4.0, 4.0)
+FAULTS = ("non-hermitian", "no matrix", "kind", "coefficient", "entry", "ragged", "dim")
+
+
+@st.composite
+def family_files(draw) -> dict:
+    """A family document: 1-6 Hermitian terms of every kind, entries of +-0.0,
+    +-1e+-300 or moderate floats, and now and then one fault at a random term."""
+    dim = draw(st.integers(1, 3))
+
+    def matrix() -> dict:
+        re, im = [[0.0] * dim for _ in range(dim)], [[0.0] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                re[i][j] = re[j][i] = draw(entries)
+                if j > i:
+                    im[i][j] = draw(entries)
+                    im[j][i] = -im[i][j]
+        return {"re": re, "im": im}
+
+    terms = [{"coefficient": {"kind": draw(st.sampled_from(KINDS)), "scale": draw(entries),
+                              "frequency": draw(entries), "phase": draw(entries)},
+              "matrix": matrix()} for _ in range(draw(st.integers(1, 6)))]
+    fault = draw(st.sampled_from((None,) * len(FAULTS) + FAULTS))  # half of the files
+    term = terms[draw(st.integers(0, len(terms) - 1))]
+    m, c = term["matrix"], term["coefficient"]
+    if fault == "non-hermitian":  # unless the entry is within 1e-12 of the largest
+        m["im"][0][0] = draw(st.sampled_from([1.0, -1e300, 1e-300]))
+    elif fault == "no matrix":
+        del term["matrix"]
+    elif fault == "kind":
+        c["kind"] = draw(st.sampled_from(["tan", None, 1.0]))
+    elif fault == "coefficient":
+        c[draw(st.sampled_from(["scale", "frequency", "phase"]))] = draw(
+            st.sampled_from([True, False, "1", None, math.inf, -math.nan]))
+    elif fault == "entry":
+        m[draw(st.sampled_from(["re", "im"]))][0][0] = draw(st.sampled_from([True, "1", None]))
+    elif fault == "ragged":
+        m["re"][-1] = m["re"][-1][:-1]
+    elif fault == "dim":
+        term["matrix"] = {"re": [[0.0] * (dim + 1) for _ in range(dim + 1)]}
+    return {"dim": dim, "terms": terms}
+
+
+def first_fault(doc: dict):
+    """The message naming the first faulty term, parsed term by term in file order (each
+    matrix a ``HermitianOperator`` of its own), or None for a file without one."""
+    dim = doc["dim"]
+    for k, term in enumerate(doc["terms"]):
+        where = f"terms[{k}]"
+        if "matrix" not in term:
+            return f"{where}: term needs 'coefficient' and 'matrix'"
+        c, m = term["coefficient"], term["matrix"]
+        if c["kind"] not in KINDS:
+            return f"{where}: coefficient.kind must be one of {', '.join(KINDS)}"
+        for key in ("scale", "frequency", "phase"):
+            if type(c[key]) is not float or not math.isfinite(c[key]):
+                return f"{where}: coefficient.{key} must be a finite number"
+        for block in ("re", "im"):
+            for i, row in enumerate(m.get(block, [])):
+                for j, x in enumerate(row):
+                    if type(x) is not float:
+                        return f"{where}: non-numeric entry {block}[{i}][{j}] = {json.dumps(x)}"
+        try:
+            re = np.asarray(m["re"], dtype=float)
+            im = np.asarray(m.get("im", np.zeros_like(re)), dtype=float)
+        except ValueError as exc:
+            return f"{where}: matrix blocks must be numeric matrices: {exc}"
+        if re.shape != (dim, dim) or im.shape != (dim, dim):
+            return f"{where}: matrix blocks must be {dim}x{dim}, got re{re.shape} im{im.shape}"
+        try:
+            HermitianOperator(re + 1j * im)
+        except NonHermitianInput as exc:
+            return f"{where}: {exc}"
+    return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(family_files(), numbers, numbers)
+def test_generated_family_files_exit_as_a_term_by_term_parse_says(files, doc, theta, t):
+    path = files["dir"] / "family.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    expected = first_fault(doc)
+    if expected is not None:
+        args = ["report", "--model", "custom", "--family-file", str(path)]
+        assert run(args) == (2, "", f"error: {expected}\n", [])
+        return
+    case = report("custom", "file", theta=theta, t=t)
+    assert check(case, {**files, "file": path}) != 2
