@@ -36,7 +36,6 @@ from .linalg import (
     HermitianOperator,
     PureState,
     UnitaryOperator,
-    commutator,
     degenerate_blocks,
     eig_hermitian,
     expm_unitary,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -114,18 +115,27 @@ def _cmd_sweep(args) -> int:
 
 
 def _fields(items: list[str], option: str) -> dict:
-    """``K=V`` items as a dict of strings; build_scenario checks the names and values.
+    """``K=V`` items as a dict; build_scenario checks the names and values. A value
+    is its float where that is finite, else (and for ``file``) the text as given.
     A key given twice is an error."""
     fields = {}
     for item in items:
         if "=" not in item:
             raise InvalidSpec(f"{option}: expected K=V, got {item!r}")
-        key, value = item.split("=", 1)
-        _add_once(fields, key.strip(), value.strip(), option)
+        key, value = (text.strip() for text in item.split("=", 1))
+        _add_once(fields, key, value if key == "file" else _number(value), option)
     return fields
 
 
-def _add_once(fields: dict, key: str, value: str, option: str) -> None:
+def _number(text: str):
+    try:
+        number = float(text)
+    except ValueError:
+        return text
+    return number if math.isfinite(number) else text
+
+
+def _add_once(fields: dict, key: str, value, option: str) -> None:
     if key in fields:
         raise InvalidSpec(f"{option}: {key} given more than once")
     fields[key] = value
@@ -135,9 +145,10 @@ def _cmd_report(args) -> int:
     extension = None
     if args.extension:
         kind, _, body = args.extension.partition(":")
-        extension = {**_fields(body.split(",") if body else [], "--extension"), "kind": kind}
-        if "eps" in extension:  # eps is short for epsilon
-            _add_once(extension, "epsilon", extension.pop("eps"), "--extension")
+        extension = {"kind": kind}
+        for key, value in _fields(body.split(",") if body else [], "--extension").items():
+            # kind is the text before the colon; eps is short for epsilon
+            _add_once(extension, "epsilon" if key == "eps" else key, value, "--extension")
     scenario = {
         "model": args.model,
         "fixed_params": _fields(args.param, "--param"),

@@ -16,7 +16,6 @@ families are immune to later changes of their source.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -27,27 +26,24 @@ from .linalg import HermitianOperator, as_hermitian, degenerate_blocks, eigh_sta
 from .linalg import nondegenerate_extremes, unit_scaled
 
 
-@dataclass(frozen=True)
 class Flood:
-    beta: float
-    theta0: float
+    def __init__(self, beta: float, theta0: float):
+        self.beta, self.theta0 = beta, theta0
 
 
-@dataclass(frozen=True)
 class Subtract:
-    theta0: float
+    def __init__(self, theta0: float):
+        self.theta0 = theta0
 
 
-@dataclass(frozen=True)
 class SubtractPerturbed:
-    theta0: float
-    epsilon: float
+    def __init__(self, theta0: float, epsilon: float):
+        self.theta0, self.epsilon = theta0, epsilon
 
 
-@dataclass(frozen=True, eq=False)
 class AddOperator:
-    operator: HermitianOperator
-    epsilon: float
+    def __init__(self, operator: HermitianOperator, epsilon: float):
+        self.operator, self.epsilon = operator, epsilon
 
 
 ExtensionSpec = Union[Flood, Subtract, SubtractPerturbed, AddOperator]

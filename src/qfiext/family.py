@@ -24,7 +24,6 @@ Hermitian by construction and skip the asymmetry test (``hermitized``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -68,18 +67,24 @@ class Point:
         self.at_t = (None, None)
 
 
-@dataclass(frozen=True, eq=False)
 class HamiltonianFamily:
-    """H(theta) and its derivatives, with the ``point`` of its latest theta."""
+    """H(theta) and its derivatives, with the ``point`` of its latest theta.
 
-    dim: int
-    value: MatrixFn
-    derivative: MatrixFn
-    second_derivative: Optional[MatrixFn] = None
-    # Grid evaluators behind values()/derivatives(); None evaluates point by point.
-    value_stack: Optional[StackFn] = field(default=None, kw_only=True, repr=False)
-    derivative_stack: Optional[StackFn] = field(default=None, kw_only=True, repr=False)
-    _latest: Optional[Point] = field(default=None, init=False, repr=False)
+    ``value_stack`` and ``derivative_stack`` are the grid evaluators behind
+    ``values``/``derivatives``; None evaluates point by point. The constructor
+    checks ``dim`` in ``__post_init__``, which ``perfbench/tracer.py`` wraps.
+    """
+
+    def __init__(
+        self, dim: int, value: MatrixFn, derivative: MatrixFn,
+        second_derivative: Optional[MatrixFn] = None, *,
+        value_stack: Optional[StackFn] = None, derivative_stack: Optional[StackFn] = None,
+    ):
+        self.dim, self.value, self.derivative = dim, value, derivative
+        self.second_derivative = second_derivative
+        self.value_stack, self.derivative_stack = value_stack, derivative_stack
+        self._latest: Optional[Point] = None
+        self.__post_init__()
 
     def __post_init__(self):
         if self.dim < 1:
@@ -106,7 +111,7 @@ class HamiltonianFamily:
         point = self._latest
         if point is None or point.key != key:
             point = Point(key, self.value(theta), self.derivative(theta))
-            object.__setattr__(self, "_latest", point)
+            self._latest = point
         return point
 
     def values(self, thetas) -> np.ndarray:
@@ -162,13 +167,11 @@ def factor(theta):
     return theta[:, None, None] if isinstance(theta, np.ndarray) else theta
 
 
-@dataclass(frozen=True)
 class FamilyValidation:
     """Result of checking a family's analytic derivative against finite differences."""
 
-    max_deviation: float
-    tolerance: float
-    worst_theta: float
+    def __init__(self, max_deviation: float, tolerance: float, worst_theta: float):
+        self.max_deviation, self.tolerance, self.worst_theta = max_deviation, tolerance, worst_theta
 
     @property
     def ok(self) -> bool:

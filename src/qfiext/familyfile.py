@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -55,12 +54,9 @@ COEFFICIENT_KINDS = ("const", "linear", "sin", "cos")
 VALIDATION_THETAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
 
-@dataclass(frozen=True)
 class Coefficient:
-    kind: str
-    scale: float = 1.0
-    frequency: float = 1.0
-    phase: float = 0.0
+    def __init__(self, kind: str, scale: float = 1.0, frequency: float = 1.0, phase: float = 0.0):
+        self.kind, self.scale, self.frequency, self.phase = kind, scale, frequency, phase
 
     # Each takes a float theta or an (N,) array of them.
 
@@ -91,13 +87,12 @@ class Coefficient:
         return -w2 * self.scale * np.cos(self.frequency * theta + self.phase)
 
 
-@dataclass(frozen=True, eq=False)
 class TermStack:
     """A term list: its coefficients in file order and its matrices as one read-only
     (K, d, d) stack, each ``symmetrized`` as ``HermitianOperator`` would have it."""
 
-    coefficients: tuple[Coefficient, ...]
-    matrices: np.ndarray
+    def __init__(self, coefficients: tuple[Coefficient, ...], matrices: np.ndarray):
+        self.coefficients, self.matrices = coefficients, matrices
 
     def products(self, coefficient, theta) -> np.ndarray:
         """``coefficient(c_k, theta) M_k`` of every term k, (K, d, d) at a float theta or
@@ -109,11 +104,9 @@ class TermStack:
         return values[..., None, None] * (self.matrices[:, None] if grid else self.matrices)
 
 
-@dataclass(frozen=True, eq=False)
 class FamilyDefinition:
-    dim: int
-    terms: TermStack
-    derivative_terms: Optional[TermStack] = None
+    def __init__(self, dim: int, terms: TermStack, derivative_terms: Optional[TermStack] = None):
+        self.dim, self.terms, self.derivative_terms = dim, terms, derivative_terms
 
 
 _NUMBER_TYPES = {int, float}
@@ -315,18 +308,22 @@ def build_family(definition: FamilyDefinition) -> HamiltonianFamily:
     return _formula_family(definition.dim, value, derivative, second)
 
 
-@dataclass
 class FileDiagnostics:
     """Validation outcome for a family file.
 
     status: "ok", "invariant" (parse/schema/Hermiticity) or "derivative"
-    (analytic derivative disagrees with finite differences).
+    (analytic derivative disagrees with finite differences). A list left out
+    is a new empty one.
     """
 
-    status: str
-    messages: list[str] = field(default_factory=list)
-    derivative_check: Optional[FamilyValidation] = None
-    extremal_degeneracy: list[str] = field(default_factory=list)
+    def __init__(
+        self, status: str, messages: Optional[list[str]] = None,
+        derivative_check: Optional[FamilyValidation] = None,
+        extremal_degeneracy: Optional[list[str]] = None,
+    ):
+        self.status, self.derivative_check = status, derivative_check
+        self.messages = [] if messages is None else messages
+        self.extremal_degeneracy = [] if extremal_degeneracy is None else extremal_degeneracy
 
 
 def validate_file(path) -> FileDiagnostics:

@@ -24,7 +24,6 @@ validating the spectral form against the finite-difference definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 
@@ -47,12 +46,11 @@ class GeneratorMethod(Enum):
     FINITE_DIFFERENCE = "finite-difference"
 
 
-@dataclass(frozen=True, eq=False)
 class GeneratorResult:
-    generator: HermitianOperator
-    method: GeneratorMethod
-    estimated_error: float
-    converged: bool = True
+    def __init__(self, generator: HermitianOperator, method: GeneratorMethod,
+                 estimated_error: float, converged: bool = True):
+        self.generator, self.method = generator, method
+        self.estimated_error, self.converged = estimated_error, converged
 
 
 def _phase_kernel(lead: np.ndarray, half_t: np.ndarray, unit: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Dense Hermitian matrix calculus for small complex matrices.
 
-All operators are plain numpy arrays wrapped in thin immutable value types.
+All operators are plain numpy arrays, made read-only, wrapped in thin value types.
 Internal unit convention: Hamiltonians are angular frequencies (rad/s) with
 hbar = 1; SI conversions happen in :mod:`qfiext.models` only.
 Every Hermitian decomposition is ``scaled_eigh``'s, of the matrix scaled by
@@ -11,7 +11,6 @@ underflow, come with e, and callers form spreads and gaps from both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,19 +123,21 @@ def _hermitian_part(m: np.ndarray, where, checked: bool) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Immutable dense complex Hermitian matrix.
+    """Dense complex Hermitian matrix, read-only.
 
     The constructor symmetrizes rounding-level asymmetry, (A + A^dag)/2, and
     rejects anything beyond ``HERMITICITY_RTOL * max|entry|`` as well as
-    non-finite entries (see ``symmetrized``).
+    non-finite entries (see ``symmetrized``), in ``__post_init__``: a method of
+    its own, so that ``perfbench/tracer.py`` can wrap it on the class.
     """
 
-    matrix: np.ndarray
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(symmetrized(_square_complex(self.matrix))))
+        self.matrix = _freeze(symmetrized(_square_complex(self.matrix)))
 
     @property
     def dim(self) -> int:
@@ -150,9 +151,9 @@ def as_hermitian(m: np.ndarray) -> HermitianOperator:
 
 def checked_operator(matrix: np.ndarray) -> HermitianOperator:
     """A ``HermitianOperator`` of a matrix that ``symmetrized`` or ``hermitized`` returned,
-    as it is."""
+    as it is (``__post_init__`` is not run)."""
     op = object.__new__(HermitianOperator)
-    object.__setattr__(op, "matrix", _freeze(matrix))
+    op.matrix = _freeze(matrix)
     return op
 
 
@@ -169,42 +170,35 @@ def check_unitary(m: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True, eq=False)
 class UnitaryOperator:
-    """Immutable unitary matrix (U^dag U = 1 within 1e-10, ``check_unitary``)."""
+    """Unitary matrix (U^dag U = 1 within 1e-10, ``check_unitary``), read-only."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(check_unitary(_square_complex(self.matrix))))
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = _freeze(check_unitary(_square_complex(matrix)))
 
 
-@dataclass(frozen=True, eq=False)
 class PureState:
-    """Immutable unit-norm complex state vector."""
+    """Unit-norm complex state vector, read-only."""
 
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.amplitudes, dtype=np.complex128)
+    def __init__(self, amplitudes: np.ndarray):
+        v = np.array(amplitudes, dtype=np.complex128)
         if v.ndim != 1 or v.size < 1:
             raise DimensionMismatch(f"expected a vector, got shape {v.shape}")
         n = float(np.linalg.norm(v))
         if abs(n - 1.0) > NORM_RTOL:
             raise ValueError(f"state norm {n!r} is not 1 within {NORM_RTOL:.0e}")
-        object.__setattr__(self, "amplitudes", _freeze(v / n))
+        self.amplitudes = _freeze(v / n)
 
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Ascending real eigenvalues and matching orthonormal eigenvector columns."""
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
+        self.eigenvalues, self.eigenvectors = eigenvalues, eigenvectors
 
 
 def _degeneracy_splits(w: np.ndarray, e) -> np.ndarray:
@@ -371,13 +365,6 @@ def variance(a: HermitianOperator, psi: PureState) -> float:
     mean = float((psi.amplitudes.conj() @ v).real)
     second = float((v.conj() @ v).real)
     return max(second - mean * mean, 0.0)
-
-
-def commutator(a: HermitianOperator, b: HermitianOperator) -> np.ndarray:
-    """AB - BA as a plain complex matrix (anti-Hermitian for Hermitian inputs)."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    return a.matrix @ b.matrix - b.matrix @ a.matrix
 
 
 def random_hermitian(dim: int, seed) -> HermitianOperator:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +34,7 @@ def gyromagnetic_ratio(g: float = LANDE_G_DEFAULT) -> float:
 def spin1_matrices() -> tuple[HermitianOperator, HermitianOperator, HermitianOperator]:
     """Dimensionless spin-1 matrices with S_z = diag(1, 0, -1) and [S_x, S_y] = i S_z.
 
-    Built once per process: the operators are immutable and their arrays read-only.
+    Built once per process and shared by every caller; their arrays are read-only.
     """
     s = 1.0 / math.sqrt(2.0)
     sx = as_hermitian(np.array([[0, s, 0], [s, 0, s], [0, s, 0]], dtype=complex))
@@ -44,38 +43,26 @@ def spin1_matrices() -> tuple[HermitianOperator, HermitianOperator, HermitianOpe
     return sx, sy, sz
 
 
-@dataclass(frozen=True)
 class NvParams:
     """NV-center triplet parameters; fields in Tesla, D/E in rad/s, t in seconds."""
 
-    Bx: float = 0.0
-    By: float = 0.0
-    Bz: float = 0.0
-    D: float = NV_D_DEFAULT
-    E: float = NV_E_DEFAULT
-    g: float = LANDE_G_DEFAULT
-    t: float = 1e-3
-
-    def __post_init__(self):
+    def __init__(self, Bx: float = 0.0, By: float = 0.0, Bz: float = 0.0, D: float = NV_D_DEFAULT,
+                 E: float = NV_E_DEFAULT, g: float = LANDE_G_DEFAULT, t: float = 1e-3):
+        self.Bx, self.By, self.Bz, self.D, self.E, self.g, self.t = Bx, By, Bz, D, E, g, t
         for name in ("Bx", "By", "Bz", "D", "E", "g", "t"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"NvParams.{name} must be finite")
 
 
-@dataclass(frozen=True)
 class DirectionParams:
     """Spin-1 probe in a magnetic field of magnitude B (Tesla) at polar angle
     theta and azimuth phi (rad); t in seconds."""
 
-    B: float
-    theta: float = 0.0
-    phi: float = 0.0
-    t: float = 1e-2
-    g: float = LANDE_G_DEFAULT
-
-    def __post_init__(self):
-        if not (math.isfinite(self.B) and self.B >= 0.0):
-            raise ValueError(f"DirectionParams.B must be finite and >= 0, got {self.B!r}")
+    def __init__(self, B: float, theta: float = 0.0, phi: float = 0.0, t: float = 1e-2,
+                 g: float = LANDE_G_DEFAULT):
+        self.B, self.theta, self.phi, self.t, self.g = B, theta, phi, t, g
+        if not (math.isfinite(B) and B >= 0.0):
+            raise ValueError(f"DirectionParams.B must be finite and >= 0, got {B!r}")
         for name in ("theta", "phi", "t", "g"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"DirectionParams.{name} must be finite")

@@ -12,7 +12,6 @@ eigenvectors of H.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -35,14 +34,13 @@ _ASCENT_ITERATIONS = 60
 _ASCENT_INITIAL_STEP = 0.1
 
 
-@dataclass(frozen=True, eq=False)
 class ChannelQfiReport:
-    channel_qfi: float
-    upper_bound: float
-    ratio: float
-    optimal_probe: PureState
-    generator_method: GeneratorMethod
-    estimated_error: float
+    def __init__(self, channel_qfi: float, upper_bound: float, ratio: float,
+                 optimal_probe: PureState, generator_method: GeneratorMethod,
+                 estimated_error: float):
+        self.channel_qfi, self.upper_bound, self.ratio = channel_qfi, upper_bound, ratio
+        self.optimal_probe, self.generator_method = optimal_probe, generator_method
+        self.estimated_error = estimated_error
 
 
 class SaturationStatus(Enum):
@@ -52,10 +50,9 @@ class SaturationStatus(Enum):
     DEGENERATE_INCONCLUSIVE = "degenerate-inconclusive"
 
 
-@dataclass(frozen=True)
 class SaturationVerdict:
-    verdict: SaturationStatus
-    witness: Optional[tuple[int, int]] = None
+    def __init__(self, verdict: SaturationStatus, witness: Optional[tuple[int, int]] = None):
+        self.verdict, self.witness = verdict, witness
 
 
 def qfi_pure(family: HamiltonianFamily, theta: float, t: float, psi0: PureState) -> float:

@@ -21,9 +21,9 @@ runs of one command, so identical specs produce byte-identical output.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 from importlib import resources
 from contextlib import nullcontext
 from itertools import chain, islice, repeat
@@ -71,7 +71,8 @@ _INPUT_ERRORS = (InvalidSpec, NonHermitianInput, DimensionMismatch, FamilyFileEr
 
 
 def _defaults(cls) -> dict:
-    return {f.name: None if f.default is MISSING else f.default for f in dataclass_fields(cls)}
+    parameters = inspect.signature(cls).parameters.values()
+    return {p.name: None if p.default is p.empty else p.default for p in parameters}
 
 
 # Each model's parameters with their defaults; None marks a required parameter.
@@ -102,12 +103,9 @@ _SWEEPABLES = {
 }
 
 
-@dataclass(frozen=True)
 class Grid:
-    start: float
-    stop: float
-    points: int
-    scale: str = "linear"
+    def __init__(self, start: float, stop: float, points: int, scale: str = "linear"):
+        self.start, self.stop, self.points, self.scale = start, stop, points, scale
 
     def values(self) -> list[float]:
         if self.points == 1:
@@ -117,27 +115,25 @@ class Grid:
         return np.linspace(self.start, self.stop, self.points).tolist()
 
 
-@dataclass(frozen=True)
 class SweepSpec:
-    model: str
-    sweep_variable: str
-    grid: Grid
-    fixed_params: dict = field(default_factory=dict)
-    extension: Optional[dict] = None
-    family_file: Optional[str] = None
-    label: str = ""
+    """A run: its scenario (``vars`` of a spec is one, see ``validate_scenario``), swept
+    variable, grid and label. ``fixed_params`` left out is a new empty dict."""
+
+    def __init__(self, model: str, sweep_variable: str, grid: Grid,
+                 fixed_params: Optional[dict] = None, extension: Optional[dict] = None,
+                 family_file: Optional[str] = None, label: str = ""):
+        self.model, self.sweep_variable, self.grid = model, sweep_variable, grid
+        self.fixed_params = {} if fixed_params is None else fixed_params
+        self.extension, self.family_file, self.label = extension, family_file, label
 
 
-@dataclass(frozen=True)
 class SweepResult:
     """A run's results as columns of floats, one element per grid point in grid order."""
 
-    label: str
-    sweep_value: list[float]
-    channel_qfi: list[float]
-    upper_bound: list[float]
-    ratio: list[float]
-    estimated_error: list[float]
+    def __init__(self, label: str, sweep_value: list[float], channel_qfi: list[float],
+                 upper_bound: list[float], ratio: list[float], estimated_error: list[float]):
+        self.label, self.sweep_value, self.channel_qfi = label, sweep_value, channel_qfi
+        self.upper_bound, self.ratio, self.estimated_error = upper_bound, ratio, estimated_error
 
 
 def validate_spec(spec: SweepSpec) -> None:
@@ -155,10 +151,22 @@ def validate_spec(spec: SweepSpec) -> None:
         raise InvalidSpec(f"grid.start: log scale requires start > 0, got {grid.start}")
 
 
+def _finite_number(value) -> Optional[float]:
+    """A JSON number (int or float, not bool) as a float if that is finite, else None."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            return None
+        if math.isfinite(number):
+            return number
+    return None
+
+
 def _walk(given: dict, table: dict, where: str, owner: str, swept: Optional[str]) -> dict:
     """``given`` checked against ``table`` and returned as floats over its defaults.
 
-    Values are finite numbers (a bool is none) or numeric strings (CLI values);
+    Values are finite JSON numbers (``_finite_number``; a string is none);
     ``file`` is a non-empty path. A field whose default is None is required
     unless ``swept``.
     """
@@ -173,11 +181,8 @@ def _walk(given: dict, table: dict, where: str, owner: str, swept: Optional[str]
                 raise InvalidSpec(f"{where}.file: must be a file path, got {value!r}")
             values[key] = value
             continue
-        try:
-            number = math.nan if isinstance(value, bool) else float(value)
-        except (TypeError, ValueError):
-            number = math.nan
-        if not math.isfinite(number):
+        number = _finite_number(value)
+        if number is None:
             raise InvalidSpec(f"{where}.{key}: must be a finite number, got {value!r}")
         values[key] = number
     for key, value in values.items():
@@ -466,15 +471,11 @@ def _grid_points(value, prefix: str) -> int:
 
 
 def _grid_bound(value, key: str, prefix: str) -> float:
-    """A finite JSON number (int or float, not bool) as the grid's start or stop."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise InvalidSpec(f"{prefix}grid.{key}: must be a finite number, got {json.dumps(value)}")
+    """A finite JSON number (``_finite_number``) as the grid's start or stop."""
+    number = _finite_number(value)
+    if number is None:
+        raise InvalidSpec(f"{prefix}grid.{key}: must be a finite number, got {json.dumps(value)}")
+    return number
 
 
 # The fields of a run document, each with its JSON types, named when a field has another type.
@@ -527,11 +528,9 @@ def _run_specs(runs) -> tuple[SweepSpec, ...]:
     return tuple(spec_from_dict(run, f"run{k}", f"runs[{k}]") for k, run in enumerate(runs))
 
 
-@dataclass(frozen=True)
 class Preset:
-    name: str
-    description: str
-    runs: tuple[SweepSpec, ...]
+    def __init__(self, name: str, description: str, runs: tuple[SweepSpec, ...]):
+        self.name, self.description, self.runs = name, description, runs
 
 
 def _preset_dir():

@@ -578,6 +578,8 @@ def test_report_text_raises_on_a_float_that_is_not_finite_as_json_text_does():
     (("--model", "nv", "--extension", "flood:beta=1,beta=2"), "--extension: beta"),
     (("--model", "nv", "--extension", "subtract-perturbed:theta0=1,epsilon=0.1,eps=0.2"),
      "--extension: epsilon"),
+    (("--model", "nv", "--param", "Bz=0.01", "--extension", "flood:beta=1e-3,kind=subtract"),
+     "--extension: kind"),
 ])
 def test_report_key_given_twice_exits_one_naming_it(capsys, argv, key):
     assert run_cli(capsys, "report", *argv) == (1, "", f"error: {key} given more than once\n")
@@ -590,6 +592,22 @@ def test_report_key_given_twice_exits_one_naming_it(capsys, argv, key):
      "extension.beta: must be a finite number, got False"),
 ])
 def test_config_boolean_is_not_a_number(tmp_path, capsys, run, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(run), encoding="utf-8")
+    assert run_cli(capsys, "sweep", "--config", str(path)) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("run, message", [
+    ({**DIRECTION_RUN, "fixed_params": {"B": "1e-9"},
+      "extension": {"kind": "flood", "beta": "0.5"}},
+     "fixed_params.B: must be a finite number, got '1e-9'"),
+    ({**DIRECTION_RUN, "extension": {"kind": "flood", "beta": "0.5"}},
+     "extension.beta: must be a finite number, got '0.5'"),
+    ({**DIRECTION_RUN, "fixed_params": {**DIRECTION_RUN["fixed_params"], "theta": 10**400}},
+     f"fixed_params.theta: must be a finite number, got {10**400}"),
+], ids=["string-param", "string-extension-field", "int-beyond-float"])
+def test_config_value_that_is_no_float_exits_one(tmp_path, capsys, run, message):
+    # A numeric string is CLI text, not a JSON number; report converts its K=V values itself.
     path = tmp_path / "run.json"
     path.write_text(json.dumps(run), encoding="utf-8")
     assert run_cli(capsys, "sweep", "--config", str(path)) == (1, "", f"error: {message}\n")
@@ -1223,7 +1241,7 @@ def test_report_evaluates_the_family_once_and_decomposes_h_once(monkeypatch, cap
         return counted_family, theta, t, ext
 
     argv = ("report", "--model", "direction", "--param", "B=1e-9", "--param", "theta=1.047")
-    scenario = {"model": "direction", "fixed_params": {"B": "1e-9", "theta": "1.047"},
+    scenario = {"model": "direction", "fixed_params": {"B": 1e-9, "theta": 1.047},
                 "extension": None, "family_file": None}
     h = build_scenario(scenario)[0].value(1.047).matrix
     decomposed = []

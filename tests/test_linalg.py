@@ -13,7 +13,6 @@ from qfiext import (
     NonHermitianInput,
     PureState,
     UnitaryOperator,
-    commutator,
     eig_hermitian,
     expm_unitary,
     random_hermitian,
@@ -420,30 +419,6 @@ class TestExpectationVariance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             variance(SZ, PureState(np.array([1.0, 0.0])))
-
-
-class TestCommutator:
-    def test_spin_algebra(self):
-        assert np.allclose(commutator(SX, SY), 1j * SZ.matrix, atol=1e-14)
-
-    def test_self_commutator_vanishes(self):
-        a = gue(4, np.random.default_rng(8))
-        assert np.allclose(commutator(a, a), 0.0, atol=1e-14)
-
-    def test_two_by_two_hand_computation(self):
-        # [diag(1,2), sigma_x] = [[0,-1],[1,0]]
-        a = HermitianOperator(np.diag([1.0, 2.0]))
-        b = HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(commutator(a, b), np.array([[0.0, -1.0], [1.0, 0.0]]), atol=1e-15)
-
-    def test_anti_hermitian(self):
-        rng = np.random.default_rng(10)
-        c = commutator(gue(5, rng), gue(5, rng))
-        assert np.allclose(c, -c.conj().T, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            commutator(SZ, HermitianOperator(np.eye(2)))
 
 
 class TestRandomHermitian:
