@@ -92,13 +92,21 @@ def _emit(text: str, path: Path | None):
         path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _run_label_file(label: str, fmt: str) -> str:
-    safe = "".join(c if c.isalnum() or c in "-_." else "-" for c in label)
-    return f"{safe}.{fmt}"
+def _out_files(runs, fmt: str) -> list[str]:
+    """Each run's file name under ``--out``, from its label. A name that two runs share raises
+    InvalidSpec naming both, so this is called before any run is evaluated."""
+    files = {}
+    for spec in runs:
+        name = "".join(c if c.isalnum() or c in "-_." else "-" for c in spec.label) + f".{fmt}"
+        if name in files:
+            raise InvalidSpec(f"--out: runs {files[name]!r} and {spec.label!r} both write {name}")
+        files[name] = spec.label
+    return list(files)
 
 
 def _cmd_sweep(args) -> int:
     preset: Preset = load_preset(args.preset) if args.preset else load_config(args.config)
+    files = _out_files(preset.runs, args.format) if args.out and len(preset.runs) > 1 else []
     results: list[SweepResult] = [run_sweep(spec) for spec in preset.runs]
     texts = _csv_texts(results) if args.format == "csv" else list(map(rows_to_json, results))
     if len(results) == 1:
@@ -106,8 +114,8 @@ def _cmd_sweep(args) -> int:
     elif args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for result, text in zip(results, texts):
-            _emit(text, out_dir / _run_label_file(result.label, args.format))
+        for name, text in zip(files, texts):
+            _emit(text, out_dir / name)
     else:
         for result, text in zip(results, texts):
             sys.stdout.write(f"# run: {result.label}\n{text}")
@@ -162,9 +170,9 @@ def _cmd_report(args) -> int:
 
 
 def _report_text(model: str, theta, t, report, verdict) -> str:
-    """The report document, in ``json_text``'s bytes plus a line break, written directly in
-    its fixed layout. Each value is ``json_text``'s, formed in document order, so the first
-    float that is not finite raises as it does there."""
+    """The report document, in ``json.dumps(doc, indent=2, allow_nan=False)``'s bytes plus a
+    line break, written directly in its fixed layout. Each value is ``json_text``'s, formed in
+    document order, so the first float that is not finite raises its ValueError."""
     j = json_text
     head = (f'{{\n  "model": {j(model)},\n  "theta": {j(theta)},\n  "t": {j(t)},\n'
             f'  "channel_qfi": {j(report.channel_qfi)},\n'

@@ -109,8 +109,27 @@ class FamilyDefinition:
         self.dim, self.terms, self.derivative_terms = dim, terms, derivative_terms
 
 
+def finite_number(value) -> Optional[float]:
+    """A JSON number (int or float, not bool) as a float if that is finite, else None."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            return None
+        if math.isfinite(number):
+            return number
+    return None
+
+
+def check_keys(obj: dict, allowed, prefix: str, error=FamilyFileError, owner: str = "") -> None:
+    """Raise ``error`` naming the first key of ``obj`` not in ``allowed`` (``owner``: " for x")."""
+    unknown = obj.keys() - allowed
+    if unknown:
+        key = next(key for key in obj if key in unknown)
+        raise error(f"{prefix}{key}: unknown{owner}; expected one of {', '.join(allowed)}")
+
+
 _NUMBER_TYPES = {int, float}
-_FLOAT = {float}
 
 
 def _non_number(block, path: str):
@@ -132,25 +151,11 @@ def _non_number(block, path: str):
     return None
 
 
-def _float_rows(block, dim: int) -> bool:
-    """Whether a block is ``dim`` (>= 1) lists of ``dim`` plain floats each."""
-    if type(block) is not list or len(block) != dim or not dim:
-        return False
-    for row in block:
-        if type(row) is not list or len(row) != dim or {*map(type, row)} != _FLOAT:
-            return False
-    return True
-
-
 def _matrix_blocks(obj, where: str, dim: Optional[int]):
-    """``parse_matrix``'s checks before arithmetic, in order: ``(re, im)``, "im" None when left
-    out; blocks of plain floats pass as they are, others as arrays."""
+    """``parse_matrix``'s checks, in order, and its ``(re, im)`` arrays ("im" zero if left out)."""
     if not isinstance(obj, dict) or "re" not in obj:
         raise FamilyFileError(f"{where}: matrix must be an object with 're' (and optional 'im')")
-    re = obj["re"]
-    size = dim if dim is not None else len(re) if type(re) is list else 0
-    if _float_rows(re, size) and ("im" not in obj or _float_rows(obj["im"], size)):
-        return re, obj.get("im")
+    check_keys(obj, ("re", "im"), f"{where}: matrix.")
     for block in ("re", "im"):
         found = _non_number(obj.get(block, []), block)
         if found is not None:
@@ -158,7 +163,7 @@ def _matrix_blocks(obj, where: str, dim: Optional[int]):
             raise FamilyFileError(f"{where}: non-numeric entry {path} = {json.dumps(entry)}")
     try:
         re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
+        im = np.asarray(obj["im"], dtype=float) if "im" in obj else np.zeros_like(re)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FamilyFileError(f"{where}: matrix blocks must be numeric matrices: {exc}") from exc
     if dim is None:
@@ -173,8 +178,7 @@ def _matrix_blocks(obj, where: str, dim: Optional[int]):
 def _hermitian_stack(blocks: list, where) -> np.ndarray:
     """The ``_matrix_blocks`` of K matrices as one read-only ``symmetrized`` (K, d, d) stack:
     one conversion, one check, naming the first matrix that fails by ``where(k)``."""
-    zero = np.zeros((len(blocks[0][0]),) * 2)
-    parts = np.array([(re, zero if im is None else im) for re, im in blocks], dtype=float)
+    parts = np.array(blocks, dtype=float)
     return _freeze(symmetrized(parts[:, 0] + 1j * parts[:, 1], where))
 
 
@@ -193,15 +197,12 @@ def _parse_coefficient(obj, where: str) -> Coefficient:
         raise FamilyFileError(
             f"{where}: coefficient.kind must be one of {', '.join(COEFFICIENT_KINDS)}"
         )
+    check_keys(obj, ("kind", "scale", "frequency", "phase"), f"{where}: coefficient.")
     def num(key, default):
-        v = obj.get(key, default)
-        try:  # a bool is no number; an int beyond the float range is not finite
-            ok = isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-        except OverflowError:
-            ok = False
-        if not ok:
+        number = finite_number(obj.get(key, default))
+        if number is None:
             raise FamilyFileError(f"{where}: coefficient.{key} must be a finite number")
-        return float(v)
+        return number
 
     return Coefficient(obj["kind"], num("scale", 1.0), num("frequency", 1.0), num("phase", 0.0))
 
@@ -218,6 +219,7 @@ def _parse_terms(obj, dim: int, key: str) -> TermStack:
         for k, raw in enumerate(obj):
             if not isinstance(raw, dict) or "coefficient" not in raw or "matrix" not in raw:
                 raise FamilyFileError(f"{where(k)}: term needs 'coefficient' and 'matrix'")
+            check_keys(raw, ("coefficient", "matrix"), f"{where(k)}: ")
             coefficients.append(_parse_coefficient(raw["coefficient"], where(k)))
             blocks.append(_matrix_blocks(raw["matrix"], where(k), dim))
     except FamilyFileError:
@@ -231,6 +233,7 @@ def parse_definition(doc) -> FamilyDefinition:
     """Parse an already-decoded JSON document into a family definition."""
     if not isinstance(doc, dict):
         raise FamilyFileError("top level: expected a JSON object")
+    check_keys(doc, ("dim", "terms", "derivative_terms"), "")
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise FamilyFileError("dim: must be a positive integer")

@@ -49,8 +49,8 @@ from .extensions import (
     shifted_family,
 )
 from .family import _formula_family, factor, hermitian_stack
-from .familyfile import Coefficient, checked_sum, load_definition, load_operator, read_json
-from .familyfile import build_family as _build_custom_family
+from .familyfile import Coefficient, check_keys, checked_sum, finite_number, load_definition
+from .familyfile import build_family as _build_custom_family, load_operator, read_json
 from .generator import GeneratorMethod
 from .linalg import as_hermitian
 from .models import (
@@ -151,37 +151,22 @@ def validate_spec(spec: SweepSpec) -> None:
         raise InvalidSpec(f"grid.start: log scale requires start > 0, got {grid.start}")
 
 
-def _finite_number(value) -> Optional[float]:
-    """A JSON number (int or float, not bool) as a float if that is finite, else None."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            return None
-        if math.isfinite(number):
-            return number
-    return None
-
-
 def _walk(given: dict, table: dict, where: str, owner: str, swept: Optional[str]) -> dict:
     """``given`` checked against ``table`` and returned as floats over its defaults.
 
-    Values are finite JSON numbers (``_finite_number``; a string is none);
+    Values are finite JSON numbers (``finite_number``; a string is none);
     ``file`` is a non-empty path. A field whose default is None is required
     unless ``swept``.
     """
+    check_keys(given, table, f"{where}.", InvalidSpec, f" for {owner}")
     values = dict(table)
     for key, value in given.items():
-        if key not in table:
-            raise InvalidSpec(
-                f"{where}.{key}: unknown for {owner}; expected one of {', '.join(table)}"
-            )
         if key == "file":
             if not (isinstance(value, str) and value):
                 raise InvalidSpec(f"{where}.file: must be a file path, got {value!r}")
             values[key] = value
             continue
-        number = _finite_number(value)
+        number = finite_number(value)
         if number is None:
             raise InvalidSpec(f"{where}.{key}: must be a finite number, got {value!r}")
         values[key] = number
@@ -432,34 +417,21 @@ def rows_to_json(result: SweepResult) -> str:
     records = zip(result.sweep_value, result.channel_qfi, result.upper_bound, result.ratio,
                   method, result.estimated_error)
     rows = [dict(zip(keys, record)) for record in records]
-    return json_text({"label": result.label, "rows": rows}) + "\n"
+    return json.dumps({"label": result.label, "rows": rows}, indent=2, allow_nan=False) + "\n"
 
 
-def json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, allow_nan=False)`` (dict keys are strings),
-    without the pure-Python encoder that ``indent`` makes ``json`` use. ``indent``
-    is the line break before ``value``'s level."""
+def json_text(value) -> str:
+    """``json.dumps(value, allow_nan=False)`` of one ``str``, ``int`` (not a bool) or
+    ``float``, without ``json``'s encoder set-up; any other value raises TypeError."""
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
         return float.__repr__(value)
     if isinstance(value, str):
         return _quote(value)
-    if value is None or isinstance(value, bool):
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        items, brackets = [json_text(item, inner) for item in value], "[]"
-    elif isinstance(value, dict):
-        items = [f"{_quote(key)}: {json_text(item, inner)}" for key, item in value.items()]
-        brackets = "{}"
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _grid_points(value, prefix: str) -> int:
@@ -471,8 +443,8 @@ def _grid_points(value, prefix: str) -> int:
 
 
 def _grid_bound(value, key: str, prefix: str) -> float:
-    """A finite JSON number (``_finite_number``) as the grid's start or stop."""
-    number = _finite_number(value)
+    """A finite JSON number (``finite_number``) as the grid's start or stop."""
+    number = finite_number(value)
     if number is None:
         raise InvalidSpec(f"{prefix}grid.{key}: must be a finite number, got {json.dumps(value)}")
     return number
@@ -502,6 +474,7 @@ def spec_from_dict(doc, label: str = "", where: str = "") -> SweepSpec:
     where = where or "run document"
     if not isinstance(doc, dict):
         raise InvalidSpec(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    check_keys(doc, _RUN_FIELDS, prefix, InvalidSpec)
     for key in ("model", "sweep_variable", "grid"):
         if key not in doc:
             raise InvalidSpec(f"{prefix}{key}: required")
@@ -511,6 +484,7 @@ def spec_from_dict(doc, label: str = "", where: str = "") -> SweepSpec:
         if not isinstance(value, types):
             raise InvalidSpec(f"{prefix}{key}: expected {expected}, got {type(value).__name__}")
     grid_doc = doc["grid"]
+    check_keys(grid_doc, ("start", "stop", "points", "scale"), f"{prefix}grid.", InvalidSpec)
     for key in ("start", "stop", "points"):
         if key not in grid_doc:
             raise InvalidSpec(f"{prefix}grid.{key}: required")
@@ -559,6 +533,7 @@ def load_config(path) -> Preset:
     if not isinstance(doc, dict):
         raise InvalidSpec(f"config: expected a JSON object, got {type(doc).__name__}")
     if "runs" in doc:
+        check_keys(doc, ("name", "description", "runs"), "", InvalidSpec)
         if not isinstance(doc["runs"], list):
             raise InvalidSpec(f"runs: expected a list of run documents, got {doc['runs']!r}")
         runs = _run_specs(doc["runs"])

@@ -79,6 +79,22 @@ class TestSweepCommand:
         files = [(tmp_path / f"{label}.csv").read_text(encoding="utf-8") for label in labels]
         assert out == "".join(f"# run: {label}\n{text}" for label, text in zip(labels, files))
 
+    @pytest.mark.parametrize("labels", [("a b", "a-b"), ("run1", None)], ids=["sanitized", "default"])
+    def test_runs_that_write_one_out_file_exit_one_before_any_run(
+        self, tmp_path, capsys, monkeypatch, labels
+    ):
+        runs = [DIRECTION_RUN if label is None else {**DIRECTION_RUN, "label": label}
+                for label in labels]
+        path, out_dir = tmp_path / "runs.json", tmp_path / "out"
+        path.write_text(json.dumps({"runs": runs}), encoding="utf-8")
+        monkeypatch.setattr(qfiext.cli, "run_sweep", lambda spec: pytest.fail("a run ran"))
+        first, second = labels[0], labels[1] or "run1"
+        name = f"{second.replace(' ', '-')}.csv"
+        message = f"error: --out: runs {first!r} and {second!r} both write {name}\n"
+        argv = ("sweep", "--config", str(path), "--out", str(out_dir))
+        assert run_cli(capsys, *argv) == (1, "", message)
+        assert not out_dir.exists()
+
     def test_json_format_matches_csv_values(self, capsys):
         code, csv_out, _ = run_cli(capsys, "sweep", "--preset", "fig3")
         code2, json_out, _ = run_cli(capsys, "sweep", "--preset", "fig3", "--format", "json")
@@ -569,7 +585,7 @@ def test_report_text_raises_on_a_float_that_is_not_finite_as_json_text_does():
     with pytest.raises(ValueError) as raised:
         qfiext.cli._report_text("nv", 0.0, 1.0, report, verdict)
     with pytest.raises(ValueError) as expected:
-        json_text({"ratio": float("nan")})
+        json_text(float("nan"))
     assert str(raised.value) == str(expected.value)
 
 
@@ -611,6 +627,38 @@ def test_config_value_that_is_no_float_exits_one(tmp_path, capsys, run, message)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(run), encoding="utf-8")
     assert run_cli(capsys, "sweep", "--config", str(path)) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({**DIRECTION_RUN, "extra": 5}, "extra: unknown; expected one of model, sweep_variable, "
+     "grid, fixed_params, extension, family_file, label"),
+    ({"runs": [{**DIRECTION_RUN, "grid": {**DIRECTION_RUN["grid"], "scal": "log"}}]},
+     "runs[0].grid.scal: unknown; expected one of start, stop, points, scale"),
+    ({"name": "n", "runs": [DIRECTION_RUN], "descripton": "d"},
+     "descripton: unknown; expected one of name, description, runs"),
+], ids=["run-document", "grid", "config"])
+def test_config_key_that_is_unknown_exits_one(tmp_path, capsys, doc, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(capsys, "sweep", "--config", str(path)) == (1, "", f"error: {message}\n")
+
+
+SIN_TERM = {"coefficient": {"kind": "sin"}, "matrix": {"re": [[1.0]]}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"dim": 1, "terms": [SIN_TERM], "derivative_term": [SIN_TERM]},
+     "derivative_term: unknown; expected one of dim, terms, derivative_terms"),
+    ({"dim": 1, "terms": [{**SIN_TERM, "coef": {}}]},
+     "terms[0]: coef: unknown; expected one of coefficient, matrix"),
+    ({"dim": 1, "terms": [{**SIN_TERM, "coefficient": {"kind": "sin", "freq": 2}}]},
+     "terms[0]: coefficient.freq: unknown; expected one of kind, scale, frequency, phase"),
+], ids=["top-level", "term", "coefficient"])
+def test_family_file_key_that_is_unknown_exits_two(tmp_path, capsys, doc, message):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "report", "--model", "custom", "--family-file", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("value", [True, 10**400], ids=["bool", "int-beyond-float"])
@@ -659,6 +707,7 @@ MALFORMED_MATRICES = {
     "string": {"re": [["1", 0], [0, 1]]},
     "bool": {"re": [[1, True], [True, 1]]},
     "null": {"re": [[1, 0], [0, None]]},
+    "unknown-key": {"re": [[1, 0], [0, 1]], "img": [[0, 1], [-1, 0]]},
 }
 # The entry each non-numeric case is reported by, as written in the file.
 NOT_NUMBERS = {"non-numeric": '"x"', "string": '"1"', "bool": "true", "null": "null"}
@@ -708,6 +757,8 @@ def test_malformed_matrix_exits_two_at_every_entry_point(tmp_path, capsys, entry
     assert code == 2
     if case in NOT_NUMBERS:
         assert "non-numeric entry re" in out + err and NOT_NUMBERS[case] in out + err
+    if case == "unknown-key":
+        assert "matrix.img: unknown; expected one of re, im" in out + err
     if entry == "validate":
         assert named in out
         assert out.endswith(f"{family_path}: FAILED (input invariant violation)\n")
