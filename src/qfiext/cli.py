@@ -85,40 +85,42 @@ def _build_parser() -> tuple[_Parser, dict]:
     return parser, sub.choices
 
 
-def _emit(text: str, path: Path | None):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        path.write_text(text, encoding="utf-8", newline="\n")
-
-
-def _out_files(runs, fmt: str) -> list[str]:
-    """Each run's file name under ``--out``, from its label. A name that two runs share raises
-    InvalidSpec naming both, so this is called before any run is evaluated."""
+def _out_files(runs, out: str, fmt: str) -> list[Path]:
+    """Each run's file under ``--out``, checked before any run is evaluated. One run writes
+    the file ``out``, in a directory that exists; several runs write one file each, named
+    from its label, into the directory ``out``, which must not be another file. A bad
+    ``out``, or a name that two runs share, raises InvalidSpec."""
+    out = Path(out)
+    if len(runs) == 1:
+        if out.is_dir():
+            raise InvalidSpec(f"--out: {str(out)!r} is a directory; a single run writes a file")
+        if not out.parent.is_dir():
+            raise InvalidSpec(f"--out: directory {str(out.parent)!r} does not exist")
+        return [out]
+    if out.exists() and not out.is_dir():
+        raise InvalidSpec(f"--out: {str(out)!r} is not a directory; each run writes a file in it")
     files = {}
     for spec in runs:
         name = "".join(c if c.isalnum() or c in "-_." else "-" for c in spec.label) + f".{fmt}"
         if name in files:
             raise InvalidSpec(f"--out: runs {files[name]!r} and {spec.label!r} both write {name}")
         files[name] = spec.label
-    return list(files)
+    return [out / name for name in files]
 
 
 def _cmd_sweep(args) -> int:
     preset: Preset = load_preset(args.preset) if args.preset else load_config(args.config)
-    files = _out_files(preset.runs, args.format) if args.out and len(preset.runs) > 1 else []
+    files = _out_files(preset.runs, args.out, args.format) if args.out else []
     results: list[SweepResult] = [run_sweep(spec) for spec in preset.runs]
     texts = _csv_texts(results) if args.format == "csv" else list(map(rows_to_json, results))
-    if len(results) == 1:
-        _emit(texts[0], Path(args.out) if args.out else None)
-    elif args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, text in zip(files, texts):
-            _emit(text, out_dir / name)
-    else:
+    if len(files) > 1:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    for path, text in zip(files, texts):
+        path.write_text(text, encoding="utf-8", newline="\n")
+    if not files:
+        headed = len(results) > 1
         for result, text in zip(results, texts):
-            sys.stdout.write(f"# run: {result.label}\n{text}")
+            sys.stdout.write(f"# run: {result.label}\n{text}" if headed else text)
     return EXIT_OK
 
 

@@ -270,26 +270,19 @@ def load_operator(path) -> HermitianOperator:
     return parse_matrix(read_json(path, "operator"), str(path))
 
 
-def checked_sum(terms: TermStack, coefficient, key: str = "terms", formula=None):
-    """theta -> sum_k coefficient(c_k, theta) M_k over ``terms`` (``formula`` may form the
-    sum otherwise), at a float theta or an (N,) array of them. The K products are formed as
-    one array and added in file order to a zero matrix, so the sum has the bits of a
-    term-by-term sum. A sum that is not finite raises InvalidSpec naming ``family_file:
-    <key>[k]``, the first term in file order whose term or running sum is not finite, at the
-    first such theta."""
-
-    def stacked(theta):
-        products = terms.products(coefficient, theta)
-        total = np.zeros(products.shape[1:], dtype=complex)
-        for product in products:
-            total += product
-        return total
-
-    formula = formula or stacked
+def checked_sum(terms: TermStack, coefficient, key: str = "terms"):
+    """theta -> sum_k coefficient(c_k, theta) M_k over ``terms``, at a float theta or an (N,)
+    array of them. The K products are formed as one array and added in file order to a zero
+    matrix, so the sum has the bits of a term-by-term sum. A sum that is not finite raises
+    InvalidSpec naming ``family_file: <key>[k]``, the first term in file order whose term or
+    running sum is not finite, at the first such theta."""
 
     def checked(theta):
         with np.errstate(all="ignore"):
-            total = formula(theta)
+            products = terms.products(coefficient, theta)
+            total = np.zeros(products.shape[1:], dtype=complex)
+            for product in products:
+                total += product
             finite = np.isfinite(total).all(axis=(-2, -1))
             if finite.all():
                 return total

@@ -29,10 +29,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, StepTooSmall
+from .errors import StepTooSmall
 from .family import DEFAULT_FD_STEP, HamiltonianFamily
 from .linalg import HermitianOperator, _freeze, as_hermitian, check_unitary, eigh_stack, evolution
-from .linalg import hermitian_part, unit_scaled
+from .linalg import hermitian_part
+from .models import broken_phase_shift_family
 
 QUADRATURE_TARGET_RTOL = 1e-9
 QUADRATURE_MAX_ORDER = 1024
@@ -221,15 +222,11 @@ def generator_fd(
 def broken_phase_shift_generator_at_zero(
     g: HermitianOperator, f: HermitianOperator, t: float
 ) -> HermitianOperator:
-    """Closed-form generator of K(theta) = theta*G + F at theta = 0.
+    """Closed-form generator of K(theta) = theta*G + F at theta = 0, where H is F.
 
     In the eigenbasis {f_i, |i>} of F the matrix elements are
     t*g_ii on the diagonal and i*g_ij*(1 - exp(i t (f_i - f_j)))/(f_i - f_j)
-    off the diagonal; coinciding f_i are handled through the smooth
-    exp/sinc form of the same kernel.
+    off the diagonal: ``generator_spectral``'s kernel at theta = 0, whose
+    exp/sinc form also covers coinciding f_i.
     """
-    if g.dim != f.dim:
-        raise DimensionMismatch(f"dimensions differ: {g.dim} vs {f.dim}")
-    ts = np.array([t], dtype=float)
-    gen = generator_in_eigenbasis(*eigh_stack(f.matrix[None]), *unit_scaled(g.matrix), ts)[0]
-    return as_hermitian(gen[0])
+    return generator_spectral(broken_phase_shift_family(g, f), 0.0, t).generator

@@ -345,9 +345,10 @@ def evolution(w: np.ndarray, v: np.ndarray, t) -> np.ndarray:
 
 
 def expm_unitary(a: HermitianOperator, t: float) -> UnitaryOperator:
-    """Evolution operator exp(-i t A) via the spectral decomposition of A."""
-    dec = eig_hermitian(a)
-    return UnitaryOperator(evolution(dec.eigenvalues, dec.eigenvectors, t))
+    """Evolution operator exp(-i t A) via ``eigh_stack`` of A, eigenvalues scaled back."""
+    w, v, e = eigh_stack(a.matrix[None])
+    with np.errstate(over="ignore"):
+        return UnitaryOperator(evolution(np.ldexp(w[0], e[0]), v[0], t))
 
 
 def seminorm(a: HermitianOperator) -> float:

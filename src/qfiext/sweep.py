@@ -48,11 +48,10 @@ from .extensions import (
     extension_offset,
     shifted_family,
 )
-from .family import _formula_family, factor, hermitian_stack
-from .familyfile import Coefficient, check_keys, checked_sum, finite_number, load_definition
-from .familyfile import build_family as _build_custom_family, load_operator, read_json
+from .family import hermitian_stack
+from .familyfile import build_family, check_keys, finite_number, load_definition, load_operator
+from .familyfile import read_json
 from .generator import GeneratorMethod
-from .linalg import as_hermitian
 from .models import (
     DirectionParams,
     NvParams,
@@ -323,26 +322,17 @@ def _check_model_terms(model: str, params: dict, kind, fields: dict, swept=None)
 def load_model_family(model: str, family_file):
     """Family from a definition file, as the given file-backed model.
 
-    The broken-phase-shift model restricts the file to const and linear
-    coefficients and assembles theta*G + F with exact derivatives; the
-    custom model accepts the full coefficient catalog.
+    The broken-phase-shift model is the custom model restricted to const and
+    linear coefficients, whose family is theta*G + F; the custom model
+    accepts the full coefficient catalog.
     """
     definition = load_definition(family_file)
-    if model == "custom":
-        return _build_custom_family(definition)
-    terms = definition.terms
-    for k, coefficient in enumerate(terms.coefficients):
-        if coefficient.kind not in ("const", "linear"):
-            raise InvalidSpec(f"family_file: terms[{k}]: model 'broken-phase-shift' allows only "
-                              f"const and linear coefficients, got {coefficient.kind!r}")
-    # G = dH/dtheta and F = H(0) summed in file order; theta G + F is checked as the terms' sum.
-    try:
-        g, f = (as_hermitian(checked_sum(terms, c)(0.0))
-                for c in (Coefficient.derivative, Coefficient.value))
-    except InvalidSpec as exc:  # G and F are the same at every theta: name none
-        raise InvalidSpec(str(exc).partition(" at theta=")[0]) from None
-    value = checked_sum(terms, Coefficient.value, formula=lambda x: factor(x) * g.matrix + f.matrix)
-    return _formula_family(definition.dim, value, g, as_hermitian(np.zeros_like(g.matrix)))
+    if model == "broken-phase-shift":
+        for k, coefficient in enumerate(definition.terms.coefficients):
+            if coefficient.kind not in ("const", "linear"):
+                raise InvalidSpec(f"family_file: terms[{k}]: model 'broken-phase-shift' allows "
+                                  f"only const and linear coefficients, got {coefficient.kind!r}")
+    return build_family(definition)
 
 
 def _grid_stacks(spec: SweepSpec, values: list[float]):

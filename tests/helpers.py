@@ -235,6 +235,20 @@ def eig_hermitian_reference(a: HermitianOperator) -> tuple[np.ndarray, np.ndarra
     return w, fix_phases_by_column(v)
 
 
+def broken_phase_shift_closed_form(g: HermitianOperator, f: HermitianOperator, t: float):
+    """The paper's generator of theta*G + F at theta = 0, from numpy's ``eigh`` of F alone.
+
+    In F's eigenbasis {f_i, |i>}: K_ii = t g_ii, and K_ij = i g_ij (1 - e^{i t (f_i - f_j)})
+    / (f_i - f_j), or t g_ij where f_i = f_j. Returned in the original basis.
+    """
+    w, v = np.linalg.eigh(f.matrix)
+    gaps = w[:, None] - w[None, :]
+    same = gaps == 0.0
+    off = 1j * (1.0 - np.exp(1j * t * gaps)) / np.where(same, 1.0, gaps)
+    kernel = np.where(same, t, off)
+    return v @ ((v.conj().T @ g.matrix @ v) * kernel) @ v.conj().T
+
+
 def taylor_expm(matrix: np.ndarray, terms: int = 30) -> np.ndarray:
     """Truncated Taylor series of exp(matrix); independent oracle for expm_unitary."""
     out = np.eye(matrix.shape[0], dtype=complex)

@@ -37,7 +37,7 @@ from qfiext import (
     tensor_identity,
     upper_bound,
 )
-from helpers import polynomial_family, random_state
+from helpers import broken_phase_shift_closed_form, polynomial_family, random_state
 
 GAMMA = gyromagnetic_ratio()
 
@@ -203,8 +203,9 @@ def test_criterion_06_generator_cross_validation():
         f = random_hermitian(dim, rng)
         fam = broken_phase_shift_family(g, f)
         t = float(rng.uniform(0.5, 1.5))
-        closed = broken_phase_shift_generator_at_zero(g, f, t).matrix
+        closed = broken_phase_shift_closed_form(g, f, t)
         for general in (
+            broken_phase_shift_generator_at_zero(g, f, t).matrix,
             generator_spectral(fam, 0.0, t).generator.matrix,
             generator_fd(fam, 0.0, t).generator.matrix,
         ):

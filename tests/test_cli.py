@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from importlib import resources
 
 import qfiext.cli
@@ -20,6 +22,7 @@ from qfiext.linalg import PureState, unit_scaled
 from qfiext.models import gyromagnetic_ratio
 from qfiext.qfi import ChannelQfiReport, SaturationStatus, SaturationVerdict
 from qfiext.sweep import CSV_HEADER, json_text
+from helpers import family_documents
 
 FIXTURES = resources.files("qfiext").joinpath("data/fixtures")
 
@@ -94,6 +97,22 @@ class TestSweepCommand:
         argv = ("sweep", "--config", str(path), "--out", str(out_dir))
         assert run_cli(capsys, *argv) == (1, "", message)
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("preset, out, message", [
+        ("fig3", "nodir/x.csv", lambda tmp: f"directory {str(tmp / 'nodir')!r} does not exist"),
+        ("fig3", "", lambda tmp: f"{str(tmp)!r} is a directory; a single run writes a file"),
+        ("fig1", "x.csv",
+         lambda tmp: f"{str(tmp / 'x.csv')!r} is not a directory; each run writes a file in it"),
+    ], ids=["single-run-missing-directory", "single-run-directory", "multi-run-file"])
+    def test_out_that_cannot_be_written_exits_one_before_any_run(
+        self, tmp_path, capsys, monkeypatch, preset, out, message
+    ):
+        (tmp_path / "x.csv").write_text("kept", encoding="utf-8")
+        monkeypatch.setattr(qfiext.cli, "run_sweep", lambda spec: pytest.fail("a run ran"))
+        argv = ("sweep", "--preset", preset, "--out", str(tmp_path / out))
+        assert run_cli(capsys, *argv) == (1, "", f"error: --out: {message(tmp_path)}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+        assert (tmp_path / "x.csv").read_text(encoding="utf-8") == "kept"
 
     def test_json_format_matches_csv_values(self, capsys):
         code, csv_out, _ = run_cli(capsys, "sweep", "--preset", "fig3")
@@ -1273,6 +1292,35 @@ def test_broken_phase_shift_file_whose_derivative_overflows_names_no_theta(tmp_p
     assert (code, out) == (1, "")
     assert err.startswith(FAMILY_TERM_OVERFLOW)
     assert "theta=0.0" not in err
+
+
+# tmp_path and capsys are shared by the examples: each writes its files anew and reads its output.
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=family_documents(kinds=("const", "linear")), exponent=st.integers(-3, 3),
+       theta=st.floats(-2.0, 2.0), t=st.floats(0.1, 2.0))
+def test_broken_phase_shift_and_custom_models_agree_on_a_const_and_linear_file(
+    tmp_path, capsys, doc, exponent, theta, t
+):
+    # broken-phase-shift is custom restricted to const and linear terms: the same bytes.
+    for term in doc["terms"]:
+        term["coefficient"]["scale"] *= 10.0**exponent
+    family, config = tmp_path / "family.json", tmp_path / "run.json"
+    family.write_text(json.dumps(doc), encoding="utf-8")
+    outputs = {}
+    for model in ("broken-phase-shift", "custom"):
+        run = {"model": model, "family_file": str(family), "sweep_variable": "theta",
+               "fixed_params": {"t": t}, "grid": {"start": theta, "stop": theta + 1.0, "points": 5}}
+        config.write_text(json.dumps(run), encoding="utf-8")
+        outputs[model] = [
+            run_cli(capsys, "report", "--model", model, "--family-file", str(family),
+                    "--param", f"theta={theta!r}", "--param", f"t={t!r}"),
+            run_cli(capsys, "sweep", "--config", str(config)),
+        ]
+    (code, report, err), sweep = outputs["broken-phase-shift"]
+    assert (code, err, sweep[0]) == (0, "", 0)
+    as_custom = report.replace('"model": "broken-phase-shift"', '"model": "custom"', 1)
+    assert [(code, as_custom, err), sweep] == outputs["custom"]
 
 
 def test_report_evaluates_the_family_once_and_decomposes_h_once(monkeypatch, capsys):

@@ -36,6 +36,7 @@ from qfiext import generator
 from qfiext.family import DEFAULT_FD_STEP
 from qfiext.linalg import eigh_stack, expm_unitary, hermitian_part
 from helpers import (
+    broken_phase_shift_closed_form,
     commuting_family,
     cross_check_cases,
     gauss_legendre_loop,
@@ -311,7 +312,9 @@ class TestBrokenPhaseShiftGenerator:
             fam = broken_phase_shift_family(g, f)
             closed = broken_phase_shift_generator_at_zero(g, f, t=1.1)
             fd = generator_fd(fam, 0.0, 1.1)
-            assert np.max(np.abs(closed.matrix - fd.generator.matrix)) < 1e-7
+            reference = broken_phase_shift_closed_form(g, f, 1.1)
+            for other in (fd.generator.matrix, reference):
+                assert np.max(np.abs(closed.matrix - other)) < 1e-7
 
     @pytest.mark.parametrize("t", [1e-11, 1e-3])
     def test_nv_at_zero_field_matches_spectral(self, t):
@@ -320,10 +323,11 @@ class TestBrokenPhaseShiftGenerator:
         gamma = gyromagnetic_ratio(params.g)
         g = HermitianOperator(gamma * SZ.matrix)
         f = fam.value(0.0)
-        closed = broken_phase_shift_generator_at_zero(g, f, t)
-        spec = generator_spectral(fam, 0.0, t).generator
-        scale = np.max(np.abs(spec.matrix))
-        assert np.max(np.abs(closed.matrix - spec.matrix)) < 1e-7 * max(scale, 1.0)
+        reference = broken_phase_shift_closed_form(g, f, t)
+        scale = np.max(np.abs(reference))
+        for route in (broken_phase_shift_generator_at_zero(g, f, t),
+                      generator_spectral(fam, 0.0, t).generator):
+            assert np.max(np.abs(route.matrix - reference)) < 1e-7 * max(scale, 1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

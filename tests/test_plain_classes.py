@@ -1,10 +1,13 @@
-"""The package defines its types as plain classes, which cost nothing to create at import.
+"""Guards over the package's modules.
 
-A dataclass generates and compiles its methods when its module is imported, in
-every ``qfiext`` process; the model parameter tables that ``sweep`` reads from
-the parameter classes' signatures must stay as they were.
+The package defines its types as plain classes, which cost nothing to create at
+import: a dataclass generates and compiles its methods when its module is
+imported, in every ``qfiext`` process; the model parameter tables that ``sweep``
+reads from the parameter classes' signatures must stay as they were. No module
+but ``__init__``, which re-exports, imports a name it does not use.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -35,3 +38,21 @@ def test_model_defaults_are_the_parameter_classes_defaults():
         ("broken-phase-shift", {"theta": 0.0, "t": 1.0}),
         ("custom", {"theta": 0.0, "t": 1.0}),
     ]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = []
+    for info in pkgutil.iter_modules(qfiext.__path__):  # the submodules, not __init__
+        module = importlib.import_module(f"qfiext.{info.name}")
+        tree = ast.parse(inspect.getsource(module))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).partition(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{info.name}:{line}: {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
