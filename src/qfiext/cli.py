@@ -111,12 +111,23 @@ def _out_files(runs, out: str, fmt: str) -> list[Path]:
 def _cmd_sweep(args) -> int:
     preset: Preset = load_preset(args.preset) if args.preset else load_config(args.config)
     files = _out_files(preset.runs, args.out, args.format) if args.out else []
-    results: list[SweepResult] = [run_sweep(spec) for spec in preset.runs]
+    results: list[SweepResult] = []
+    for k, spec in enumerate(preset.runs):
+        try:
+            results.append(run_sweep(spec))
+        except InvalidSpec as exc:  # of several runs, name the one whose scenario or grid is bad
+            if len(preset.runs) == 1:
+                raise
+            raise InvalidSpec(f"runs[{k}].{exc}") from exc
     texts = _csv_texts(results) if args.format == "csv" else list(map(rows_to_json, results))
-    if len(files) > 1:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-    for path, text in zip(files, texts):
-        path.write_text(text, encoding="utf-8", newline="\n")
+    path = args.out
+    try:
+        if len(files) > 1:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        for path, text in zip(files, texts):
+            path.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise InvalidSpec(f"--out: cannot write {str(path)!r}: {exc.strerror or exc}") from exc
     if not files:
         headed = len(results) > 1
         for result, text in zip(results, texts):

@@ -21,10 +21,11 @@ defining H(theta) = sum_k c_k(theta) * M_k with the coefficient catalog
     sin     c(theta) = scale * sin(frequency * theta + phase)
     cos     c(theta) = scale * cos(frequency * theta + phase)
 
-Coefficient derivatives are supplied analytically by the toolkit. When
-``derivative_terms`` is present it overrides the derived derivative and is
-checked against finite differences by ``validate_file``. The "im" block is
-optional and defaults to zero.
+The catalog is closed under d/dtheta (sin <-> cos, linear -> const -> 0), so
+dH/dtheta and d^2H/dtheta^2 are term lists of the same matrices, summed as H
+is. When ``derivative_terms`` is present it overrides the derived derivative
+and is checked against finite differences by ``validate_file``. The "im"
+block is optional and defaults to zero.
 
 A term list is parsed into one ``TermStack``: each term is checked in file
 order for its structure, its coefficient, non-numeric entries and its shape,
@@ -58,9 +59,8 @@ class Coefficient:
     def __init__(self, kind: str, scale: float = 1.0, frequency: float = 1.0, phase: float = 0.0):
         self.kind, self.scale, self.frequency, self.phase = kind, scale, frequency, phase
 
-    # Each takes a float theta or an (N,) array of them.
-
     def value(self, theta):
+        """c(theta) at a float theta or an (N,) array of them."""
         if self.kind == "const":
             return self.scale
         if self.kind == "linear":
@@ -69,39 +69,57 @@ class Coefficient:
             return self.scale * np.sin(self.frequency * theta + self.phase)
         return self.scale * np.cos(self.frequency * theta + self.phase)
 
-    def derivative(self, theta):
+    def derivative(self) -> Coefficient:
+        """The catalog coefficient of dc/dtheta, with the same frequency and phase."""
         if self.kind == "const":
-            return 0.0
+            return Coefficient("const", 0.0)
         if self.kind == "linear":
-            return self.scale
+            return Coefficient("const", self.scale)
         if self.kind == "sin":
-            return self.scale * self.frequency * np.cos(self.frequency * theta + self.phase)
-        return -self.scale * self.frequency * np.sin(self.frequency * theta + self.phase)
-
-    def second_derivative(self, theta):
-        if self.kind in ("const", "linear"):
-            return 0.0
-        w2 = self.frequency * self.frequency
-        if self.kind == "sin":
-            return -w2 * self.scale * np.sin(self.frequency * theta + self.phase)
-        return -w2 * self.scale * np.cos(self.frequency * theta + self.phase)
+            return Coefficient("cos", self.scale * self.frequency, self.frequency, self.phase)
+        return Coefficient("sin", -self.scale * self.frequency, self.frequency, self.phase)
 
 
 class TermStack:
-    """A term list: its coefficients in file order and its matrices as one read-only
-    (K, d, d) stack, each ``symmetrized`` as ``HermitianOperator`` would have it."""
+    """A term list: its coefficients in file order, its matrices as one read-only (K, d, d)
+    stack, each ``symmetrized`` as ``HermitianOperator`` would have it, and its ``key`` in the
+    file (``terms`` or ``derivative_terms``), which names a term in an error."""
 
-    def __init__(self, coefficients: tuple[Coefficient, ...], matrices: np.ndarray):
-        self.coefficients, self.matrices = coefficients, matrices
+    def __init__(self, coefficients: tuple[Coefficient, ...], matrices: np.ndarray, key: str):
+        self.coefficients, self.matrices, self.key = coefficients, matrices, key
 
-    def products(self, coefficient, theta) -> np.ndarray:
-        """``coefficient(c_k, theta) M_k`` of every term k, (K, d, d) at a float theta or
-        (K, N, d, d) at an (N,) array of them: one product of the stacked coefficients."""
+    def derivative(self) -> TermStack:
+        """The term list of d/dtheta: each coefficient's derivative, the same matrices."""
+        return TermStack(tuple(c.derivative() for c in self.coefficients), self.matrices, self.key)
+
+    def products(self, theta) -> np.ndarray:
+        """``c_k(theta) M_k`` of every term k, (K, d, d) at a float theta or (K, N, d, d) at an
+        (N,) array of them: one product of the stacked coefficients."""
         grid = isinstance(theta, np.ndarray)
         values = np.empty((len(self.coefficients),) + (theta.shape if grid else ()))
         for k, c in enumerate(self.coefficients):
-            values[k] = coefficient(c, theta)
+            values[k] = c.value(theta)
         return values[..., None, None] * (self.matrices[:, None] if grid else self.matrices)
+
+    def sum(self, theta) -> np.ndarray:
+        """sum_k c_k(theta) M_k at a float theta or an (N,) array of them. The K products are
+        added in file order to a zero matrix, so the sum has the bits of a term-by-term sum.
+        A sum that is not finite raises InvalidSpec naming ``family_file: <key>[k]``, the
+        first term in file order whose term or running sum is not finite, at the first such
+        theta."""
+        with np.errstate(all="ignore"):
+            products = self.products(theta)
+            total = np.zeros(products.shape[1:], dtype=complex)
+            for product in products:
+                total += product
+            finite = np.isfinite(total).all(axis=(-2, -1))
+            if finite.all():
+                return total
+            at = float(np.atleast_1d(theta)[np.argmin(finite)])
+            sums = np.cumsum(self.products(at), axis=0)
+            k = int(np.argmin(np.isfinite(sums).all(axis=(-2, -1))))
+        raise InvalidSpec(f"family_file: {self.key}[{k}]: the term or the sum up to it "
+                          f"is not finite at theta={at!r}")
 
 
 class FamilyDefinition:
@@ -226,7 +244,7 @@ def _parse_terms(obj, dim: int, key: str) -> TermStack:
         if blocks:
             _hermitian_stack(blocks, where)
         raise
-    return TermStack(tuple(coefficients), _hermitian_stack(blocks, where))
+    return TermStack(tuple(coefficients), _hermitian_stack(blocks, where), key)
 
 
 def parse_definition(doc) -> FamilyDefinition:
@@ -270,38 +288,11 @@ def load_operator(path) -> HermitianOperator:
     return parse_matrix(read_json(path, "operator"), str(path))
 
 
-def checked_sum(terms: TermStack, coefficient, key: str = "terms"):
-    """theta -> sum_k coefficient(c_k, theta) M_k over ``terms``, at a float theta or an (N,)
-    array of them. The K products are formed as one array and added in file order to a zero
-    matrix, so the sum has the bits of a term-by-term sum. A sum that is not finite raises
-    InvalidSpec naming ``family_file: <key>[k]``, the first term in file order whose term or
-    running sum is not finite, at the first such theta."""
-
-    def checked(theta):
-        with np.errstate(all="ignore"):
-            products = terms.products(coefficient, theta)
-            total = np.zeros(products.shape[1:], dtype=complex)
-            for product in products:
-                total += product
-            finite = np.isfinite(total).all(axis=(-2, -1))
-            if finite.all():
-                return total
-            at = float(np.atleast_1d(theta)[np.argmin(finite)])
-            sums = np.cumsum(terms.products(coefficient, at), axis=0)
-            k = int(np.argmin(np.isfinite(sums).all(axis=(-2, -1))))
-        raise InvalidSpec(f"family_file: {key}[{k}]: the term or the sum up to it "
-                          f"is not finite at theta={at!r}")
-
-    return checked
-
-
 def build_family(definition: FamilyDefinition) -> HamiltonianFamily:
-    """Family with analytic coefficient derivatives (or the explicit override)."""
-    terms, explicit, c = definition.terms, definition.derivative_terms, Coefficient
-    derivative = (checked_sum(terms, c.derivative) if explicit is None
-                  else checked_sum(explicit, c.value, "derivative_terms"))
-    value, second = checked_sum(terms, c.value), checked_sum(terms, c.second_derivative)
-    return _formula_family(definition.dim, value, derivative, second)
+    """Family with the derived coefficient derivatives (or the explicit override)."""
+    terms, first = definition.terms, definition.terms.derivative()
+    derivative = definition.derivative_terms or first
+    return _formula_family(definition.dim, terms.sum, derivative.sum, first.derivative().sum)
 
 
 class FileDiagnostics:

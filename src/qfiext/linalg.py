@@ -116,8 +116,6 @@ def _hermitian_part(m: np.ndarray, where, checked: bool) -> np.ndarray:
         prefix = f"{where(n) if where else f'matrix {n}'}: "
         raise _hermiticity_error(m[n], asym if asym is None else asym[n], float(tol[n]), prefix)
     big = scale > _HALF_MAX
-    if not big.any():
-        return (m + m_dag) / 2
     out = m / 2 + m_dag / 2
     out[~big] = (m[~big] + m_dag[~big]) / 2  # for one matrix, ~big selects nothing
     return out

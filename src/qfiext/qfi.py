@@ -203,15 +203,13 @@ def channel_qfi_stack(
                            variable, values)
 
 
-def check_saturation(
-    family: HamiltonianFamily, theta: float, tol: float = SATURATION_RTOL
-) -> SaturationVerdict:
+def check_saturation(family: HamiltonianFamily, theta: float) -> SaturationVerdict:
     """Decide whether the channel QFI can reach its upper bound at theta.
 
     Non-degenerate extremal eigenvalues of dH/dtheta: saturation holds iff
     both extremal eigenvectors are eigenvectors of H(theta) (residual below
-    ``tol * ||H||``). With degenerate extremal eigenvalues only a sufficient
-    condition is checked: some eigenvector of H lies in the maximal
+    ``SATURATION_RTOL * ||H||``). With degenerate extremal eigenvalues only a
+    sufficient condition is checked: some eigenvector of H lies in the maximal
     eigenspace of dH/dtheta and another in the minimal one; all of H's
     eigenvectors are projected onto each eigenspace with one product and
     one column norm. H, dH/dtheta, their decomposition and dH/dtheta's blocks
@@ -230,7 +228,7 @@ def check_saturation(
         def residual(vec: np.ndarray) -> float:
             return norm((hv := unit @ vec) - float((vec.conj() @ hv).real) * vec)
 
-        ok = all(residual(dv[:, idx]) <= tol for idx in (high[0], low[0]))
+        ok = all(residual(dv[:, idx]) <= SATURATION_RTOL for idx in (high[0], low[0]))
         status = SaturationStatus.SATURATES if ok else SaturationStatus.NOT_SATURATING
         return SaturationVerdict(status, (low[0], high[0]))
 
@@ -238,7 +236,8 @@ def check_saturation(
     # [k] for the first eigenvector of H within the block's eigenspace, or [].
     def first_inside(block: range) -> list:
         span = dv[:, block.start : block.stop]
-        return np.flatnonzero(np.linalg.norm(span.conj().T @ v, axis=0) > 1.0 - tol)[:1].tolist()
+        inside = np.linalg.norm(span.conj().T @ v, axis=0) > 1.0 - SATURATION_RTOL
+        return np.flatnonzero(inside)[:1].tolist()
 
     in_max, in_min = first_inside(high), first_inside(low)
     if in_max and in_min and (len(blocks) == 1 or in_max != in_min):

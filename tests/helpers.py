@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -27,6 +30,13 @@ from qfiext.linalg import (
     _canonical_block_basis,
     degenerate_blocks,
 )
+
+
+def cli_env() -> dict:
+    """The environment of a ``python -m qfiext.cli`` child process: this checkout's ``src``
+    first on PYTHONPATH, so the child runs the code under test however pytest was started."""
+    src, path = str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 def gue(dim: int, rng: np.random.Generator) -> HermitianOperator:

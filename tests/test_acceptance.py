@@ -37,7 +37,7 @@ from qfiext import (
     tensor_identity,
     upper_bound,
 )
-from helpers import broken_phase_shift_closed_form, polynomial_family, random_state
+from helpers import broken_phase_shift_closed_form, cli_env, polynomial_family, random_state
 
 GAMMA = gyromagnetic_ratio()
 
@@ -314,11 +314,11 @@ def test_criterion_10_ancilla_noop():
 def test_criterion_11_cli_determinism_and_validation(tmp_path):
     first = subprocess.run(
         [sys.executable, "-m", "qfiext.cli", "sweep", "--preset", "fig3"],
-        capture_output=True, check=True,
+        capture_output=True, check=True, env=cli_env(),
     )
     second = subprocess.run(
         [sys.executable, "-m", "qfiext.cli", "sweep", "--preset", "fig3"],
-        capture_output=True, check=True,
+        capture_output=True, check=True, env=cli_env(),
     )
     identical = first.stdout == second.stdout
 
@@ -328,7 +328,8 @@ def test_criterion_11_cli_determinism_and_validation(tmp_path):
         resources.files("qfiext").joinpath("data/fixtures/corrupt-derivative.json")
     )
     validation = subprocess.run(
-        [sys.executable, "-m", "qfiext.cli", "validate", fixture], capture_output=True
+        [sys.executable, "-m", "qfiext.cli", "validate", fixture], capture_output=True,
+        env=cli_env(),
     )
     exit_ok = validation.returncode == 3
     ok = identical and exit_ok

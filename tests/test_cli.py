@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -22,7 +23,7 @@ from qfiext.linalg import PureState, unit_scaled
 from qfiext.models import gyromagnetic_ratio
 from qfiext.qfi import ChannelQfiReport, SaturationStatus, SaturationVerdict
 from qfiext.sweep import CSV_HEADER, json_text
-from helpers import family_documents
+from helpers import cli_env, family_documents
 
 FIXTURES = resources.files("qfiext").joinpath("data/fixtures")
 
@@ -241,6 +242,25 @@ class TestSweepCommand:
         code, out, err = run_cli(capsys, "sweep", "--config", str(path))
         assert (code, out) == (1, "")
         assert "fixed_params.Bogus" in err
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"grid": {"start": 0.01, "stop": 0.001, "points": 3}},
+         "runs[1].grid.start: must be < grid.stop, got 0.01 >= 0.001"),
+        ({"fixed_params": {"B": -1e-9}}, "runs[1].fixed_params.B: must be >= 0, got -1e-09"),
+    ], ids=["grid", "scenario"])
+    def test_bad_grid_or_scenario_of_a_later_run_is_named_by_its_index(
+        self, tmp_path, capsys, bad, message
+    ):
+        path = tmp_path / "runs.json"
+        path.write_text(json.dumps({"runs": [DIRECTION_RUN, {**DIRECTION_RUN, **bad}]}),
+                        encoding="utf-8")
+        assert run_cli(capsys, "sweep", "--config", str(path)) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_out_that_fails_to_be_written_exits_one_naming_it(self, capsys):
+        argv = ("sweep", "--preset", "fig3", "--out", "/dev/full")
+        message = "error: --out: cannot write '/dev/full': No space left on device\n"
+        assert run_cli(capsys, *argv) == (1, "", message)
 
     def test_non_hermitian_add_operator_file_exits_two(self, tmp_path, capsys):
         operator = tmp_path / "operator.json"
@@ -542,6 +562,12 @@ class TestReportCommand:
         assert code == 1
         assert "unknown for model" in err
 
+    def test_add_operator_with_an_empty_file_path_exits_one(self, capsys):
+        argv = ("report", "--model", "direction", "--param", "B=1e-9",
+                "--extension", "add-operator:file=,eps=1")
+        message = "error: extension.file: must be a file path, got ''\n"
+        assert run_cli(capsys, *argv) == (1, "", message)
+
 
 # sha256 of `qfiext report` stdout; each call exercises a different spectral edge.
 REPORT_STDOUT_SHA256 = [
@@ -700,7 +726,8 @@ def test_one_parser_serves_successive_calls_like_fresh_processes(capsys):
         ("report", "--model", "nv"),
     ]
     fresh = [
-        subprocess.run([sys.executable, "-m", "qfiext.cli", *argv], capture_output=True, text=True)
+        subprocess.run([sys.executable, "-m", "qfiext.cli", *argv], capture_output=True,
+                       text=True, env=cli_env())
         for argv in calls
     ]
     for argv, expected in zip(calls, fresh):
@@ -1478,6 +1505,14 @@ class TestValidateCommand:
         assert code == 3
         assert "derivative mismatch" in out
         assert "max deviation" in out
+
+
+    def test_top_level_that_is_not_an_object_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "family.json"
+        path.write_text("[1]", encoding="utf-8")
+        assert run_cli(capsys, "validate", str(path)) == (
+            2, f"top level: expected a JSON object\n{path}: FAILED (input invariant violation)\n",
+            "")
 
 
 class TestPresetsCommand:

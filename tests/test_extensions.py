@@ -1,5 +1,6 @@
 """Tests for the Hamiltonian-extension transformers and their predictions."""
 
+import re
 import warnings
 
 import numpy as np
@@ -34,6 +35,7 @@ from qfiext import (
     spin1_matrices,
     subtract,
     subtract_perturbed,
+    tensor_identity,
     upper_bound,
 )
 from qfiext.extensions import extension_offset
@@ -352,6 +354,16 @@ class TestApplyExtension:
         for spec, direct in pairs:
             out = apply_extension(fam, spec)
             assert np.array_equal(out.value(0.6).matrix, direct.value(0.6).matrix)
+
+    def test_ancilla_of_dimension_zero_rejected(self):
+        fam = polynomial_family(np.random.default_rng(71), 2)
+        with pytest.raises(DimensionMismatch, match=r"^ancilla dimension must be >= 1, got 0$"):
+            tensor_identity(fam, 0)
+
+    def test_unknown_spec_rejected(self):
+        fam, spec = polynomial_family(np.random.default_rng(72), 2), object()
+        with pytest.raises(ValueError, match=f"^unknown extension spec: {re.escape(repr(spec))}$"):
+            extension_offset(fam, spec)
 
     def test_nonfinite_parameters_rejected(self):
         rng = np.random.default_rng(69)

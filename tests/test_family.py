@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfiext import (
+    DimensionMismatch,
     DirectionParams,
     HamiltonianFamily,
     HermitianOperator,
@@ -323,6 +324,12 @@ class TestUncheckedFormulasKeepTheCheckedBits:
                     with np.errstate(over="ignore"):
                         evaluate()
             assert str(raised.value) == str(expected.value)
+
+
+def test_dimension_zero_rejected():
+    value = lambda theta: HermitianOperator(np.eye(1))
+    with pytest.raises(DimensionMismatch, match=r"^dimension must be >= 1, got 0$"):
+        HamiltonianFamily(0, value, value)
 
 
 class TestRememberedPoint:

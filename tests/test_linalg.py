@@ -142,6 +142,10 @@ class TestPureState:
         psi = PureState(np.array([1.0, 0.0, 0.0]))
         assert psi.dim == 3
 
+    def test_rejects_a_matrix(self):
+        with pytest.raises(DimensionMismatch, match=r"^expected a vector, got shape \(2, 2\)$"):
+            PureState(np.eye(2))
+
     def test_rejects_far_from_unit(self):
         with pytest.raises(ValueError):
             PureState(np.array([2.0, 0.0]))

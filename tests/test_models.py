@@ -177,6 +177,10 @@ class TestDirectionFamily:
         with pytest.raises(ValueError):
             DirectionParams(B=-1.0)
 
+    def test_nonfinite_angle_rejected(self):
+        with pytest.raises(ValueError, match=r"^DirectionParams.theta must be finite$"):
+            DirectionParams(B=1.0, theta=float("inf"))
+
 
 class TestDirectionSz:
     def test_zero_kappa_matches_direction_family(self):
@@ -193,6 +197,10 @@ class TestDirectionSz:
             eigs = np.linalg.eigvalsh(fam.value(params.theta).matrix)
             mag = GAMMA * params.B * np.sqrt(1.0 + kappa**2 + 2.0 * kappa * np.cos(params.theta))
             assert np.allclose(eigs, [-mag, 0.0, mag], rtol=1e-10, atol=1e-8)
+
+    def test_nonfinite_kappa_rejected(self):
+        with pytest.raises(ValueError, match=r"^kappa must be finite, got nan$"):
+            direction_sz_family(DirectionParams(B=1e-9), float("nan"))
 
     def test_derivative_unchanged(self):
         params = DirectionParams(B=1e-9, theta=0.4, phi=0.2)
